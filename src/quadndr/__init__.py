@@ -5,13 +5,11 @@ __version__ = "0.1.0"
 from .ins import (
     DEFAULT_GRAVITY,
     GRAVITY,
-    ImuSample,
     ImuSeries,
     NavState,
     dcm_to_yaw,
     euler_to_dcm,
     mechanize_series,
-    mechanize_step,
     skew,
 )
 from .simulate import (
@@ -23,15 +21,12 @@ from .simulate import (
     initial_nav_state,
     inverse_mechanize,
 )
-from .windows import NormStats, SampleSet, WindowSpec, normalize, split, window_series
+from .windows import NormStats, SampleSet, WindowSpec, normalize, window_series
 from .network import (
     AdamState,
     NetConfig,
     TrainConfig,
     adam_step,
-    backward,
-    forward_multi_head,
-    forward_single_head,
     init_params,
     leaky_relu,
     load_model,
@@ -41,12 +36,9 @@ from .network import (
 )
 from .deadreckon import (
     EvalReport,
-    PredictedTrajectory,
     improvement_pct,
     integrate_deltas,
     quadnet_update,
     rmse,
     run_baseline,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,13 +2,13 @@
 
 Each subcommand is driven by a flat key=value config file (see config.py)
 plus optional ``--set key=value`` overrides. Outputs are deterministic for
-a fixed config and seed; set QUADNDR_STRICT=1 to assert that reproducible
-operation is intended (reductions already run in a fixed order).
+a fixed config and seed. ``main`` returns 0 on success, 1 after printing
+``error: ...`` for bad configuration or input, and 2 after printing
+``aborted: ...`` when training diverges.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from .ins import mechanize_series
 from .network import (
     NetConfig,
     TrainConfig,
-    TrainingDiverged,
     init_params,
     load_model,
     predict,
@@ -60,10 +59,6 @@ from .windows import (
 )
 
 ARCHES = ("single", "multi", "baseline")
-
-
-def strict_mode() -> bool:
-    return os.environ.get("QUADNDR_STRICT", "") == "1"
 
 
 def _profile(cfg: ExperimentConfig) -> TrajectoryProfile:
@@ -193,15 +188,14 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
         gt, imu = series[tag]
         targets = gt_window_end_positions(gt, eval_spec)
         n = cfg.window_size
-        end_times = gt.timestamps[np.arange(len(targets)) * n + n - 1]
+        ends = np.arange(len(targets)) * n + n - 1
+        end_times = gt.timestamps[ends]
         if ti == 0:
             first_traj_curves["gt"] = targets
             first_times = end_times
 
         # pure-INS mechanization of the noisy IMU
-        states = mechanize_series(initial_nav_state(gt), imu)
-        ins_points = np.array(
-            [states[k * n + n - 1].p for k in range(len(targets))])
+        ins_points = mechanize_series(initial_nav_state(gt), imu).p[ends]
         per_method.setdefault("ins", []).append(rmse(targets, ins_points).rmse)
         if ti == 0:
             first_traj_curves["ins"] = ins_points
@@ -213,13 +207,12 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
             run = run_counter.get(label, 0)
             run_counter[label] = run + 1
             if label == "baseline":
-                traj = run_baseline(imu, params, net_cfg, initial_nav_state(gt),
-                                    eval_spec, norm=norm)
-                points = traj.points
+                points = run_baseline(imu, params, net_cfg, initial_nav_state(gt),
+                                      eval_spec, norm=norm)
             else:
                 x = normalize_inputs(inputs, norm) if norm is not None else inputs
-                points = integrate_deltas(gt.positions[0], predict(params, net_cfg, x)).points
-            result = rmse(targets, points, method=label)
+                points = integrate_deltas(gt.positions[0], predict(params, net_cfg, x))
+            result = rmse(targets, points)
             per_method.setdefault(label, []).append(result.rmse)
             report[f"{label}.run{run}.{tag}.rmse"] = result.rmse
             if ti == 0 and run == 0:
@@ -279,10 +272,10 @@ def main(argv=None) -> int:
             cmd_train(cfg, args.arch)
         elif args.command == "eval":
             cmd_eval(cfg, args.models, args.baseline)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDiverged, RuntimeError) as exc:
+    except RuntimeError as exc:  # includes TrainingDiverged
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
     return 0

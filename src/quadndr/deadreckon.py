@@ -21,38 +21,20 @@ TRAJ_CSV_HEADER = "t,px,py,pz"
 
 
 @dataclass(frozen=True)
-class PredictedTrajectory:
-    """Chained window-end positions starting from an anchor point."""
-
-    p0: np.ndarray          # (3,)
-    points: np.ndarray      # (M, 3)
-    window_span: float      # seconds covered by one window
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("trajectory points must be finite")
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
 class EvalReport:
     rmse: float
     per_axis: np.ndarray    # (3,)
     horizontal: float
     num_windows: int
-    method: str = ""
 
 
-def integrate_deltas(p0, deltas, window_span: float = 0.0) -> PredictedTrajectory:
-    """Cumulative sum of position deltas from an anchor point."""
-    p0 = np.asarray(p0, dtype=float)
+def integrate_deltas(p0, deltas) -> np.ndarray:
+    """Chained (M, 3) positions: the anchor plus the running sum of deltas."""
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 3)
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("deltas must be finite")
-    points = p0[None, :] + np.cumsum(deltas, axis=0)
-    return PredictedTrajectory(p0=p0, points=points, window_span=window_span)
+    points = np.asarray(p0, dtype=float)[None, :] + np.cumsum(deltas, axis=0)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("anchor and deltas must be finite")
+    return points
 
 
 def quadnet_update(x: float, y: float, d: float, psi: float) -> tuple[float, float]:
@@ -76,8 +58,8 @@ def gt_window_end_positions(gt: GroundTruthSeries, spec: WindowSpec) -> np.ndarr
 
 def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
                  spec: WindowSpec, g_n=DEFAULT_GRAVITY,
-                 norm: NormStats | None = None) -> PredictedTrajectory:
-    """Distance + INS-heading dead reckoning.
+                 norm: NormStats | None = None) -> np.ndarray:
+    """Distance + INS-heading dead reckoning; returns (M, 3) window-end points.
 
     The network regresses (horizontal distance, altitude change) per window;
     the heading comes from mechanizing the IMU stream and extracting yaw at
@@ -96,16 +78,16 @@ def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
     x, y, z = (float(v) for v in init.p)
     points = np.empty((starts.size, 3))
     for k, s in enumerate(starts):
-        psi = dcm_to_yaw(states[s + spec.window_size - 1].T)
+        psi = dcm_to_yaw(states.T[s + spec.window_size - 1])
         x, y = quadnet_update(x, y, float(preds[k, 0]), psi)
         z += float(preds[k, 1])
         points[k] = (x, y, z)
-    dt = float(imu.timestamps[1] - imu.timestamps[0]) if len(imu) > 1 else 0.0
-    return PredictedTrajectory(p0=init.p, points=points,
-                               window_span=spec.window_size * dt)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("trajectory points must be finite")
+    return points
 
 
-def rmse(gt_points, pred_points, method: str = "") -> EvalReport:
+def rmse(gt_points, pred_points) -> EvalReport:
     """Root mean squared position error between aligned point sequences."""
     a = np.asarray(gt_points, dtype=float).reshape(-1, 3)
     b = np.asarray(pred_points, dtype=float).reshape(-1, 3)
@@ -116,7 +98,7 @@ def rmse(gt_points, pred_points, method: str = "") -> EvalReport:
     per_axis = np.sqrt(sq.mean(axis=0))
     horizontal = float(np.sqrt(np.mean(sq[:, 0] + sq[:, 1])))
     return EvalReport(rmse=total, per_axis=per_axis, horizontal=horizontal,
-                      num_windows=a.shape[0], method=method)
+                      num_windows=a.shape[0])
 
 
 def improvement_pct(baseline_rmse: float, method_rmse: float) -> float:

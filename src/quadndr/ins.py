@@ -144,22 +144,17 @@ def orthonormalize(T) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    """One inertial measurement in the body frame."""
-
-    t: float
-    f: np.ndarray  # specific force, m/s^2
-    w: np.ndarray  # angular rate, rad/s
-
-
-@dataclass(frozen=True)
 class NavState:
-    """Position, velocity (nav frame) and body-to-nav rotation at time t."""
+    """Position, velocity (nav frame) and body-to-nav rotation at time t.
+
+    ``mechanize_series`` returns the same fields stacked over time: p and v
+    of shape (N+1, 3), T of shape (N+1, 3, 3) and t of shape (N+1,).
+    """
 
     p: np.ndarray
     v: np.ndarray
     T: np.ndarray
-    t: float
+    t: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -192,63 +187,38 @@ class ImuSeries:
     def __len__(self) -> int:
         return self.timestamps.size
 
-    def sample(self, i: int) -> ImuSample:
-        return ImuSample(float(self.timestamps[i]), self.f[i], self.w[i])
 
-
-def mechanize_step(state: NavState, sample: ImuSample, dt: float,
-                   g_n=DEFAULT_GRAVITY) -> NavState:
-    """Advance the navigation state by one inertial measurement.
-
-    Attitude is updated with the exact rotation exponential of w*dt and
-    re-orthonormalized, velocity with the rotated specific force plus
-    gravity, position with the updated velocity (semi-implicit Euler).
-    """
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    f = _as_vec3(sample.f, "specific force")
-    w = _as_vec3(sample.w, "angular rate")
-    g_n = _as_vec3(g_n, "gravity")
-    return _step(state, f, w, dt, g_n)
-
-
-def _step(state: NavState, f, w, dt: float, g_n) -> NavState:
-    # arithmetic core shared with mechanize_series, which validates once
-    T = orthonormalize(state.T @ rotvec_to_dcm(w * dt))
-    v = state.v + (T @ f + g_n) * dt
-    p = state.p + v * dt
-    return NavState(p=p, v=v, T=T, t=state.t + dt)
-
-
-def mechanize_series(init: NavState, imu: ImuSeries,
-                     g_n=DEFAULT_GRAVITY) -> list[NavState]:
+def mechanize_series(init: NavState, imu: ImuSeries, g_n=DEFAULT_GRAVITY) -> NavState:
     """Integrate an IMU series from an initial state.
 
     Sample k is treated as the measurement over [t_k, t_{k+1}); the last
-    sample reuses the preceding interval length. Returns the initial state
-    followed by one state per sample, so output[k] is the state at t_k.
+    sample reuses the preceding interval length, and a single sample covers
+    [init.t, t_0]. Attitude is updated with the exact rotation exponential
+    of w*dt and re-orthonormalized, velocity with the rotated specific force
+    plus gravity, position with the updated velocity (semi-implicit Euler).
+    Returns the initial state followed by one state per sample, stacked
+    over time, so row k is the state at t_k.
     """
     n = len(imu)
-    if n == 0:
-        return [init]
     ts = imu.timestamps
     if n == 1:
-        dt0 = ts[0] - init.t
-        if dt0 <= 0:
+        dts = ts - init.t
+        if dts[0] <= 0:
             raise ValueError("cannot infer dt from a single sample at the initial time")
-        dts = np.array([dt0])
     else:
         dts = np.diff(ts)
         if np.any(dts <= 0):
             raise ValueError("IMU timestamps must be strictly increasing")
-        dts = np.append(dts, dts[-1])
+        dts = np.append(dts, dts[-1:])
     g_n = _as_vec3(g_n, "gravity")
     if not (np.all(np.isfinite(imu.f)) and np.all(np.isfinite(imu.w))):
         raise ValueError("IMU measurements must be finite")
     f, w = imu.f, imu.w
-    states = [init]
-    cur = init
+    p, v, T = np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3, 3))
+    p[0], v[0], T[0] = init.p, init.v, init.T
     for k in range(n):
-        cur = _step(cur, f[k], w[k], float(dts[k]), g_n)
-        states.append(cur)
-    return states
+        dt = float(dts[k])
+        T[k + 1] = orthonormalize(T[k] @ rotvec_to_dcm(w[k] * dt))
+        v[k + 1] = v[k] + (T[k + 1] @ f[k] + g_n) * dt
+        p[k + 1] = p[k] + v[k + 1] * dt
+    return NavState(p=p, v=v, T=T, t=np.cumsum(np.append(init.t, dts)))

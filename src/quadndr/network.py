@@ -12,7 +12,7 @@ Everything is plain numpy with handwritten backpropagation and Adam.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,27 +63,32 @@ class NetConfig:
         return len(self.branches) * self.conv_channels[-1] * self.window
 
 
-def init_params(cfg: NetConfig, seed: int) -> dict:
-    """Uniform fan-in initialization, bound 1/sqrt(fan_in), seeded."""
-    rng = np.random.default_rng(seed)
-
-    def uniform(bound, shape):
-        return rng.uniform(-bound, bound, shape)
-
-    params = {}
+def param_shapes(cfg: NetConfig) -> dict:
+    """Name -> shape of every parameter block, in initialization order."""
+    shapes = {}
+    chans = cfg.conv_channels
     for prefix in cfg.branches:
-        chans = cfg.conv_channels
         for i in range(len(chans) - 1):
-            cin, cout = chans[i], chans[i + 1]
-            bound = 1.0 / np.sqrt(cin * cfg.kernel)
-            params[f"{prefix}{i + 1}.w"] = uniform(bound, (cout, cin, cfg.kernel))
-            params[f"{prefix}{i + 1}.b"] = uniform(bound, cout)
+            shapes[f"{prefix}{i + 1}.w"] = (chans[i + 1], chans[i], cfg.kernel)
+            shapes[f"{prefix}{i + 1}.b"] = (chans[i + 1],)
     dims = (cfg.feature_dim,) + cfg.dense_widths + (cfg.out_dim,)
     names = [f"fc{i + 1}" for i in range(len(cfg.dense_widths))] + ["head"]
     for name, din, dout in zip(names, dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(din)
-        params[f"{name}.w"] = uniform(bound, (dout, din))
-        params[f"{name}.b"] = uniform(bound, dout)
+        shapes[f"{name}.w"] = (dout, din)
+        shapes[f"{name}.b"] = (dout,)
+    return shapes
+
+
+def init_params(cfg: NetConfig, seed: int) -> dict:
+    """Uniform fan-in initialization, bound 1/sqrt(fan_in), seeded.
+
+    A bias block shares the bound of the weight block before it."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".w"):
+            bound = 1.0 / np.sqrt(np.prod(shape[1:]))
+        params[name] = rng.uniform(-bound, bound, shape)
     return params
 
 
@@ -91,54 +96,53 @@ def init_params(cfg: NetConfig, seed: int) -> dict:
 # Elementary layers
 
 
-def leaky_relu(x, alpha: float = 0.01):
-    """x for x >= 0, alpha*x otherwise, elementwise."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    x = np.asarray(x, dtype=float)
-    return np.where(x >= 0, x, alpha * x)
-
-
 def _leaky_slope(z, alpha):
     # convention: derivative at exactly 0 is alpha
     return np.where(z > 0, 1.0, alpha)
 
 
-@dataclass(frozen=True)
-class Conv1dLayer:
-    weights: np.ndarray  # (out_channels, in_channels, kernel)
-    bias: np.ndarray     # (out_channels,)
-    stride: int = 1
-    padding: int = 0
+def leaky_relu(x, alpha: float = 0.01):
+    """x for x >= 0, alpha*x otherwise, elementwise."""
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    x = np.asarray(x, dtype=float)
+    return x * _leaky_slope(x, alpha)
 
 
-@dataclass(frozen=True)
-class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray     # (out,)
+def _dropout(a, rate: float, training: bool, rng):
+    """Inverted dropout: zero with probability ``rate`` and rescale survivors
+    while training; identity at inference. Returns the output and the mask
+    (None when inactive) that the backward pass applies to the gradient."""
+    if not training or rate == 0.0:
+        return a, None
+    if rng is None:
+        raise ValueError("training-mode forward needs an RNG for dropout")
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return a * mask, mask
 
 
-def _im2col(x, kernel, stride, padding):
+def _im2col(x, kernel, padding):
     """(B, C, L) -> column matrix (C*kernel, B*Lout)."""
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
     B, C, Lp = x.shape
-    lout = (Lp - kernel) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)[:, :, ::stride]
+    lout = Lp - kernel + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
     cols = win.transpose(1, 3, 0, 2).reshape(C * kernel, B * lout)
     return cols, lout
 
 
-def _conv_forward(x, w, b, stride, padding):
+def _conv_forward(x, w, b, padding):
+    """Cross-correlate (B, in_channels, L) inputs with (out, in, kernel)
+    weights; returns the (B, out, Lout) output and the im2col columns."""
     B = x.shape[0]
     cout, cin, kernel = w.shape
-    cols, lout = _im2col(x, kernel, stride, padding)
+    cols, lout = _im2col(x, kernel, padding)
     y = (w.reshape(cout, cin * kernel) @ cols).reshape(cout, B, lout)
-    y = y.transpose(1, 0, 2) + b[None, :, None]
-    return y, cols, lout
+    return y.transpose(1, 0, 2) + b[None, :, None], cols
 
 
-def _conv_backward(dy, cols, w, x_shape, stride, padding):
+def _conv_backward(dy, cols, w, x_shape, padding):
     B, C, L = x_shape
     cout, cin, kernel = w.shape
     lout = dy.shape[2]
@@ -149,40 +153,8 @@ def _conv_backward(dy, cols, w, x_shape, stride, padding):
     dcols = dcols.reshape(cin, kernel, B, lout).transpose(2, 0, 1, 3)
     dxp = np.zeros((B, C, L + 2 * padding))
     for k in range(kernel):
-        dxp[:, :, k:k + stride * lout:stride] += dcols[:, :, k, :]
+        dxp[:, :, k:k + lout] += dcols[:, :, k, :]
     return (dxp[:, :, padding:padding + L] if padding else dxp), dw, db
-
-
-def conv1d_forward(layer: Conv1dLayer, x) -> np.ndarray:
-    """Cross-correlate a (in_channels, L) input with one conv layer."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != layer.weights.shape[1]:
-        raise ValueError("input shape does not match the layer")
-    if x.shape[1] + 2 * layer.padding < layer.weights.shape[2]:
-        raise ValueError("input shorter than the kernel")
-    y, _, _ = _conv_forward(x[None], layer.weights, layer.bias, layer.stride, layer.padding)
-    return y[0]
-
-
-def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    """Affine map W x + b of a flat input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layer.weights.shape[1],):
-        raise ValueError("input length does not match the layer")
-    return layer.weights @ x + layer.bias
-
-
-def dropout_forward(x, rate: float, training: bool, seed: int = 0) -> np.ndarray:
-    """Inverted dropout: zero with probability ``rate`` and rescale survivors
-    while training; identity at inference."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1)")
-    x = np.asarray(x, dtype=float)
-    if not training or rate == 0.0:
-        return x.copy()
-    rng = np.random.default_rng(seed)
-    mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +176,9 @@ def _forward(params, cfg: NetConfig, x, training=False, rng=None):
         h = branch_inputs[prefix]
         for i in range(len(cfg.conv_channels) - 1):
             name = f"{prefix}{i + 1}"
-            z, cols, _ = _conv_forward(h, params[name + ".w"], params[name + ".b"], 1, pad)
+            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], pad)
             conv_cache.append((name, h.shape, cols, z))
-            h = z * _leaky_slope(z, cfg.alpha)
+            h = leaky_relu(z, cfg.alpha)
         flats.append(h.reshape(B, -1))
     flat = flats[0] if len(flats) == 1 else np.concatenate(flats, axis=1)
 
@@ -215,15 +187,9 @@ def _forward(params, cfg: NetConfig, x, training=False, rng=None):
     for i in range(len(cfg.dense_widths)):
         name = f"fc{i + 1}"
         z = h @ params[name + ".w"].T + params[name + ".b"]
-        a = z * _leaky_slope(z, cfg.alpha)
-        if training and cfg.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward needs an RNG for dropout")
-            mask = (rng.random(a.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-        else:
-            mask = None
+        a, mask = _dropout(leaky_relu(z, cfg.alpha), cfg.dropout, training, rng)
         dense_cache.append((name, h, z, mask))
-        h = a if mask is None else a * mask
+        h = a
     out = h @ params["head.w"].T + params["head.b"]
     cache = (conv_cache, dense_cache, h, flat, [f.shape[1] for f in flats])
     return out, cache
@@ -249,35 +215,13 @@ def _backward(params, cfg: NetConfig, cache, dout):
     for bi, prefix in enumerate(cfg.branches):
         dflat = dh[:, offset:offset + flat_dims[bi]]
         offset += flat_dims[bi]
-        layers = conv_cache[bi * nconv:(bi + 1) * nconv]
-        last_z = layers[-1][3]
-        da = dflat.reshape(last_z.shape)
-        for name, x_shape, cols, z in reversed(layers):
+        da = dflat.reshape(-1, cfg.conv_channels[-1], cfg.window)
+        for name, x_shape, cols, z in reversed(conv_cache[bi * nconv:(bi + 1) * nconv]):
             dz = da * _leaky_slope(z, cfg.alpha)
-            da, dw, db = _conv_backward(dz, cols, params[name + ".w"], x_shape, 1, pad)
+            da, dw, db = _conv_backward(dz, cols, params[name + ".w"], x_shape, pad)
             grads[name + ".w"] = dw
             grads[name + ".b"] = db
     return grads
-
-
-def forward_single_head(params, cfg: NetConfig, window) -> np.ndarray:
-    """Inference on one combined 6 x n window; returns (dx, dy, dz)."""
-    if cfg.arch != "single":
-        raise ValueError("config is not a single-head network")
-    out, _ = _forward(params, cfg, np.asarray(window, dtype=float)[None])
-    return out[0]
-
-
-def forward_multi_head(params, cfg: NetConfig, acc, gyro) -> np.ndarray:
-    """Inference on separate 3 x n accelerometer and gyroscope windows."""
-    if cfg.arch != "multi":
-        raise ValueError("config is not a multi-head network")
-    acc = np.asarray(acc, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    if acc.shape != gyro.shape or acc.shape != (3, cfg.window):
-        raise ValueError(f"both heads need shape (3, {cfg.window})")
-    out, _ = _forward(params, cfg, np.concatenate([acc, gyro])[None])
-    return out[0]
 
 
 def predict(params, cfg: NetConfig, inputs) -> np.ndarray:
@@ -306,12 +250,6 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     dout = 2.0 * (out - targets) / out.shape[0]
     grads = _backward(params, cfg, cache, dout)
     return loss, grads, out
-
-
-def backward(params, cfg: NetConfig, inputs, targets) -> dict:
-    """Analytic gradient of the mean-squared-error loss for a batch."""
-    _, grads, _ = loss_and_gradients(params, cfg, inputs, targets)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +349,6 @@ MODEL_MAGIC = "QPNET1"
 def save_model(path, params: dict, cfg: NetConfig, norm=None) -> None:
     """Text model file: magic line, hyperparameter line, one block per line
     (name, shape, values at 17 significant digits). Round-trip exact."""
-    from .windows import NormStats  # local import avoids a cycle
-
     lines = [MODEL_MAGIC]
     lines.append(
         f"arch={cfg.arch} n={cfg.window} alpha={cfg.alpha!r} dropout={cfg.dropout!r}"
@@ -433,33 +369,53 @@ def save_model(path, params: dict, cfg: NetConfig, norm=None) -> None:
 
 
 def load_model(path):
-    """Read a model file; returns (params, config, norm_stats_or_None)."""
+    """Read a model file; returns (params, config, norm_stats_or_None).
+
+    Malformed content raises ValueError naming the file: a missing header
+    field, an unparsable line, or a block set or shape that differs from
+    what the header's configuration defines."""
     from .windows import NormStats
 
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not a {MODEL_MAGIC} model file")
-        header = dict(tok.split("=", 1) for tok in fh.readline().split())
-        cfg = NetConfig(
-            arch=header["arch"],
-            window=int(header["n"]),
-            alpha=float(header["alpha"]),
-            dropout=float(header["dropout"]),
-            out_dim=int(header.get("out", 3)),
-            conv_channels=tuple(int(c) for c in header["conv"].split(",")),
-            dense_widths=tuple(int(d) for d in header["dense"].split(",")),
-        )
-        params, norm_blocks = {}, {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, shape_s, vals = line.split(" ", 2)
-            shape = tuple(int(s) for s in shape_s.split("x"))
-            arr = np.array(vals.split(), dtype=float).reshape(shape)
-            (norm_blocks if name.startswith("norm.") else params)[name] = arr
+        try:
+            header = dict(tok.split("=", 1) for tok in fh.readline().split())
+            cfg = NetConfig(
+                arch=header["arch"],
+                window=int(header["n"]),
+                alpha=float(header["alpha"]),
+                dropout=float(header["dropout"]),
+                out_dim=int(header.get("out", 3)),
+                conv_channels=tuple(int(c) for c in header["conv"].split(",")),
+                dense_widths=tuple(int(d) for d in header["dense"].split(",")),
+            )
+            blocks = {}
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                name, shape_s, vals = line.split(" ", 2)
+                shape = tuple(int(s) for s in shape_s.split("x"))
+                blocks[name] = np.array(vals.split(), dtype=float).reshape(shape)
+        except KeyError as exc:
+            raise ValueError(f"{path}: header lacks the field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    expected = param_shapes(cfg)
+    if any(name.startswith("norm.") for name in blocks):
+        expected.update({"norm.mean": (6,), "norm.std": (6,)})
+    for name, shape in expected.items():
+        if name not in blocks:
+            raise ValueError(f"{path}: missing block {name!r}")
+        if blocks[name].shape != shape:
+            raise ValueError(
+                f"{path}: block {name!r} has shape {blocks[name].shape}, expected {shape}")
+    unexpected = sorted(blocks.keys() - expected.keys())
+    if unexpected:
+        raise ValueError(f"{path}: unexpected blocks {unexpected}")
     norm = None
-    if norm_blocks:
-        norm = NormStats(mean=norm_blocks["norm.mean"], std=norm_blocks["norm.std"])
-    return params, cfg, norm
+    if "norm.mean" in blocks:
+        norm = NormStats(mean=blocks.pop("norm.mean"), std=blocks.pop("norm.std"))
+    return blocks, cfg, norm

@@ -33,13 +33,6 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class WindowedSample:
-    input: np.ndarray  # (6, n)
-    label: np.ndarray  # (3,)
-    tag: str
-
-
-@dataclass(frozen=True)
 class NormStats:
     """Per-channel standardization statistics (computed on training data)."""
 
@@ -71,9 +64,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def __getitem__(self, i: int) -> WindowedSample:
-        return WindowedSample(self.inputs[i], self.labels[i], self.tags[i])
 
 
 def window_starts(length: int, spec: WindowSpec) -> np.ndarray:
@@ -143,83 +133,18 @@ def split_tags(tags, test_fraction: float, seed: int) -> tuple[list, list]:
     return train, test
 
 
-def split(sset: SampleSet, test_fraction: float, seed: int) -> tuple[SampleSet, SampleSet]:
-    """Partition a sample set by source tag (trajectory-level split)."""
-    _, test_tags = split_tags(sset.tags, test_fraction, seed)
-    test_tags = set(test_tags)
-    mask = np.array([t in test_tags for t in sset.tags])
-    tags = np.array(sset.tags, dtype=object)
-
-    def subset(m):
-        return SampleSet(inputs=sset.inputs[m], labels=sset.labels[m],
-                         tags=tuple(tags[m]), spec=sset.spec)
-
-    return subset(~mask), subset(mask)
-
-
 def normalize(sset: SampleSet) -> tuple[SampleSet, NormStats]:
     """Per-channel standardization; returns the statistics for reuse."""
     if len(sset) == 0:
         raise ValueError("cannot normalize an empty sample set")
     mean = sset.inputs.mean(axis=(0, 2))
     std = np.maximum(sset.inputs.std(axis=(0, 2)), STD_FLOOR)
-    return apply_stats(sset, NormStats(mean=mean, std=std)), NormStats(mean=mean, std=std)
-
-
-def apply_stats(sset: SampleSet, stats: NormStats) -> SampleSet:
-    """Standardize a sample set with previously computed statistics."""
-    inputs = (sset.inputs - stats.mean[None, :, None]) / stats.std[None, :, None]
-    return SampleSet(inputs=inputs, labels=sset.labels.copy(), tags=sset.tags, spec=sset.spec)
+    stats = NormStats(mean=mean, std=std)
+    normed = SampleSet(inputs=normalize_inputs(sset.inputs, stats), labels=sset.labels.copy(),
+                       tags=sset.tags, spec=sset.spec)
+    return normed, stats
 
 
 def normalize_inputs(inputs: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Standardize (M, 6, n) windows with previously computed statistics."""
     return (inputs - stats.mean[None, :, None]) / stats.std[None, :, None]
-
-
-# ---------------------------------------------------------------------------
-# CSV persistence
-
-
-def save_sample_set_csv(path, sset: SampleSet) -> None:
-    n = sset.spec.window_size
-    header = "tag,label_dx,label_dy,label_dz," + ",".join(
-        f"c{c}_{j}" for c in range(6) for j in range(n)
-    )
-    with open(path, "w") as fh:
-        fh.write(f"# window_size={n} stride={sset.spec.stride}\n")
-        fh.write(header + "\n")
-        for i in range(len(sset)):
-            vals = [repr(float(v)) for v in sset.labels[i]]
-            vals += [repr(float(v)) for v in sset.inputs[i].ravel()]
-            fh.write(sset.tags[i] + "," + ",".join(vals) + "\n")
-
-
-def read_sample_set_csv(path) -> SampleSet:
-    with open(path) as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# window_size="):
-            raise ValueError(f"{path}: missing window metadata line")
-        parts = dict(tok.split("=") for tok in meta[2:].split())
-        spec = WindowSpec(window_size=int(parts["window_size"]), stride=int(parts["stride"]))
-        n = spec.window_size
-        expected = "tag,label_dx,label_dy,label_dz," + ",".join(
-            f"c{c}_{j}" for c in range(6) for j in range(n)
-        )
-        header = fh.readline().rstrip("\n")
-        if header != expected:
-            raise ValueError(f"{path}: sample-set header mismatch")
-        tags, labels, inputs = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            tags.append(cells[0])
-            labels.append([float(v) for v in cells[1:4]])
-            inputs.append(np.array([float(v) for v in cells[4:]]).reshape(6, n))
-    return SampleSet(
-        inputs=np.array(inputs).reshape(len(tags), 6, n),
-        labels=np.array(labels).reshape(len(tags), 3),
-        tags=tuple(tags),
-        spec=spec,
-    )

@@ -81,6 +81,61 @@ class TestCliExitCodes:
         assert code == 1
 
 
+def _sets(overrides):
+    return sum((["--set", o] for o in overrides), [])
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A simulated tiny experiment and one trained single-head model."""
+    out = tmp_path_factory.mktemp("trained")
+    cfg = load_config(overrides=tiny_overrides(out))
+    cmd_simulate(cfg)
+    return out, cmd_train(cfg, "single")[0]
+
+
+def _eval_edited_model(edit):
+    def case(tmp_path, out, model):
+        bad = tmp_path / "bad.qpnet"
+        bad.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+        return ["eval", *_sets(tiny_overrides(out)), "--models", str(bad)], bad
+    return case
+
+
+def _swap_fc1_shape(lines):
+    name, shape, values = next(ln for ln in lines if ln.startswith("fc1.w ")).split(" ", 2)
+    swapped = f"{name} {'x'.join(reversed(shape.split('x')))} {values}"
+    return [swapped if ln.startswith("fc1.w ") else ln for ln in lines]
+
+
+# each case builds (argv, the path the error message must name)
+MALFORMED_INPUTS = {
+    "config_is_directory": lambda tmp_path, out, model: (
+        ["simulate", "--config", str(tmp_path)], tmp_path),
+    "out_dir_is_file": lambda tmp_path, out, model: (
+        ["simulate", *_sets(tiny_overrides(model))], model),
+    "models_is_directory": lambda tmp_path, out, model: (
+        ["eval", *_sets(tiny_overrides(out)), "--models", str(tmp_path)], tmp_path),
+    "model_cut_after_magic": _eval_edited_model(lambda lines: lines[:1]),
+    "model_missing_head_b": _eval_edited_model(
+        lambda lines: [ln for ln in lines if not ln.startswith("head.b ")]),
+    "model_norm_mean_without_std": _eval_edited_model(
+        lambda lines: [ln for ln in lines if not ln.startswith("norm.std ")]),
+    "model_block_shape_swapped": _eval_edited_model(_swap_fc1_shape),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_1_without_traceback(case, trained, tmp_path, capsys):
+    out, model = trained
+    argv, culprit = MALFORMED_INPUTS[case](tmp_path, out, model)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert str(culprit) in err
+
+
 class TestSimulate:
     def test_writes_expected_files(self, tmp_path):
         out = tmp_path / "exp"
@@ -89,8 +144,7 @@ class TestSimulate:
             for name in ("gt.csv", "imu_clean.csv", "imu_noisy.csv"):
                 assert (out / tag / name).is_file()
 
-    def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QUADNDR_STRICT", "1")
+    def test_rerun_is_byte_identical(self, tmp_path):
         digests = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -160,8 +214,7 @@ class TestPipeline:
         with pytest.raises(ValueError):
             cmd_eval(bad, model_paths, baseline_paths)
 
-    def test_training_is_seed_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QUADNDR_STRICT", "1")
+    def test_training_is_seed_deterministic(self, tmp_path):
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub

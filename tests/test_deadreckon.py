@@ -26,9 +26,9 @@ def straight_gt(n=200, rate=100.0, speed=0.5):
 
 class TestIntegrateDeltas:
     def test_chains_from_anchor(self):
-        traj = integrate_deltas([1.0, 2.0, 3.0],
-                                [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
-        assert np.array_equal(traj.points, [[2.0, 2.0, 3.0], [2.0, 3.0, 2.0]])
+        points = integrate_deltas([1.0, 2.0, 3.0],
+                                  [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+        assert np.array_equal(points, [[2.0, 2.0, 3.0], [2.0, 3.0, 2.0]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestGtWindowEndPositions:
         starts = np.arange(6) * 20
         labels = gt.positions[starts + 19] - gt.positions[starts]
         chained = integrate_deltas(gt.positions[0], labels)
-        assert np.array_equal(targets, chained.points)
+        assert np.array_equal(targets, chained)
 
 
 class TestRunBaseline:
@@ -141,10 +141,10 @@ class TestRunBaseline:
         params["head.b"] = np.array([0.5 * 49 / 100.0, 0.0])
         init = NavState(p=gt.positions[0].copy(),
                         v=np.array([0.5, 0.0, 0.0]), T=np.eye(3), t=0.0)
-        traj = run_baseline(imu, params, cfg, init, spec)
+        points = run_baseline(imu, params, cfg, init, spec)
         targets = gt_window_end_positions(gt, spec)
-        assert traj.points.shape == targets.shape
-        assert np.max(np.linalg.norm(traj.points - targets, axis=1)) < 1e-3
+        assert points.shape == targets.shape
+        assert np.max(np.linalg.norm(points - targets, axis=1)) < 1e-3
 
     def test_rejects_three_output_model(self):
         gt = straight_gt()

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from quadndr.ins import (
     DEFAULT_GRAVITY,
     GRAVITY,
-    ImuSample,
     ImuSeries,
     NavState,
     dcm_to_yaw,
     euler_to_dcm,
     mechanize_series,
-    mechanize_step,
     orthonormalize,
     rotvec_to_dcm,
     skew,
@@ -25,6 +23,13 @@ finite = st.floats(-1e3, 1e3)
 
 def level_state(p=(0, 0, 0), v=(0, 0, 0), t=0.0):
     return NavState(p=np.array(p, float), v=np.array(v, float), T=np.eye(3), t=t)
+
+
+def mechanize_one(state, f, w, dt):
+    """Advance ``state`` by one measurement: a one-sample series at t + dt."""
+    imu = ImuSeries(np.array([state.t + dt]), np.array([f], float), np.array([w], float))
+    out = mechanize_series(state, imu)
+    return NavState(p=out.p[-1], v=out.v[-1], T=out.T[-1], t=out.t[-1])
 
 
 class TestEulerToDcm:
@@ -109,45 +114,36 @@ class TestRotvec:
 class TestMechanizeStep:
     def test_stationary_is_identity(self):
         state = level_state()
-        sample = ImuSample(0.0, np.array([0.0, 0.0, -GRAVITY]), np.zeros(3))
-        out = mechanize_step(state, sample, 0.01)
+        out = mechanize_one(state, [0.0, 0.0, -GRAVITY], np.zeros(3), 0.01)
         assert np.array_equal(out.p, state.p)
         assert np.array_equal(out.v, state.v)
 
     def test_unit_forward_acceleration(self):
-        state = level_state()
-        sample = ImuSample(0.0, np.array([1.0, 0.0, -GRAVITY]), np.zeros(3))
-        out = mechanize_step(state, sample, 0.1)
+        out = mechanize_one(level_state(), [1.0, 0.0, -GRAVITY], np.zeros(3), 0.1)
         assert np.allclose(out.v, [0.1, 0.0, 0.0], atol=1e-15)
         assert np.allclose(out.p, [0.01, 0.0, 0.0], atol=1e-15)
 
     def test_pure_yaw_rotation(self):
-        state = level_state()
-        sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, np.pi / 2]))
-        out = mechanize_step(state, sample, 1.0)
+        out = mechanize_one(level_state(), np.zeros(3), [0.0, 0.0, np.pi / 2], 1.0)
         assert dcm_to_yaw(out.T) == pytest.approx(np.pi / 2, abs=1e-9)
 
     def test_rejects_bad_dt(self):
         state = level_state()
-        sample = ImuSample(0.0, np.zeros(3), np.zeros(3))
         for dt in (0.0, -0.1, np.nan):
             with pytest.raises(ValueError):
-                mechanize_step(state, sample, dt)
+                mechanize_one(state, np.zeros(3), np.zeros(3), dt)
 
     def test_gravity_cancellation_any_attitude(self):
         T = euler_to_dcm(0.3, -0.2, 1.1)
         state = NavState(p=np.zeros(3), v=np.zeros(3), T=T, t=0.0)
-        sample = ImuSample(0.0, -T.T @ DEFAULT_GRAVITY, np.zeros(3))
-        out = mechanize_step(state, sample, 0.05)
+        out = mechanize_one(state, -T.T @ DEFAULT_GRAVITY, np.zeros(3), 0.05)
         assert np.max(np.abs(out.v)) < 1e-12
         assert np.max(np.abs(out.p)) < 1e-13
 
     def test_dcm_stays_orthonormal(self):
         state = level_state()
         for k in range(200):
-            sample = ImuSample(state.t, np.array([0.1, -0.2, -GRAVITY]),
-                               np.array([0.02, 0.3, -0.1]))
-            state = mechanize_step(state, sample, 0.01)
+            state = mechanize_one(state, [0.1, -0.2, -GRAVITY], [0.02, 0.3, -0.1], 0.01)
         assert np.max(np.abs(state.T.T @ state.T - np.eye(3))) < 1e-9
 
 
@@ -155,7 +151,9 @@ class TestMechanizeSeries:
     def test_empty_series(self):
         init = level_state()
         imu = ImuSeries(np.empty(0), np.empty((0, 3)), np.empty((0, 3)))
-        assert mechanize_series(init, imu) == [init]
+        states = mechanize_series(init, imu)
+        assert states.p.shape == (1, 3) and states.T.shape == (1, 3, 3)
+        assert np.array_equal(states.p[0], init.p) and np.array_equal(states.T[0], init.T)
 
     def test_stationary_hover(self):
         n = 1000  # 10 s at 100 Hz
@@ -163,8 +161,8 @@ class TestMechanizeSeries:
         f = np.tile([0.0, 0.0, -GRAVITY], (n, 1))
         imu = ImuSeries(ts, f, np.zeros((n, 3)))
         states = mechanize_series(level_state(), imu)
-        assert len(states) == n + 1
-        assert np.linalg.norm(states[-1].p) < 1e-6
+        assert states.p.shape == (n + 1, 3) and states.t.shape == (n + 1,)
+        assert np.linalg.norm(states.p[-1]) < 1e-6
 
     def test_rejects_non_monotonic_timestamps(self):
         with pytest.raises(ValueError):
@@ -178,10 +176,10 @@ class TestMechanizeSeries:
             f = np.column_stack([-np.sin(ts), np.cos(ts), np.full(n, -GRAVITY)])
             imu = ImuSeries(ts, f, np.zeros((n, 3)))
             init = level_state(v=(1.0, 0.0, 0.0))
-            end = mechanize_series(init, imu)[n - 1]
+            end = mechanize_series(init, imu).p[n - 1]
             t_end = ts[-1]
             truth = np.array([np.sin(t_end), 1.0 - np.cos(t_end), 0.0])
-            return np.linalg.norm(end.p - truth)
+            return np.linalg.norm(end - truth)
 
         e1, e2 = final_error(0.01), final_error(0.005)
         assert e1 / e2 >= 1.8

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,18 +9,12 @@ from hypothesis import strategies as st
 from oracles import finite_difference_grads, guarded_relative_error, scalar_adam_reference
 from quadndr.network import (
     AdamState,
-    Conv1dLayer,
-    DenseLayer,
     NetConfig,
     TrainConfig,
     TrainingDiverged,
+    _conv_forward,
+    _dropout,
     adam_step,
-    backward,
-    conv1d_forward,
-    dense_forward,
-    dropout_forward,
-    forward_multi_head,
-    forward_single_head,
     init_params,
     leaky_relu,
     load_model,
@@ -33,6 +30,24 @@ TINY_SINGLE = NetConfig(arch="single", window=8, dropout=0.0,
                         conv_channels=(6, 4, 4), dense_widths=(6, 4))
 TINY_MULTI = NetConfig(arch="multi", window=8, dropout=0.0,
                        conv_channels=(3, 4, 4), dense_widths=(6, 4))
+DENSE_ONLY = NetConfig(arch="single", window=8, dropout=0.0,
+                       conv_channels=(6,), dense_widths=(6, 4))
+
+
+def conv1d(w, b, x, padding=0):
+    """One (in_channels, L) input through the batched conv."""
+    y, _ = _conv_forward(np.asarray(x, dtype=float)[None], np.asarray(w, dtype=float),
+                         np.asarray(b, dtype=float), padding)
+    return y[0]
+
+
+def dense_only(weights, bias):
+    """A network with no conv and no hidden layer: its head is one dense layer
+    over the six input channels of a length-1 window."""
+    cfg = NetConfig(arch="single", window=1, out_dim=len(bias),
+                    conv_channels=(6,), dense_widths=())
+    return {"head.w": np.asarray(weights, dtype=float),
+            "head.b": np.asarray(bias, dtype=float)}, cfg
 
 
 def zero_params(cfg, head_bias=None):
@@ -59,90 +74,80 @@ class TestLeakyRelu:
 
 class TestConv1d:
     def test_moving_sum(self):
-        layer = Conv1dLayer(weights=np.ones((1, 1, 2)), bias=np.zeros(1))
-        y = conv1d_forward(layer, [[1.0, 2.0, 3.0]])
+        y = conv1d(np.ones((1, 1, 2)), np.zeros(1), [[1.0, 2.0, 3.0]])
         assert np.array_equal(y, [[3.0, 5.0]])
 
     def test_identity_kernel_with_padding(self):
         w = np.zeros((1, 1, 3))
         w[0, 0, 1] = 1.0
-        layer = Conv1dLayer(weights=w, bias=np.zeros(1), padding=1)
         x = np.array([[4.0, -1.0, 2.0, 7.0]])
-        assert np.array_equal(conv1d_forward(layer, x), x)
+        assert np.array_equal(conv1d(w, np.zeros(1), x, padding=1), x)
 
     def test_zero_weights_yield_bias(self):
-        layer = Conv1dLayer(weights=np.zeros((2, 3, 3)), bias=np.array([1.5, -0.5]),
-                            padding=1)
-        y = conv1d_forward(layer, np.random.default_rng(0).normal(size=(3, 5)))
+        y = conv1d(np.zeros((2, 3, 3)), np.array([1.5, -0.5]),
+                   np.random.default_rng(0).normal(size=(3, 5)), padding=1)
         assert np.array_equal(y[0], np.full(5, 1.5))
         assert np.array_equal(y[1], np.full(5, -0.5))
 
     def test_rejects_channel_mismatch(self):
-        layer = Conv1dLayer(weights=np.ones((1, 2, 2)), bias=np.zeros(1))
         with pytest.raises(ValueError):
-            conv1d_forward(layer, [[1.0, 2.0]])
+            conv1d(np.ones((1, 2, 2)), np.zeros(1), [[1.0, 2.0]])
 
     def test_rejects_input_shorter_than_kernel(self):
-        layer = Conv1dLayer(weights=np.ones((1, 1, 4)), bias=np.zeros(1))
         with pytest.raises(ValueError):
-            conv1d_forward(layer, [[1.0, 2.0]])
+            conv1d(np.ones((1, 1, 4)), np.zeros(1), [[1.0, 2.0]])
 
 
 class TestDense:
     def test_example(self):
-        layer = DenseLayer(weights=np.array([[1.0, 2.0], [0.0, -1.0]]),
-                           bias=np.array([0.5, 0.0]))
-        assert np.array_equal(dense_forward(layer, [3.0, 4.0]), [11.5, -4.0])
+        params, cfg = dense_only([[1.0, 2.0, 0, 0, 0, 0], [0.0, -1.0, 0, 0, 0, 0]], [0.5, 0.0])
+        x = np.array([3.0, 4.0, 0, 0, 0, 0]).reshape(1, 6, 1)
+        assert np.array_equal(predict(params, cfg, x)[0], [11.5, -4.0])
 
     def test_rejects_length_mismatch(self):
-        layer = DenseLayer(weights=np.ones((2, 3)), bias=np.zeros(2))
+        params, cfg = dense_only(np.ones((2, 6)), np.zeros(2))
         with pytest.raises(ValueError):
-            dense_forward(layer, [1.0, 2.0])
+            predict(params, cfg, np.ones((1, 6, 2)))
 
 
 class TestDropout:
     def test_inference_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(dropout_forward(x, 0.5, training=False), x)
+        assert np.array_equal(_dropout(x, 0.5, False, None)[0], x)
 
     def test_zero_rate_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(dropout_forward(x, 0.0, training=True), x)
+        assert np.array_equal(_dropout(x, 0.0, True, np.random.default_rng(0))[0], x)
 
     def test_seed_deterministic(self):
         x = np.ones((4, 100))
-        a = dropout_forward(x, 0.3, training=True, seed=5)
-        b = dropout_forward(x, 0.3, training=True, seed=5)
+        a, _ = _dropout(x, 0.3, True, np.random.default_rng(5))
+        b, _ = _dropout(x, 0.3, True, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_survivors_are_rescaled(self):
         x = np.ones((4, 1000))
-        y = dropout_forward(x, 0.25, training=True, seed=1)
+        y, _ = _dropout(x, 0.25, True, np.random.default_rng(1))
         kept = y[y != 0.0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert 0.6 < kept.size / x.size < 0.9
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            dropout_forward(np.ones(3), 1.0, training=True)
-
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        out = forward_single_head(zero_params(TINY_SINGLE), TINY_SINGLE,
-                                  np.ones((6, 8)))
+        out = predict(zero_params(TINY_SINGLE), TINY_SINGLE, np.ones((1, 6, 8)))[0]
         assert np.array_equal(out, np.zeros(3))
 
     def test_head_bias_passes_through_zero_weights(self):
         params = zero_params(TINY_SINGLE, head_bias=(1.0, 2.0, 3.0))
-        out = forward_single_head(params, TINY_SINGLE, np.ones((6, 8)))
+        out = predict(params, TINY_SINGLE, np.ones((1, 6, 8)))[0]
         assert np.array_equal(out, [1.0, 2.0, 3.0])
 
     def test_single_head_shape_and_determinism(self):
         params = init_params(TINY_SINGLE, seed=3)
-        x = np.random.default_rng(7).normal(size=(6, 8))
-        a = forward_single_head(params, TINY_SINGLE, x)
-        b = forward_single_head(params, TINY_SINGLE, x)
+        x = np.random.default_rng(7).normal(size=(1, 6, 8))
+        a = predict(params, TINY_SINGLE, x)[0]
+        b = predict(params, TINY_SINGLE, x)[0]
         assert a.shape == (3,)
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
@@ -151,26 +156,21 @@ class TestForward:
         params = init_params(TINY_MULTI, seed=3)
         rng = np.random.default_rng(5)
         acc, gyro = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
-        base = forward_multi_head(params, TINY_MULTI, acc, gyro)
-        swapped = forward_multi_head(params, TINY_MULTI, gyro, acc)
+        base = predict(params, TINY_MULTI, np.concatenate([acc, gyro])[None])[0]
+        swapped = predict(params, TINY_MULTI, np.concatenate([gyro, acc])[None])[0]
         assert base.shape == (3,)
         assert not np.array_equal(base, swapped)
 
     def test_multi_rejects_wrong_shapes(self):
         params = init_params(TINY_MULTI, seed=0)
         with pytest.raises(ValueError):
-            forward_multi_head(params, TINY_MULTI, np.ones((3, 7)), np.ones((3, 8)))
-
-    def test_arch_config_mismatch(self):
-        with pytest.raises(ValueError):
-            forward_single_head(init_params(TINY_MULTI, seed=0), TINY_MULTI,
-                                np.ones((6, 8)))
+            predict(params, TINY_MULTI, np.ones((1, 6, 7)))
 
     def test_predict_matches_per_sample_inference(self):
         params = init_params(TINY_SINGLE, seed=9)
         x = np.random.default_rng(2).normal(size=(5, 6, 8))
         batched = predict(params, TINY_SINGLE, x)
-        singles = np.stack([forward_single_head(params, TINY_SINGLE, xi) for xi in x])
+        singles = np.stack([predict(params, TINY_SINGLE, xi[None])[0] for xi in x])
         assert np.allclose(batched, singles, atol=1e-12)
 
     def test_default_channel_progressions(self):
@@ -203,7 +203,7 @@ class TestGradients:
         params = init_params(TINY_SINGLE, seed=4)
         x = np.random.default_rng(1).normal(size=(3, 6, 8))
         targets = predict(params, TINY_SINGLE, x)
-        grads = backward(params, TINY_SINGLE, x, targets)
+        _, grads, _ = loss_and_gradients(params, TINY_SINGLE, x, targets)
         assert np.array_equal(grads["head.w"], np.zeros_like(grads["head.w"]))
         assert np.array_equal(grads["head.b"], np.zeros_like(grads["head.b"]))
 
@@ -213,11 +213,11 @@ class TestGradients:
         targets = np.random.default_rng(2).normal(size=(4, 3))
         fd = finite_difference_grads(params, TINY_SINGLE, x, targets,
                                      names={"head.w", "head.b"})
-        grads = backward(params, TINY_SINGLE, x, targets)
+        _, grads, _ = loss_and_gradients(params, TINY_SINGLE, x, targets)
         assert guarded_relative_error({k: grads[k] for k in fd}, fd) < 1e-4
 
-    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI],
-                             ids=["single", "multi"])
+    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI, DENSE_ONLY],
+                             ids=["single", "multi", "dense_only"])
     def test_all_gradients_match_finite_differences(self, cfg):
         params = init_params(cfg, seed=11)
         rng = np.random.default_rng(11)
@@ -352,6 +352,35 @@ class TestModelFile:
         path.write_text("NOTAMODEL\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_raises_value_error(self, data):
+        norm = NormStats(mean=np.zeros(6), std=np.ones(6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.qpnet"
+            save_model(path, init_params(TINY_SINGLE, seed=13), TINY_SINGLE, norm=norm)
+            lines = path.read_text().splitlines()
+            kind = data.draw(st.sampled_from(["drop", "cut", "shape"]), label="mutation")
+            if kind == "drop":
+                del lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+            elif kind == "cut":
+                i = data.draw(st.integers(0, len(lines) - 1), label="line")
+                lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i])), label="keep")]
+            else:
+                i = data.draw(st.integers(2, len(lines) - 1), label="line")
+                name, shape, values = lines[i].split(" ", 2)
+                dims = data.draw(st.one_of(st.permutations(shape.split("x")),
+                                           st.lists(st.integers(-2, 300).map(str),
+                                                    min_size=1, max_size=3)), label="dims")
+                lines[i] = f"{name} {'x'.join(dims)} {values}"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                params, cfg, _ = load_model(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                return
+        assert predict(params, cfg, np.zeros((1, 6, cfg.window))).shape == (1, cfg.out_dim)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         params = init_params(TINY_SINGLE, seed=21)

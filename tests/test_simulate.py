@@ -84,7 +84,7 @@ class TestInverseMechanize:
         gt = generate_periodic_trajectory(TrajectoryProfile(total_span=1.8))
         imu = inverse_mechanize(gt)
         states = mechanize_series(initial_nav_state(gt), imu)
-        recon = np.array([s.p for s in states[: len(gt.timestamps)]])
+        recon = states.p[: len(gt.timestamps)]
         assert np.max(np.linalg.norm(recon - gt.positions, axis=1)) < 1e-3
 
 

@@ -9,12 +9,8 @@ from quadndr.windows import (
     NormStats,
     SampleSet,
     WindowSpec,
-    apply_stats,
-    concat_sets,
     normalize,
-    read_sample_set_csv,
-    save_sample_set_csv,
-    split,
+    normalize_inputs,
     split_tags,
     window_inputs,
     window_series,
@@ -136,16 +132,6 @@ class TestSplitting:
         with pytest.raises(ValueError):
             split_tags(["solo"], 0.25, seed=0)
 
-    def test_split_partitions_samples(self):
-        sets = []
-        for i in range(4):
-            gt, imu, tag = make_pair(tag=f"traj_{i:02d}", speed=0.2 + 0.1 * i)
-            sets.append(window_series(imu, gt, WindowSpec(50, 25), tag=tag))
-        full = concat_sets(sets)
-        train, test = split(full, 0.25, seed=2)
-        assert len(train) + len(test) == len(full)
-        assert set(train.tags) & set(test.tags) == set()
-
 
 class TestNormalization:
     def test_constant_channel_maps_to_zero(self):
@@ -169,26 +155,6 @@ class TestNormalization:
         rng = np.random.default_rng(1)
         stats = NormStats(mean=rng.normal(size=6), std=np.abs(rng.normal(size=6)) + 0.5)
         inputs = rng.normal(size=(10, 6, 20))
-        sst = SampleSet(inputs, np.zeros((10, 3)), ("a",) * 10, WindowSpec(20, 20))
-        out = apply_stats(sst, stats)
+        out = normalize_inputs(inputs, stats)
         expected = (inputs - stats.mean[None, :, None]) / stats.std[None, :, None]
-        assert np.array_equal(out.inputs, expected)
-
-
-class TestSampleSetCsv:
-    def test_roundtrip(self, tmp_path):
-        gt, imu, tag = make_pair()
-        sst = window_series(imu, gt, WindowSpec(40, 20))
-        path = tmp_path / "samples.csv"
-        save_sample_set_csv(path, sst)
-        back = read_sample_set_csv(path)
-        assert back.spec == sst.spec
-        assert back.tags == sst.tags
-        assert np.array_equal(back.inputs, sst.inputs)
-        assert np.array_equal(back.labels, sst.labels)
-
-    def test_rejects_missing_metadata(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("tag,sample,dx,dy,dz\n")
-        with pytest.raises(ValueError):
-            read_sample_set_csv(path)
+        assert np.array_equal(out, expected)
