@@ -91,12 +91,23 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _PARSERS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _PARSERS[key](val)
+        try:
+            key, value = _parse_pair(line)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        values[key] = value
     return values
+
+
+def _parse_pair(text: str) -> tuple:
+    key, _, val = text.partition("=")
+    key = key.strip()
+    if key not in _PARSERS:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return key, _PARSERS[key](val.strip())
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
@@ -106,12 +117,5 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
         with open(path) as fh:
             cfg = replace(cfg, **parse_config_text(fh.read()))
     if overrides:
-        parsed = {}
-        for item in overrides:
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in _PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            parsed[key] = _PARSERS[key](val.strip())
-        cfg = replace(cfg, **parsed)
+        cfg = replace(cfg, **dict(_parse_pair(item) for item in overrides))
     return cfg

@@ -12,7 +12,9 @@ Everything is plain numpy with handwritten backpropagation and Adam.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+import zipfile
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -343,78 +345,60 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
 # ---------------------------------------------------------------------------
 # Model persistence
 
-MODEL_MAGIC = "QPNET1"
+MODEL_MAGIC = "QPNET2"
 
 
 def save_model(path, params: dict, cfg: NetConfig, norm=None) -> None:
-    """Text model file: magic line, hyperparameter line, one block per line
-    (name, shape, values at 17 significant digits). Round-trip exact."""
-    lines = [MODEL_MAGIC]
-    lines.append(
-        f"arch={cfg.arch} n={cfg.window} alpha={cfg.alpha!r} dropout={cfg.dropout!r}"
-        f" out={cfg.out_dim}"
-        f" conv={','.join(str(c) for c in cfg.conv_channels)}"
-        f" dense={','.join(str(d) for d in cfg.dense_widths)}"
-    )
+    """Uncompressed ``.npz``: a JSON ``header`` of the magic and every NetConfig
+    field, one float64 entry per block and ``norm.mean``/``norm.std`` if given.
+    Round-trip exact and byte-reproducible (numpy dates every entry 1980)."""
     blocks = dict(params)
     if norm is not None:
         blocks["norm.mean"] = norm.mean
         blocks["norm.std"] = norm.std
-    for name, arr in blocks.items():
-        shape = "x".join(str(s) for s in arr.shape)
-        vals = " ".join(f"{v:.17g}" for v in np.asarray(arr, dtype=float).ravel())
-        lines.append(f"{name} {shape} {vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # a file object keeps the name as given; np.savez would append ".npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps({"magic": MODEL_MAGIC, **asdict(cfg)})),
+                 **{name: np.asarray(arr, dtype=float) for name, arr in blocks.items()})
 
 
 def load_model(path):
     """Read a model file; returns (params, config, norm_stats_or_None).
 
-    Malformed content raises ValueError naming the file: a missing header
-    field, an unparsable line, or a block set or shape that differs from
-    what the header's configuration defines."""
+    Anything but a QPNET2 archive whose entries match its header's NetConfig
+    in name, shape and float64 dtype raises ValueError naming the file."""
     from .windows import NormStats
 
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a {MODEL_MAGIC} model file")
+    with open(path, "rb") as fh:
         try:
-            header = dict(tok.split("=", 1) for tok in fh.readline().split())
-            cfg = NetConfig(
-                arch=header["arch"],
-                window=int(header["n"]),
-                alpha=float(header["alpha"]),
-                dropout=float(header["dropout"]),
-                out_dim=int(header.get("out", 3)),
-                conv_channels=tuple(int(c) for c in header["conv"].split(",")),
-                dense_widths=tuple(int(d) for d in header["dense"].split(",")),
-            )
-            blocks = {}
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                name, shape_s, vals = line.split(" ", 2)
-                shape = tuple(int(s) for s in shape_s.split("x"))
-                blocks[name] = np.array(vals.split(), dtype=float).reshape(shape)
-        except KeyError as exc:
-            raise ValueError(f"{path}: header lacks the field {exc}") from None
-        except ValueError as exc:
+            if fh.read(4) != b"PK\x03\x04":  # a zip archive's first bytes
+                raise ValueError(f"not a {MODEL_MAGIC} model file")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                blocks = {name: archive[name] for name in archive.files}
+            header = json.loads(str(blocks.pop("header")))
+            if header.pop("magic", None) != MODEL_MAGIC:
+                raise ValueError(f"not a {MODEL_MAGIC} model file")
+            cfg = NetConfig(**header)
+            expected = param_shapes(cfg)
+            if any(name.startswith("norm.") for name in blocks):
+                expected.update({"norm.mean": (6,), "norm.std": (6,)})
+            for name, shape in expected.items():
+                if name not in blocks:
+                    raise ValueError(f"missing block {name!r}")
+                arr = blocks[name]
+                if arr.shape != shape or arr.dtype != np.float64:
+                    raise ValueError(f"block {name!r} is {arr.dtype} of shape {arr.shape},"
+                                     f" expected float64 of shape {shape}")
+            unexpected = sorted(blocks.keys() - expected.keys())
+            if unexpected:
+                raise ValueError(f"unexpected blocks {unexpected}")
+        # a damaged archive makes zipfile seek before the start (OSError) or see
+        # an unknown version or an encryption flag (RuntimeError), or declares
+        # an entry too large to allocate (MemoryError)
+        except (ValueError, KeyError, TypeError, AttributeError, EOFError, OSError,
+                RuntimeError, MemoryError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from None
-    expected = param_shapes(cfg)
-    if any(name.startswith("norm.") for name in blocks):
-        expected.update({"norm.mean": (6,), "norm.std": (6,)})
-    for name, shape in expected.items():
-        if name not in blocks:
-            raise ValueError(f"{path}: missing block {name!r}")
-        if blocks[name].shape != shape:
-            raise ValueError(
-                f"{path}: block {name!r} has shape {blocks[name].shape}, expected {shape}")
-    unexpected = sorted(blocks.keys() - expected.keys())
-    if unexpected:
-        raise ValueError(f"{path}: unexpected blocks {unexpected}")
     norm = None
     if "norm.mean" in blocks:
         norm = NormStats(mean=blocks.pop("norm.mean"), std=blocks.pop("norm.std"))

@@ -199,17 +199,18 @@ def _tiny_overrides(out_dir):
     return [f"{k}={v}" for k, v in pairs.items()]
 
 
-def _csv_digests(root):
+def _digests(root):
     digests = {}
-    for path in sorted(Path(root).rglob("*.csv")):
-        digests[str(path.relative_to(root))] = hashlib.sha256(
-            path.read_bytes()).hexdigest()
+    for pattern in ("*.csv", "*.qpnet", "report.txt", "eval_xz.svg"):
+        for path in sorted(Path(root).rglob(pattern)):
+            digests[str(path.relative_to(root))] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
     return digests
 
 
 def test_criterion_9_determinism(tmp_path):
     """Rerunning every command with an identical config reproduces every
-    CSV output bit for bit."""
+    CSV output, model file, report and plot bit for bit."""
     digests = []
     for sub in ("first", "second"):
         out = tmp_path / sub
@@ -218,10 +219,10 @@ def test_criterion_9_determinism(tmp_path):
         models = cmd_train(cfg, "single")
         baselines = cmd_train(cfg, "baseline")
         cmd_eval(cfg, models, baselines)
-        digests.append(_csv_digests(out))
+        digests.append(_digests(out))
     assert digests[0].keys() == digests[1].keys()
     assert digests[0] == digests[1]
-    _report(9, f"{len(digests[0])} CSV files identical across reruns")
+    _report(9, f"{len(digests[0])} output files identical across reruns")
 
 
 def test_criterion_6_qualitative_claim(tmp_path):

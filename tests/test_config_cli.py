@@ -1,4 +1,5 @@
 import hashlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -97,15 +98,32 @@ def trained(tmp_path_factory):
 def _eval_edited_model(edit):
     def case(tmp_path, out, model):
         bad = tmp_path / "bad.qpnet"
-        bad.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+        bad.write_bytes(edit(model.read_bytes()))
         return ["eval", *_sets(tiny_overrides(out)), "--models", str(bad)], bad
     return case
 
 
-def _swap_fc1_shape(lines):
-    name, shape, values = next(ln for ln in lines if ln.startswith("fc1.w ")).split(" ", 2)
-    swapped = f"{name} {'x'.join(reversed(shape.split('x')))} {values}"
-    return [swapped if ln.startswith("fc1.w ") else ln for ln in lines]
+def _edit_entries(edit):
+    """Rebuild the model archive after ``edit`` changes its entry dict in place."""
+    def rewrite(data):
+        with np.load(io.BytesIO(data)) as archive:
+            entries = {name: archive[name] for name in archive.files}
+        edit(entries)
+        buf = io.BytesIO()
+        np.savez(buf, **entries)
+        return buf.getvalue()
+    return rewrite
+
+
+def _cut_after_header_entry(data):
+    # the header entry, which holds the magic, is the archive's first
+    return data[:data.index(b"PK\x03\x04", 4)]
+
+
+def _damage_zip_version(data):
+    # offset 6 of a central-directory record is the "version needed" field
+    at = data.index(b"PK\x01\x02") + 6
+    return data[:at] + b"\xff" + data[at + 1:]
 
 
 # each case builds (argv, the path the error message must name)
@@ -116,12 +134,14 @@ MALFORMED_INPUTS = {
         ["simulate", *_sets(tiny_overrides(model))], model),
     "models_is_directory": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out)), "--models", str(tmp_path)], tmp_path),
-    "model_cut_after_magic": _eval_edited_model(lambda lines: lines[:1]),
+    "model_cut_after_magic": _eval_edited_model(_cut_after_header_entry),
     "model_missing_head_b": _eval_edited_model(
-        lambda lines: [ln for ln in lines if not ln.startswith("head.b ")]),
+        _edit_entries(lambda entries: entries.pop("head.b"))),
     "model_norm_mean_without_std": _eval_edited_model(
-        lambda lines: [ln for ln in lines if not ln.startswith("norm.std ")]),
-    "model_block_shape_swapped": _eval_edited_model(_swap_fc1_shape),
+        _edit_entries(lambda entries: entries.pop("norm.std"))),
+    "model_block_shape_swapped": _eval_edited_model(
+        _edit_entries(lambda entries: entries.update({"fc1.w": entries["fc1.w"].T}))),
+    "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
 }
 
 
@@ -134,6 +154,25 @@ def test_malformed_input_exits_1_without_traceback(case, trained, tmp_path, caps
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert str(culprit) in err
+
+
+@pytest.mark.parametrize("setting, in_file", [
+    ("dense_widths=", False), ("seed=abc", False), ("accel_bias=1,2", False),
+    ("lr = fast", True),
+])
+def test_bad_config_value_names_the_key(setting, in_file, tmp_path, capsys):
+    if in_file:
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"# experiment\n{setting}\n")
+        argv = ["train", "--config", str(path)]
+    else:
+        argv = ["train", "--set", setting]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(setting.partition("=")[0].strip()) in err
+    if in_file:
+        assert "line 2:" in err
 
 
 class TestSimulate:

@@ -1,4 +1,7 @@
+import io
+import re
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +356,39 @@ class TestModelFile:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_roundtrip_keeps_every_config_field(self, tmp_path):
+        cfg = NetConfig("single", 8, alpha=0.05, out_dim=2, conv_channels=(6, 4),
+                        dense_widths=(5,), kernel=5)
+        params = init_params(cfg, seed=13)
+        path = tmp_path / "model.qpnet"
+        save_model(path, params, cfg)
+        back_params, back_cfg, _ = load_model(path)
+        assert back_cfg == cfg
+        for k in params:
+            assert np.array_equal(back_params[k], params[k])
+
+    @pytest.mark.parametrize("kind", ["qpnet1_text", "bare_npy", "pickled_header",
+                                      "entry_too_large_to_allocate"])
+    def test_rejects_foreign_file(self, kind, tmp_path):
+        path = tmp_path / "model.qpnet"
+        if kind == "qpnet1_text":
+            path.write_text("QPNET1\narch=single n=8 alpha=0.01 dropout=0.0 out=3"
+                            " conv=6,4 dense=5\nhead.b 3 0 0 0\n")
+        elif kind == "bare_npy":
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif kind == "pickled_header":
+            with path.open("wb") as fh:
+                np.savez(fh, header=np.array([{"magic": "QPNET2"}], dtype=object))
+        else:
+            buf = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                buf, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)})
+            with zipfile.ZipFile(path, "w") as archive:
+                archive.writestr("header.npy", buf.getvalue())
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_mutated_file_loads_or_raises_value_error(self, data):
@@ -360,26 +396,43 @@ class TestModelFile:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.qpnet"
             save_model(path, init_params(TINY_SINGLE, seed=13), TINY_SINGLE, norm=norm)
-            lines = path.read_text().splitlines()
-            kind = data.draw(st.sampled_from(["drop", "cut", "shape"]), label="mutation")
-            if kind == "drop":
-                del lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
-            elif kind == "cut":
-                i = data.draw(st.integers(0, len(lines) - 1), label="line")
-                lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i])), label="keep")]
+            raw = bytearray(path.read_bytes())
+            kind = data.draw(st.sampled_from(
+                ["truncate", "overwrite", "delete", "drop", "reshape", "int64"]), label="mutation")
+            # an entry-level edit that changes an entry can never give a valid model
+            must_fail = kind in ("drop", "int64")
+            if kind in ("truncate", "overwrite", "delete"):
+                at = data.draw(st.integers(0, len(raw) - 3), label="offset")
+                if kind == "truncate":
+                    del raw[at:]
+                elif kind == "overwrite":
+                    new = data.draw(st.binary(min_size=1, max_size=3), label="bytes")
+                    raw[at:at + len(new)] = new
+                else:
+                    del raw[at:at + data.draw(st.integers(1, 64), label="span")]
+                path.write_bytes(raw)
             else:
-                i = data.draw(st.integers(2, len(lines) - 1), label="line")
-                name, shape, values = lines[i].split(" ", 2)
-                dims = data.draw(st.one_of(st.permutations(shape.split("x")),
-                                           st.lists(st.integers(-2, 300).map(str),
-                                                    min_size=1, max_size=3)), label="dims")
-                lines[i] = f"{name} {'x'.join(dims)} {values}"
-            path.write_text("\n".join(lines) + "\n")
+                with np.load(path) as archive:
+                    entries = {name: archive[name] for name in archive.files}
+                name = data.draw(st.sampled_from(sorted(entries)), label="entry")
+                if kind == "drop":
+                    del entries[name]
+                elif kind == "reshape":
+                    old = entries[name]
+                    shape = data.draw(st.sampled_from([(-1,), (1, -1), old.shape[::-1]]),
+                                      label="shape")
+                    entries[name] = old.reshape(shape)
+                    must_fail = entries[name].shape != old.shape
+                else:
+                    entries[name] = np.zeros(entries[name].shape, dtype=np.int64)
+                with path.open("wb") as fh:
+                    np.savez(fh, **entries)
             try:
                 params, cfg, _ = load_model(path)
             except ValueError as exc:
                 assert str(path) in str(exc)
                 return
+        assert not must_fail, f"{kind} edit loaded"
         assert predict(params, cfg, np.zeros((1, 6, cfg.window))).shape == (1, cfg.out_dim)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
