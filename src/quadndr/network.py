@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class NetConfig:
             raise ValueError("alpha must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        # an even kernel would make each padded conv one sample longer
+        if type(self.kernel) is not int or self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be an odd int >= 1, got {self.kernel!r}")
         if not self.conv_channels:
             default = SINGLE_CHANNELS if self.arch == "single" else MULTI_CHANNELS
             object.__setattr__(self, "conv_channels", default)
@@ -276,22 +279,50 @@ class AdamState:
                    t=0, beta1=beta1, beta2=beta2, lr=lr, eps=eps)
 
 
+# elements per chunk of one Adam pass: six chunk-sized arrays fit in L2 cache
+_ADAM_CHUNK = 16384
+
+
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
-    """One Adam update; returns fresh parameter and state dicts."""
+    """One Adam update in place: overwrites ``params[k]``, ``state.m[k]`` and
+    ``state.v[k]``, advances ``state.t`` and returns the same two objects.
+
+    Every gradient block is checked finite before any array changes, so
+    TrainingDiverged leaves params and state as they were. The operation order
+    is the textbook one, ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
+    ``p - (lr*m_hat)/(sqrt(v_hat)+eps)``, so results are bitwise those of the
+    out-of-place form. Each block is walked in chunks of _ADAM_CHUNK elements,
+    so the scratch is two chunk-sized arrays whatever the block size."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in block {k!r}")
-    t = state.t + 1
+    state.t += 1
     b1, b2 = state.beta1, state.beta2
-    new_params, m, v = {}, {}, {}
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    scratch = np.empty((2, _ADAM_CHUNK))
     for k, p in params.items():
-        g = grads[k]
-        m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
-        m_hat = m[k] / (1.0 - b1 ** t)
-        v_hat = v[k] / (1.0 - b2 ** t)
-        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, replace(state, m=m, v=v, t=t)
+        # nditer hands out views of contiguous blocks and buffers any other layout
+        with np.nditer([p, grads[k], state.m[k], state.v[k]],
+                       flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
+                       buffersize=_ADAM_CHUNK) as chunks:
+            for p_c, g, m, v in chunks:
+                step, denom = scratch[:, :g.size]
+                np.multiply(1.0 - b1, g, out=step)
+                m *= b1
+                m += step
+                np.multiply(1.0 - b2, g, out=step)
+                step *= g
+                v *= b2
+                v += step
+                np.divide(m, c1, out=step)
+                step *= state.lr
+                np.divide(v, c2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += state.eps
+                step /= denom
+                p_c -= step
+    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +344,9 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
           tcfg: TrainConfig) -> tuple[dict, list]:
     """Mini-batch Adam training with seeded per-epoch shuffling.
 
-    The last partial batch is kept. Returns the trained parameters and the
+    The last partial batch is kept. ``params`` is copied once on entry and
+    the copies are updated in place by every ``adam_step``, so the caller's
+    arrays are never changed. Returns the trained parameters and the
     per-epoch mean loss history.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -322,6 +355,7 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
     if m == 0:
         raise ValueError("training set is empty")
     rng = np.random.default_rng(tcfg.seed)
+    params = {k: np.array(p, dtype=float) for k, p in params.items()}
     state = AdamState.for_params(params, lr=tcfg.lr)
     history: list[float] = []
     for epoch in range(tcfg.epochs):

@@ -1,9 +1,10 @@
 """Independent references used to check analytic results in the tests."""
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from quadndr.network import NetConfig, mse_loss, predict
+from quadndr.network import AdamState, NetConfig, mse_loss, predict
 
 # Central finite differences hit a roundoff floor of roughly eps * L / h,
 # which for losses of order one and h = 1e-6 is about 1e-9 in absolute
@@ -64,3 +65,19 @@ def scalar_adam_reference(theta0, grads, lr=1e-3, beta1=0.9, beta2=0.999,
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
         out.append(theta)
     return out
+
+
+def out_of_place_adam(params, grads, state: AdamState):
+    """Vectorised Adam that builds fresh parameter and moment dicts; the
+    in-place ``adam_step`` must match it bit for bit."""
+    t = state.t + 1
+    b1, b2 = state.beta1, state.beta2
+    new_params, m, v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = b1 * state.m[k] + (1.0 - b1) * g
+        v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
+        m_hat = m[k] / (1.0 - b1 ** t)
+        v_hat = v[k] / (1.0 - b2 ** t)
+        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return new_params, replace(state, m=m, v=v, t=t)

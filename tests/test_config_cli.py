@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,17 @@ def _edit_entries(edit):
     return rewrite
 
 
+def _even_kernel(entries):
+    # header kernel=4, and every conv weight padded to 4 taps so that the
+    # block shapes agree with the header
+    header = json.loads(str(entries["header"]))
+    header["kernel"] = 4
+    entries["header"] = np.array(json.dumps(header))
+    for name, arr in entries.items():
+        if arr.ndim == 3:
+            entries[name] = np.concatenate([arr, np.zeros(arr.shape[:2] + (1,))], axis=2)
+
+
 def _cut_after_header_entry(data):
     # the header entry, which holds the magic, is the archive's first
     return data[:data.index(b"PK\x03\x04", 4)]
@@ -142,6 +154,7 @@ MALFORMED_INPUTS = {
     "model_block_shape_swapped": _eval_edited_model(
         _edit_entries(lambda entries: entries.update({"fc1.w": entries["fc1.w"].T}))),
     "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
+    "model_even_kernel": _eval_edited_model(_edit_entries(_even_kernel)),
 }
 
 

@@ -1,6 +1,7 @@
 import io
 import re
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_difference_grads, guarded_relative_error, scalar_adam_reference
+from oracles import (
+    finite_difference_grads,
+    guarded_relative_error,
+    out_of_place_adam,
+    scalar_adam_reference,
+)
 from quadndr.network import (
     AdamState,
     NetConfig,
@@ -274,6 +280,73 @@ class TestAdam:
             assert np.max(np.abs(np.array(trace) - np.array(ref))) < 1e-12
 
 
+def _assert_bit_equal(dicts, expected):
+    for got, want in zip(dicts, expected):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+
+
+class TestInPlaceAdam:
+    def test_bit_equal_to_out_of_place_step(self):
+        rng = np.random.default_rng(11)
+        # one block spans two chunks; the other is column-major, so it is buffered
+        shapes = {"a.w": (3, 7001), "b.w": (13, 4)}
+        params = {"a.w": rng.normal(size=shapes["a.w"]),
+                  "b.w": np.asfortranarray(rng.normal(size=shapes["b.w"]))}
+        state = AdamState.for_params(params, lr=1e-3)
+        ref_params = {k: p.copy() for k, p in params.items()}
+        ref_state = AdamState.for_params(ref_params, lr=1e-3)
+        for _ in range(200):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-6.0, 3.0)
+                     for k, s in shapes.items()}
+            stepped, same_state = adam_step(params, grads, state)
+            assert stepped is params and same_state is state
+            ref_params, ref_state = out_of_place_adam(ref_params, grads, ref_state)
+            _assert_bit_equal((params, state.m, state.v),
+                              (ref_params, ref_state.m, ref_state.v))
+            assert state.t == ref_state.t
+
+    def test_non_finite_last_block_changes_nothing(self):
+        rng = np.random.default_rng(12)
+        params = {"a.w": rng.normal(size=(4, 3)), "b.b": rng.normal(size=5)}
+        state = AdamState.for_params(params)
+        adam_step(params, {k: rng.normal(size=p.shape) for k, p in params.items()}, state)
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+        t_before = state.t
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        grads["b.b"][-1] = np.nan
+        with pytest.raises(TrainingDiverged):
+            adam_step(params, grads, state)
+        _assert_bit_equal((params, state.m, state.v), before)
+        assert state.t == t_before
+
+    def test_train_leaves_callers_arrays_unchanged(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(32, 6, 8))
+        y = rng.normal(scale=0.1, size=(32, 3))
+        params = init_params(TINY_SINGLE, seed=3)
+        before = {k: p.copy() for k, p in params.items()}
+        trained, _ = train(params, TINY_SINGLE, x, y,
+                           TrainConfig(epochs=2, batch_size=16, seed=1))
+        _assert_bit_equal((params,), (before,))
+        assert not np.array_equal(trained["head.w"], before["head.w"])
+
+    def test_step_allocates_at_most_two_and_a_half_blocks(self):
+        rng = np.random.default_rng(14)
+        params = {"w": rng.normal(size=(1000, 1000))}
+        grads = {"w": rng.normal(size=(1000, 1000))}
+        state = AdamState.for_params(params)
+        adam_step(params, grads, state)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * params["w"].nbytes
+
+
 class TestTrain:
     def make_data(self, m=48):
         rng = np.random.default_rng(0)
@@ -452,6 +525,11 @@ class TestNetConfigValidation:
     def test_rejects_wrong_input_channels(self):
         with pytest.raises(ValueError):
             NetConfig(arch="single", window=8, conv_channels=(3, 4))
+
+    @pytest.mark.parametrize("kernel", [2, 0, -1])
+    def test_rejects_kernel_that_is_not_odd_and_positive(self, kernel):
+        with pytest.raises(ValueError, match="kernel"):
+            NetConfig(arch="single", window=8, kernel=kernel)
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError):
