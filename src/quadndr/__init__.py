@@ -28,7 +28,6 @@ from .network import (
     TrainConfig,
     adam_step,
     init_params,
-    leaky_relu,
     load_model,
     mse_loss,
     save_model,

@@ -13,6 +13,7 @@ Everything is plain numpy with handwritten backpropagation and Adam.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -53,11 +54,17 @@ class NetConfig:
         if not self.conv_channels:
             default = SINGLE_CHANNELS if self.arch == "single" else MULTI_CHANNELS
             object.__setattr__(self, "conv_channels", default)
+        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
+        object.__setattr__(self, "dense_widths", tuple(self.dense_widths))
+        for field in ("conv_channels", "dense_widths"):
+            widths = getattr(self, field)
+            for width in widths:
+                if type(width) is not int or width < 1:
+                    raise ValueError(f"{field} entries must be ints >= 1,"
+                                     f" got {width!r} in {widths!r}")
         expected_in = 6 if self.arch == "single" else 3
         if self.conv_channels[0] != expected_in:
             raise ValueError(f"{self.arch} networks take {expected_in} input channels")
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
-        object.__setattr__(self, "dense_widths", tuple(self.dense_widths))
 
     @property
     def branches(self) -> tuple:
@@ -98,140 +105,194 @@ def init_params(cfg: NetConfig, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Elementary layers
+# Workspace and elementary layers
 
 
-def _leaky_slope(z, alpha):
-    # convention: derivative at exactly 0 is alpha
-    return np.where(z > 0, 1.0, alpha)
+class _Workspace:
+    """Named flat buffers, grown on demand. ``get`` hands out a contiguous
+    prefix of one in the requested shape, so a training step writes into
+    memory that earlier steps already touched. A view stays valid until the
+    next ``get`` of its name."""
+
+    def __init__(self):
+        self._bufs = {}
+
+    def get(self, name, shape, dtype=np.float64):
+        n = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < n:
+            buf = self._bufs[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
 
 
-def leaky_relu(x, alpha: float = 0.01):
-    """x for x >= 0, alpha*x otherwise, elementwise."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    x = np.asarray(x, dtype=float)
-    return x * _leaky_slope(x, alpha)
+def _leaky_slope(z, alpha, ws, name):
+    """Leaky ReLU derivative of ``z`` into buffer ``name``: 1 where z > 0 and
+    alpha elsewhere, at exactly 0 and at NaN included."""
+    mask = ws.get("slope.mask", z.shape, bool)
+    np.greater(z, 0, out=mask)
+    slope = ws.get(name, z.shape)
+    slope.fill(alpha)
+    np.copyto(slope, 1.0, where=mask)
+    return slope
 
 
-def _dropout(a, rate: float, training: bool, rng):
+def _dropout(a, rate: float, training: bool, rng, ws=None, name="dropout"):
     """Inverted dropout: zero with probability ``rate`` and rescale survivors
     while training; identity at inference. Returns the output and the mask
-    (None when inactive) that the backward pass applies to the gradient."""
+    (None when inactive) that the backward pass applies to the gradient,
+    both in buffers of ``ws`` (a fresh workspace if None)."""
     if not training or rate == 0.0:
         return a, None
     if rng is None:
         raise ValueError("training-mode forward needs an RNG for dropout")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return a * mask, mask
+    ws = _Workspace() if ws is None else ws
+    mask = rng.random(a.shape, out=ws.get(name + ".mask", a.shape))
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return np.multiply(a, mask, out=ws.get(name + ".out", a.shape)), mask
 
 
-def _im2col(x, kernel, padding):
-    """(B, C, L) -> column matrix (C*kernel, B*Lout)."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    B, C, Lp = x.shape
-    lout = Lp - kernel + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
-    cols = win.transpose(1, 3, 0, 2).reshape(C * kernel, B * lout)
-    return cols, lout
+def _padded(ws, channels, batch, length, pad):
+    """The shared conv input buffer, (channels, batch, length + 2*pad), with
+    its pad columns zeroed; the caller fills the interior."""
+    h = ws.get("conv.in", (channels, batch, length + 2 * pad))
+    h[:, :, :pad] = 0.0
+    h[:, :, pad + length:] = 0.0
+    return h
 
 
-def _conv_forward(x, w, b, padding):
-    """Cross-correlate (B, in_channels, L) inputs with (out, in, kernel)
-    weights; returns the (B, out, Lout) output and the im2col columns."""
-    B = x.shape[0]
+def _conv_forward(xp, w, b, ws, name):
+    """Cross-correlate a zero-padded channel-major (in, B, Lp) input with
+    (out, in, kernel) weights; returns the (out, B, Lp - kernel + 1)
+    pre-activation and the (in*kernel, B*Lout) im2col columns, kept in
+    buffer ``name``."""
+    cin, B, lp = xp.shape
+    cout, w_cin, kernel = w.shape
+    if w_cin != cin or lp < kernel:
+        raise ValueError(f"conv {name}: input of shape {xp.shape} does not fit"
+                         f" weights of shape {w.shape}")
+    lout = lp - kernel + 1
+    cols = ws.get(name + ".cols", (cin, kernel, B, lout))
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
+    np.copyto(cols, win.transpose(0, 3, 1, 2))
+    cols = cols.reshape(cin * kernel, B * lout)
+    z = np.matmul(w.reshape(cout, cin * kernel), cols, out=ws.get("conv.z", (cout, B * lout)))
+    z = z.reshape(cout, B, lout)
+    z += b[:, None, None]
+    return z, cols
+
+
+def _conv_param_grads(dz, cols, w, ws, name):
+    """Weight and bias gradients of one conv from its (out, B, Lout)
+    pre-activation gradient."""
+    cout = w.shape[0]
+    dz2 = dz.reshape(cout, -1)
+    dw = np.matmul(dz2, cols.T, out=ws.get(f"grad {name}.w", (cout, cols.shape[0])))
+    db = np.sum(dz2, axis=1, out=ws.get(f"grad {name}.b", (cout,)))
+    return dw.reshape(w.shape), db
+
+
+def _conv_input_grad(dz, w, ws, pad):
+    """The (in, B, Lout + kernel - 1 - 2*pad) input gradient of one conv."""
     cout, cin, kernel = w.shape
-    cols, lout = _im2col(x, kernel, padding)
-    y = (w.reshape(cout, cin * kernel) @ cols).reshape(cout, B, lout)
-    return y.transpose(1, 0, 2) + b[None, :, None], cols
-
-
-def _conv_backward(dy, cols, w, x_shape, padding):
-    B, C, L = x_shape
-    cout, cin, kernel = w.shape
-    lout = dy.shape[2]
-    dy2 = dy.transpose(1, 0, 2).reshape(cout, B * lout)
-    dw = (dy2 @ cols.T).reshape(cout, cin, kernel)
-    db = dy2.sum(axis=1)
-    dcols = w.reshape(cout, cin * kernel).T @ dy2          # (C*K, B*Lout)
-    dcols = dcols.reshape(cin, kernel, B, lout).transpose(2, 0, 1, 3)
-    dxp = np.zeros((B, C, L + 2 * padding))
+    _, B, lout = dz.shape
+    dcols = np.matmul(w.reshape(cout, cin * kernel).T, dz.reshape(cout, B * lout),
+                      out=ws.get("conv.dcols", (cin * kernel, B * lout)))
+    dcols = dcols.reshape(cin, kernel, B, lout)
+    dxp = ws.get("conv.dx", (cin, B, lout + kernel - 1))
+    dxp.fill(0.0)
     for k in range(kernel):
-        dxp[:, :, k:k + lout] += dcols[:, :, k, :]
-    return (dxp[:, :, padding:padding + L] if padding else dxp), dw, db
+        dxp[:, :, k:k + lout] += dcols[:, k]
+    return dxp[:, :, pad:dxp.shape[2] - pad]
 
 
 # ---------------------------------------------------------------------------
 # Full forward / backward
 
 
-def _forward(params, cfg: NetConfig, x, training=False, rng=None):
-    """Batched forward pass; returns predictions and the backward cache."""
+def _forward(params, cfg: NetConfig, x, ws, training=False, rng=None):
+    """Batched forward pass into ``ws``; returns predictions and the backward
+    cache. Conv activations are channel-major, (C, B, L)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != 6 or x.shape[2] != cfg.window:
         raise ValueError(f"expected input of shape (B, 6, {cfg.window})")
-    B = x.shape[0]
+    B, L = x.shape[0], cfg.window
     pad = cfg.kernel // 2
-    branch_inputs = {"conv": x} if cfg.arch == "single" else {"acc": x[:, :3], "gyro": x[:, 3:]}
+    chans = cfg.conv_channels
+    nconv = len(chans) - 1
+    # per branch, the last conv output; flattened it is the dense input
+    feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
 
     conv_cache = []
-    flats = []
-    for prefix in cfg.branches:
-        h = branch_inputs[prefix]
-        for i in range(len(cfg.conv_channels) - 1):
+    for bi, prefix in enumerate(cfg.branches):
+        branch_x = x[:, bi * chans[0]:(bi + 1) * chans[0]]
+        if nconv == 0:
+            np.copyto(feats[:, bi], branch_x)
+            continue
+        h = _padded(ws, chans[0], B, L, pad)
+        np.copyto(h[:, :, pad:pad + L], branch_x.transpose(1, 0, 2))
+        for i in range(nconv):
             name = f"{prefix}{i + 1}"
-            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], pad)
-            conv_cache.append((name, h.shape, cols, z))
-            h = leaky_relu(z, cfg.alpha)
-        flats.append(h.reshape(B, -1))
-    flat = flats[0] if len(flats) == 1 else np.concatenate(flats, axis=1)
+            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], ws, name)
+            slope = _leaky_slope(z, cfg.alpha, ws, name + ".slope")
+            conv_cache.append((name, cols, slope))
+            if i == nconv - 1:
+                act = feats[:, bi].transpose(1, 0, 2)
+            else:
+                h = _padded(ws, chans[i + 1], B, L, pad)
+                act = h[:, :, pad:pad + L]
+            np.multiply(z, slope, out=act)
 
     dense_cache = []
-    h = flat
-    for i in range(len(cfg.dense_widths)):
+    h = feats.reshape(B, -1)
+    for i, width in enumerate(cfg.dense_widths):
         name = f"fc{i + 1}"
-        z = h @ params[name + ".w"].T + params[name + ".b"]
-        a, mask = _dropout(leaky_relu(z, cfg.alpha), cfg.dropout, training, rng)
-        dense_cache.append((name, h, z, mask))
+        z = np.matmul(h, params[name + ".w"].T, out=ws.get(name + ".z", (B, width)))
+        z += params[name + ".b"]
+        slope = _leaky_slope(z, cfg.alpha, ws, name + ".slope")
+        a = np.multiply(z, slope, out=z)  # z is not needed past its slope
+        a, mask = _dropout(a, cfg.dropout, training, rng, ws, name)
+        dense_cache.append((name, h, slope, mask))
         h = a
-    out = h @ params["head.w"].T + params["head.b"]
-    cache = (conv_cache, dense_cache, h, flat, [f.shape[1] for f in flats])
-    return out, cache
+    out = np.matmul(h, params["head.w"].T, out=ws.get("head.out", (B, cfg.out_dim)))
+    out += params["head.b"]
+    return out, (conv_cache, dense_cache, h)
 
 
-def _backward(params, cfg: NetConfig, cache, dout):
-    conv_cache, dense_cache, head_in, flat, flat_dims = cache
+def _backward(params, cfg: NetConfig, cache, dout, ws):
+    conv_cache, dense_cache, head_in = cache
     grads = {}
-    grads["head.w"] = dout.T @ head_in
-    grads["head.b"] = dout.sum(axis=0)
-    dh = dout @ params["head.w"]
-    for name, h_in, z, mask in reversed(dense_cache):
+    grads["head.w"] = np.matmul(dout.T, head_in, out=ws.get("grad head.w", params["head.w"].shape))
+    grads["head.b"] = np.sum(dout, axis=0, out=ws.get("grad head.b", params["head.b"].shape))
+    dh = np.matmul(dout, params["head.w"], out=ws.get("head.dx", head_in.shape))
+    for name, h_in, slope, mask in reversed(dense_cache):
         if mask is not None:
-            dh = dh * mask
-        dz = dh * _leaky_slope(z, cfg.alpha)
-        grads[name + ".w"] = dz.T @ h_in
-        grads[name + ".b"] = dz.sum(axis=0)
-        dh = dz @ params[name + ".w"]
+            dh *= mask
+        dh *= slope
+        w = params[name + ".w"]
+        grads[name + ".w"] = np.matmul(dh.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
+        grads[name + ".b"] = np.sum(dh, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
+        dh = np.matmul(dh, w, out=ws.get(name + ".dx", h_in.shape))
 
-    nconv = len(cfg.conv_channels) - 1
-    offset = 0
+    chans = cfg.conv_channels
+    nconv = len(chans) - 1
     pad = cfg.kernel // 2
-    for bi, prefix in enumerate(cfg.branches):
-        dflat = dh[:, offset:offset + flat_dims[bi]]
-        offset += flat_dims[bi]
-        da = dflat.reshape(-1, cfg.conv_channels[-1], cfg.window)
-        for name, x_shape, cols, z in reversed(conv_cache[bi * nconv:(bi + 1) * nconv]):
-            dz = da * _leaky_slope(z, cfg.alpha)
-            da, dw, db = _conv_backward(dz, cols, params[name + ".w"], x_shape, pad)
-            grads[name + ".w"] = dw
-            grads[name + ".b"] = db
+    dfeats = dh.reshape(dh.shape[0], len(cfg.branches), chans[-1], cfg.window)
+    for bi in range(len(cfg.branches)):
+        da = dfeats[:, bi].transpose(1, 0, 2)
+        for i in reversed(range(nconv)):
+            name, cols, slope = conv_cache[bi * nconv + i]
+            w = params[name + ".w"]
+            dz = np.multiply(da, slope, out=ws.get("conv.dz", slope.shape))
+            grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
+            if i > 0:  # the network's input needs no gradient
+                da = _conv_input_grad(dz, w, ws, pad)
     return grads
 
 
 def predict(params, cfg: NetConfig, inputs) -> np.ndarray:
     """Batched inference on (M, 6, n) windows."""
-    out, _ = _forward(params, cfg, inputs)
+    out, _ = _forward(params, cfg, inputs, _Workspace())
     return out
 
 
@@ -245,15 +306,20 @@ def mse_loss(predictions, targets) -> float:
 
 
 def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
-                       training=False, rng=None):
-    """One forward/backward pass; returns (loss, gradients, predictions)."""
+                       training=False, rng=None, *, workspace=None):
+    """One forward/backward pass; returns (loss, gradients, predictions).
+
+    Without ``workspace`` every array is freshly allocated. With one, each is
+    written into that workspace's buffers, so the returned gradients and
+    predictions are views, valid until the workspace's next use."""
+    ws = _Workspace() if workspace is None else workspace
     targets = np.asarray(targets, dtype=float)
-    out, cache = _forward(params, cfg, inputs, training=training, rng=rng)
+    out, cache = _forward(params, cfg, inputs, ws, training=training, rng=rng)
     if targets.shape != out.shape:
         raise ValueError("target shape does not match network output")
     loss = mse_loss(out, targets)
     dout = 2.0 * (out - targets) / out.shape[0]
-    grads = _backward(params, cfg, cache, dout)
+    grads = _backward(params, cfg, cache, dout, ws)
     return loss, grads, out
 
 
@@ -357,6 +423,7 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
     rng = np.random.default_rng(tcfg.seed)
     params = {k: np.array(p, dtype=float) for k, p in params.items()}
     state = AdamState.for_params(params, lr=tcfg.lr)
+    workspace = _Workspace()
     history: list[float] = []
     for epoch in range(tcfg.epochs):
         perm = rng.permutation(m)
@@ -364,7 +431,8 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
         for lo in range(0, m, tcfg.batch_size):
             idx = perm[lo:lo + tcfg.batch_size]
             loss, grads, _ = loss_and_gradients(
-                params, cfg, inputs[idx], labels[idx], training=True, rng=rng)
+                params, cfg, inputs[idx], labels[idx], training=True, rng=rng,
+                workspace=workspace)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {lo // tcfg.batch_size}")

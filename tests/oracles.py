@@ -81,3 +81,133 @@ def out_of_place_adam(params, grads, state: AdamState):
         v_hat = v[k] / (1.0 - b2 ** t)
         new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return new_params, replace(state, m=m, v=v, t=t)
+
+
+# The allocate-per-step forward and backward pass: every im2col matrix,
+# activation and gradient is a fresh array, activations are (B, C, L) and
+# each conv input is padded with np.pad. ``loss_and_gradients`` must match
+# ``fresh_loss_and_gradients`` bit for bit, with or without a workspace.
+
+
+def _leaky_slope(z, alpha):
+    # convention: derivative at exactly 0 is alpha
+    return np.where(z > 0, 1.0, alpha)
+
+
+def leaky_relu(x, alpha: float = 0.01):
+    """x for x >= 0, alpha*x otherwise, elementwise."""
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    x = np.asarray(x, dtype=float)
+    return x * _leaky_slope(x, alpha)
+
+
+def _dropout(a, rate, training, rng):
+    if not training or rate == 0.0:
+        return a, None
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return a * mask, mask
+
+
+def _im2col(x, kernel, padding):
+    """(B, C, L) -> column matrix (C*kernel, B*Lout)."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    B, C, Lp = x.shape
+    lout = Lp - kernel + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
+    cols = win.transpose(1, 3, 0, 2).reshape(C * kernel, B * lout)
+    return cols, lout
+
+
+def _conv_forward(x, w, b, padding):
+    B = x.shape[0]
+    cout, cin, kernel = w.shape
+    cols, lout = _im2col(x, kernel, padding)
+    y = (w.reshape(cout, cin * kernel) @ cols).reshape(cout, B, lout)
+    return y.transpose(1, 0, 2) + b[None, :, None], cols
+
+
+def _conv_backward(dy, cols, w, x_shape, padding):
+    B, C, L = x_shape
+    cout, cin, kernel = w.shape
+    lout = dy.shape[2]
+    dy2 = dy.transpose(1, 0, 2).reshape(cout, B * lout)
+    dw = (dy2 @ cols.T).reshape(cout, cin, kernel)
+    db = dy2.sum(axis=1)
+    dcols = w.reshape(cout, cin * kernel).T @ dy2          # (C*K, B*Lout)
+    dcols = dcols.reshape(cin, kernel, B, lout).transpose(2, 0, 1, 3)
+    dxp = np.zeros((B, C, L + 2 * padding))
+    for k in range(kernel):
+        dxp[:, :, k:k + lout] += dcols[:, :, k, :]
+    return (dxp[:, :, padding:padding + L] if padding else dxp), dw, db
+
+
+def _forward(params, cfg: NetConfig, x, training=False, rng=None):
+    x = np.asarray(x, dtype=float)
+    B = x.shape[0]
+    pad = cfg.kernel // 2
+    branch_inputs = {"conv": x} if cfg.arch == "single" else {"acc": x[:, :3], "gyro": x[:, 3:]}
+
+    conv_cache = []
+    flats = []
+    for prefix in cfg.branches:
+        h = branch_inputs[prefix]
+        for i in range(len(cfg.conv_channels) - 1):
+            name = f"{prefix}{i + 1}"
+            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], pad)
+            conv_cache.append((name, h.shape, cols, z))
+            h = leaky_relu(z, cfg.alpha)
+        flats.append(h.reshape(B, -1))
+    flat = flats[0] if len(flats) == 1 else np.concatenate(flats, axis=1)
+
+    dense_cache = []
+    h = flat
+    for i in range(len(cfg.dense_widths)):
+        name = f"fc{i + 1}"
+        z = h @ params[name + ".w"].T + params[name + ".b"]
+        a, mask = _dropout(leaky_relu(z, cfg.alpha), cfg.dropout, training, rng)
+        dense_cache.append((name, h, z, mask))
+        h = a
+    out = h @ params["head.w"].T + params["head.b"]
+    cache = (conv_cache, dense_cache, h, flat, [f.shape[1] for f in flats])
+    return out, cache
+
+
+def _backward(params, cfg: NetConfig, cache, dout):
+    conv_cache, dense_cache, head_in, flat, flat_dims = cache
+    grads = {}
+    grads["head.w"] = dout.T @ head_in
+    grads["head.b"] = dout.sum(axis=0)
+    dh = dout @ params["head.w"]
+    for name, h_in, z, mask in reversed(dense_cache):
+        if mask is not None:
+            dh = dh * mask
+        dz = dh * _leaky_slope(z, cfg.alpha)
+        grads[name + ".w"] = dz.T @ h_in
+        grads[name + ".b"] = dz.sum(axis=0)
+        dh = dz @ params[name + ".w"]
+
+    nconv = len(cfg.conv_channels) - 1
+    offset = 0
+    pad = cfg.kernel // 2
+    for bi, prefix in enumerate(cfg.branches):
+        dflat = dh[:, offset:offset + flat_dims[bi]]
+        offset += flat_dims[bi]
+        da = dflat.reshape(-1, cfg.conv_channels[-1], cfg.window)
+        for name, x_shape, cols, z in reversed(conv_cache[bi * nconv:(bi + 1) * nconv]):
+            dz = da * _leaky_slope(z, cfg.alpha)
+            da, dw, db = _conv_backward(dz, cols, params[name + ".w"], x_shape, pad)
+            grads[name + ".w"] = dw
+            grads[name + ".b"] = db
+    return grads
+
+
+def fresh_loss_and_gradients(params, cfg: NetConfig, inputs, targets,
+                             training=False, rng=None):
+    """(loss, gradients, predictions) of one allocate-per-step pass."""
+    targets = np.asarray(targets, dtype=float)
+    out, cache = _forward(params, cfg, inputs, training=training, rng=rng)
+    loss = mse_loss(out, targets)
+    dout = 2.0 * (out - targets) / out.shape[0]
+    return loss, _backward(params, cfg, cache, dout), out

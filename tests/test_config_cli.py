@@ -188,6 +188,17 @@ def test_bad_config_value_names_the_key(setting, in_file, tmp_path, capsys):
         assert "line 2:" in err
 
 
+@pytest.mark.parametrize("setting", ["conv_channels=6,0", "conv_channels=6,-2", "dense_widths=0"])
+def test_bad_layer_width_exits_1_without_traceback(setting, trained, capsys):
+    out, _ = trained
+    assert main(["train", *_sets(tiny_overrides(out)), "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    key, _, value = setting.partition("=")
+    assert key in err and value.split(",")[-1] in err
+
+
 class TestSimulate:
     def test_writes_expected_files(self, tmp_path):
         out = tmp_path / "exp"

@@ -3,6 +3,7 @@ import re
 import tempfile
 import tracemalloc
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     finite_difference_grads,
+    fresh_loss_and_gradients,
     guarded_relative_error,
+    leaky_relu,
     out_of_place_adam,
     scalar_adam_reference,
 )
@@ -23,9 +26,9 @@ from quadndr.network import (
     TrainingDiverged,
     _conv_forward,
     _dropout,
+    _Workspace,
     adam_step,
     init_params,
-    leaky_relu,
     load_model,
     loss_and_gradients,
     mse_loss,
@@ -44,10 +47,12 @@ DENSE_ONLY = NetConfig(arch="single", window=8, dropout=0.0,
 
 
 def conv1d(w, b, x, padding=0):
-    """One (in_channels, L) input through the batched conv."""
-    y, _ = _conv_forward(np.asarray(x, dtype=float)[None], np.asarray(w, dtype=float),
-                         np.asarray(b, dtype=float), padding)
-    return y[0]
+    """One (in_channels, L) input through the batched conv, which takes a
+    zero-padded channel-major (in_channels, B, L + 2*padding) input."""
+    xp = np.pad(np.asarray(x, dtype=float), ((0, 0), (padding, padding)))[:, None]
+    y, _ = _conv_forward(xp, np.asarray(w, dtype=float), np.asarray(b, dtype=float),
+                         _Workspace(), "conv")
+    return y[:, 0]
 
 
 def dense_only(weights, bias):
@@ -347,6 +352,108 @@ class TestInPlaceAdam:
         assert peak <= 2.5 * params["w"].nbytes
 
 
+def _net(arch, **kw):
+    chans = (6, 4, 5, 3) if arch == "single" else (3, 4, 5, 3)
+    return NetConfig(arch=arch, window=8, **{"conv_channels": chans, "dense_widths": (6, 4), **kw})
+
+
+# every layout the workspace must handle: three conv layers of different
+# widths share the conv buffers, kernel 1 has no pad columns, and a net
+# without conv layers copies its input straight into the dense features
+BITWISE_NETS = {
+    **{f"{arch}_k{k}": (_net(arch, kernel=k), 5) for arch in ("single", "multi") for k in (1, 3, 5)},
+    "single_no_conv": (_net("single", conv_channels=(6,)), 5),
+    "multi_no_conv": (_net("multi", conv_channels=(3,)), 5),
+    "single_no_hidden": (_net("single", dense_widths=()), 5),
+    "multi_no_hidden": (_net("multi", dense_widths=()), 5),
+    "single_batch1": (_net("single"), 1),
+    "multi_batch1": (_net("multi"), 1),
+}
+
+
+def _bitwise_case(cfg, batch, seed):
+    """Params and data whose first sample puts exact zeros into the first
+    layer's pre-activations, where the Leaky ReLU slope is alpha."""
+    params = init_params(cfg, seed=seed)
+    for name in ("conv1.b", "acc1.b", "gyro1.b", "fc1.b"):
+        if name in params:
+            params[name][:] = 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, 6, cfg.window))
+    x[0] = 0.0
+    x[-1, 1, 3:5] = -0.0
+    return params, x, rng.normal(size=(batch, cfg.out_dim))
+
+
+def _assert_same_bytes(got, want):
+    loss, grads, out = got
+    ref_loss, ref_grads, ref_out = want
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+    assert list(grads) == list(ref_grads)
+    for k, g in ref_grads.items():
+        assert grads[k].shape == g.shape and grads[k].tobytes() == g.tobytes(), k
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("net", sorted(BITWISE_NETS))
+    def test_bit_equal_to_fresh_arrays(self, net, dropout):
+        cfg, batch = BITWISE_NETS[net]
+        cfg = replace(cfg, dropout=dropout)
+        params, x, y = _bitwise_case(cfg, batch, seed=6)
+        want = fresh_loss_and_gradients(params, cfg, x, y, training=True,
+                                        rng=np.random.default_rng(7))
+        for ws in (None, _Workspace()):
+            got = loss_and_gradients(params, cfg, x, y, training=True,
+                                     rng=np.random.default_rng(7), workspace=ws)
+            _assert_same_bytes(got, want)
+        ref_out = fresh_loss_and_gradients(params, cfg, x, y)[2]
+        assert predict(params, cfg, x).tobytes() == ref_out.tobytes()
+
+    @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_shared_workspace_across_batch_sizes(self, arch):
+        cfg = _net(arch, dropout=0.5)
+        ws = _Workspace()
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for seed, batch in enumerate((16, 11, 16)):
+            params, x, y = _bitwise_case(cfg, batch, seed)
+            want = fresh_loss_and_gradients(params, cfg, x, y, training=True, rng=ref_rng)
+            got = loss_and_gradients(params, cfg, x, y, training=True, rng=rng, workspace=ws)
+            _assert_same_bytes(got, want)
+
+    def test_calls_without_workspace_do_not_alias(self):
+        params, x, y = _bitwise_case(TINY_MULTI, 4, seed=10)
+        first = loss_and_gradients(params, TINY_MULTI, x, y)
+        second = loss_and_gradients(params, TINY_MULTI, x[::-1], y)
+        arrays = [[out, *grads.values()] for _, grads, out in (first, second)]
+        for a in arrays[0]:
+            for b in arrays[1]:
+                assert not np.shares_memory(a, b)
+
+    def test_step_allocates_under_half_of_fc1(self):
+        cfg = NetConfig(arch="single", window=64, conv_channels=(6, 16, 16),
+                        dense_widths=(256, 16))
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(16, 6, 64)), rng.normal(size=(16, 3))
+        ws = _Workspace()
+
+        def step(batch):
+            loss_and_gradients(params, cfg, x[:batch], y[:batch], training=True,
+                               rng=rng, workspace=ws)
+
+        step(16)
+        step(11)
+        tracemalloc.start()
+        try:
+            step(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * params["fc1.w"].nbytes
+
+
 class TestTrain:
     def make_data(self, m=48):
         rng = np.random.default_rng(0)
@@ -530,6 +637,16 @@ class TestNetConfigValidation:
     def test_rejects_kernel_that_is_not_odd_and_positive(self, kernel):
         with pytest.raises(ValueError, match="kernel"):
             NetConfig(arch="single", window=8, kernel=kernel)
+
+    @pytest.mark.parametrize("field, widths, bad", [
+        ("conv_channels", (6, 0), "0"), ("conv_channels", (6, -2), "-2"),
+        ("conv_channels", (6, 4.0), "4.0"), ("dense_widths", (0,), "0"),
+        ("dense_widths", (8, True), "True"),
+    ])
+    def test_rejects_layer_width_that_is_not_a_positive_int(self, field, widths, bad):
+        with pytest.raises(ValueError, match=field) as exc:
+            NetConfig(arch="single", window=8, **{field: widths})
+        assert bad in str(exc.value)
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError):
