@@ -50,6 +50,7 @@ from .simulate import (
 )
 from .windows import (
     WindowSpec,
+    check_synchronized,
     concat_sets,
     normalize,
     normalize_inputs,
@@ -124,8 +125,8 @@ def _net_config(cfg: ExperimentConfig, arch: str) -> NetConfig:
         window=cfg.window_size,
         dropout=cfg.dropout,
         out_dim=2 if arch == "baseline" else 3,
-        conv_channels=cfg.conv_channels or (),
-        dense_widths=cfg.dense_widths or NetConfig("single", 1).dense_widths,
+        conv_channels=cfg.conv_channels,
+        dense_widths=cfg.dense_widths,
     )
 
 
@@ -135,9 +136,9 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
         raise ValueError(f"arch must be one of {ARCHES}")
     series = _load_trajectories(cfg)
     spec = WindowSpec(cfg.window_size, cfg.stride)
-    sets = [window_series(imu, gt, spec, tag) for tag, (gt, imu) in series.items()]
+    sets = {tag: window_series(imu, gt, spec, tag) for tag, (gt, imu) in series.items()}
     train_tags, _ = split_tags(list(series), cfg.test_fraction, cfg.seed)
-    train_set = concat_sets([s for s in sets if s.tags and s.tags[0] in train_tags])
+    train_set = concat_sets([s for tag, s in sets.items() if tag in train_tags])
     train_set, norm = normalize(train_set)
     labels = train_set.labels
     if arch == "baseline":
@@ -184,10 +185,14 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     run_counter: dict[str, int] = {}
     report: dict = {"test_trajectories": ",".join(test_tags)}
 
+    n = cfg.window_size
     for ti, tag in enumerate(test_tags):
         gt, imu = series[tag]
+        flight = Path(cfg.out_dir) / tag
+        check_synchronized(imu, gt, str(flight))
+        if len(gt) < n:
+            raise ValueError(f"{flight}: {len(gt)} samples, fewer than one window of {n}")
         targets = gt_window_end_positions(gt, eval_spec)
-        n = cfg.window_size
         ends = np.arange(len(targets)) * n + n - 1
         end_times = gt.timestamps[ends]
         if ti == 0:

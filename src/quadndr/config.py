@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
+from .network import DENSE_WIDTHS
 
 
 def _triple(text: str) -> tuple:
@@ -19,34 +19,6 @@ def _triple(text: str) -> tuple:
 
 def _int_tuple(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
-
-
-_PARSERS = {
-    "hover_height": float,
-    "amplitude": float,
-    "p2p_distance": float,
-    "total_span": float,
-    "speed": float,
-    "sample_rate": float,
-    "heading": float,
-    "num_trajectories": int,
-    "accel_bias": _triple,
-    "gyro_bias": _triple,
-    "accel_noise_std": float,
-    "gyro_noise_std": float,
-    "seed": int,
-    "window_size": int,
-    "stride": int,
-    "batch_size": int,
-    "lr": float,
-    "epochs": int,
-    "runs": int,
-    "dropout": float,
-    "test_fraction": float,
-    "conv_channels": _int_tuple,
-    "dense_widths": _int_tuple,
-    "out_dir": str,
-}
 
 
 @dataclass(frozen=True)
@@ -61,8 +33,8 @@ class ExperimentConfig:
     heading: float = 0.0
     num_trajectories: int = 8
     # IMU error model
-    accel_bias: tuple = (0.0, 0.0, 0.0)
-    gyro_bias: tuple = (0.0, 0.0, 0.0)
+    accel_bias: tuple = field(default=(0.0, 0.0, 0.0), metadata={"parse": _triple})
+    gyro_bias: tuple = field(default=(0.0, 0.0, 0.0), metadata={"parse": _triple})
     accel_noise_std: float = 0.05
     gyro_noise_std: float = 0.002
     seed: int = 17
@@ -76,10 +48,15 @@ class ExperimentConfig:
     runs: int = 3
     dropout: float = 0.2
     test_fraction: float = 0.25
-    conv_channels: tuple = ()   # empty = architecture default
-    dense_widths: tuple = ()    # empty = architecture default
+    # empty = the architecture's own channels
+    conv_channels: tuple = field(default=(), metadata={"parse": _int_tuple})
+    dense_widths: tuple = field(default=DENSE_WIDTHS, metadata={"parse": _int_tuple})
     # output
     out_dir: str = "runs/exp"
+
+
+# a key's text is read by its field's "parse" metadata, else by its default's type
+_PARSERS = {f.name: f.metadata.get("parse", type(f.default)) for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ins import DEFAULT_GRAVITY, ImuSeries, NavState, dcm_to_yaw, mechanize_series
+from .ins import ImuSeries, NavState, dcm_to_yaw, mechanize_series
 from .simulate import GroundTruthSeries
 from .windows import NormStats, WindowSpec, normalize_inputs, window_inputs, window_starts
 from .network import NetConfig, predict
@@ -57,8 +57,7 @@ def gt_window_end_positions(gt: GroundTruthSeries, spec: WindowSpec) -> np.ndarr
 
 
 def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
-                 spec: WindowSpec, g_n=DEFAULT_GRAVITY,
-                 norm: NormStats | None = None) -> np.ndarray:
+                 spec: WindowSpec, norm: NormStats | None = None) -> np.ndarray:
     """Distance + INS-heading dead reckoning; returns (M, 3) window-end points.
 
     The network regresses (horizontal distance, altitude change) per window;
@@ -73,7 +72,7 @@ def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
     if norm is not None:
         inputs = normalize_inputs(inputs, norm)
     preds = predict(params, cfg, inputs) if len(inputs) else np.empty((0, 2))
-    states = mechanize_series(init, imu, g_n)
+    states = mechanize_series(init, imu)
     starts = window_starts(len(imu), spec)
     x, y, z = (float(v) for v in init.p)
     points = np.empty((starts.size, 3))

@@ -6,7 +6,7 @@ and angular rate into position, velocity and attitude.
 
 Conventions:
 - navigation frame: locally level, z axis aligned with gravity,
-  g_n = (0, 0, 9.80665) m/s^2 by default
+  which is fixed at DEFAULT_GRAVITY = (0, 0, 9.80665) m/s^2
 - body-to-nav rotation via ZYX (yaw-pitch-roll) Euler angles
 - all arithmetic in 64-bit floating point
 """
@@ -19,8 +19,9 @@ import math
 import numpy as np
 
 GRAVITY = 9.80665
-#: Default gravity vector in the navigation frame.
+#: The gravity vector in the navigation frame, shared by every module.
 DEFAULT_GRAVITY = np.array([0.0, 0.0, GRAVITY])
+DEFAULT_GRAVITY.flags.writeable = False
 
 _DCM_TOL = 1e-6
 
@@ -188,16 +189,16 @@ class ImuSeries:
         return self.timestamps.size
 
 
-def mechanize_series(init: NavState, imu: ImuSeries, g_n=DEFAULT_GRAVITY) -> NavState:
+def mechanize_series(init: NavState, imu: ImuSeries) -> NavState:
     """Integrate an IMU series from an initial state.
 
     Sample k is treated as the measurement over [t_k, t_{k+1}); the last
     sample reuses the preceding interval length, and a single sample covers
     [init.t, t_0]. Attitude is updated with the exact rotation exponential
     of w*dt and re-orthonormalized, velocity with the rotated specific force
-    plus gravity, position with the updated velocity (semi-implicit Euler).
-    Returns the initial state followed by one state per sample, stacked
-    over time, so row k is the state at t_k.
+    plus DEFAULT_GRAVITY, position with the updated velocity (semi-implicit
+    Euler). Returns the initial state followed by one state per sample,
+    stacked over time, so row k is the state at t_k.
     """
     n = len(imu)
     ts = imu.timestamps
@@ -210,7 +211,6 @@ def mechanize_series(init: NavState, imu: ImuSeries, g_n=DEFAULT_GRAVITY) -> Nav
         if np.any(dts <= 0):
             raise ValueError("IMU timestamps must be strictly increasing")
         dts = np.append(dts, dts[-1:])
-    g_n = _as_vec3(g_n, "gravity")
     if not (np.all(np.isfinite(imu.f)) and np.all(np.isfinite(imu.w))):
         raise ValueError("IMU measurements must be finite")
     f, w = imu.f, imu.w
@@ -219,6 +219,6 @@ def mechanize_series(init: NavState, imu: ImuSeries, g_n=DEFAULT_GRAVITY) -> Nav
     for k in range(n):
         dt = float(dts[k])
         T[k + 1] = orthonormalize(T[k] @ rotvec_to_dcm(w[k] * dt))
-        v[k + 1] = v[k] + (T[k + 1] @ f[k] + g_n) * dt
+        v[k + 1] = v[k] + (T[k + 1] @ f[k] + DEFAULT_GRAVITY) * dt
         p[k + 1] = p[k] + v[k + 1] * dt
     return NavState(p=p, v=v, T=T, t=np.cumsum(np.append(init.t, dts)))

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .windows import NormStats
+
 SINGLE_CHANNELS = (6, 64, 64, 128, 128, 256, 256)
 MULTI_CHANNELS = (3, 32, 32, 64, 64, 128, 128)
 DENSE_WIDTHS = (512, 128)
@@ -136,16 +138,15 @@ def _leaky_slope(z, alpha, ws, name):
     return slope
 
 
-def _dropout(a, rate: float, training: bool, rng, ws=None, name="dropout"):
+def _dropout(a, rate: float, training: bool, rng, ws, name):
     """Inverted dropout: zero with probability ``rate`` and rescale survivors
     while training; identity at inference. Returns the output and the mask
     (None when inactive) that the backward pass applies to the gradient,
-    both in buffers of ``ws`` (a fresh workspace if None)."""
+    both in buffers of ``ws`` named after ``name``."""
     if not training or rate == 0.0:
         return a, None
     if rng is None:
         raise ValueError("training-mode forward needs an RNG for dropout")
-    ws = _Workspace() if ws is None else ws
     mask = rng.random(a.shape, out=ws.get(name + ".mask", a.shape))
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
@@ -327,22 +328,23 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
 # Adam optimizer
 
 
+# Kingma & Ba's published defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
     lr: float = 1e-3
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: dict, lr: float = 1e-3) -> "AdamState":
         zeros = {k: np.zeros_like(p) for k, p in params.items()}
-        return cls(m=zeros, v={k: z.copy() for k, z in zeros.items()},
-                   t=0, beta1=beta1, beta2=beta2, lr=lr, eps=eps)
+        return cls(m=zeros, v={k: z.copy() for k, z in zeros.items()}, t=0, lr=lr)
 
 
 # elements per chunk of one Adam pass: six chunk-sized arrays fit in L2 cache
@@ -363,7 +365,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in block {k!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     scratch = np.empty((2, _ADAM_CHUNK))
     for k, p in params.items():
@@ -385,7 +387,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
                 step *= state.lr
                 np.divide(v, c2, out=denom)
                 np.sqrt(denom, out=denom)
-                denom += state.eps
+                denom += ADAM_EPS
                 step /= denom
                 p_c -= step
     return params, state
@@ -469,8 +471,6 @@ def load_model(path):
 
     Anything but a QPNET2 archive whose entries match its header's NetConfig
     in name, shape and float64 dtype raises ValueError naming the file."""
-    from .windows import NormStats
-
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != b"PK\x03\x04":  # a zip archive's first bytes

@@ -60,6 +60,8 @@ class GroundTruthSeries:
         att = np.asarray(self.attitudes, dtype=float)
         if ts.ndim != 1 or pos.shape != (ts.size, 3) or att.shape != (ts.size, 3):
             raise ValueError("inconsistent ground-truth shapes")
+        if not all(np.all(np.isfinite(a)) for a in (ts, pos, att)):
+            raise ValueError("ground-truth series must be finite")
         if ts.size > 1:
             dts = np.diff(ts)
             if not np.all(dts > 0):
@@ -89,15 +91,6 @@ class ImuErrorModel:
         object.__setattr__(self, "gyro_bias", np.asarray(self.gyro_bias, dtype=float))
         if self.accel_noise_std < 0 or self.gyro_noise_std < 0:
             raise ValueError("noise standard deviations must be >= 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            not np.any(self.accel_bias)
-            and not np.any(self.gyro_bias)
-            and self.accel_noise_std == 0.0
-            and self.gyro_noise_std == 0.0
-        )
 
 
 def generate_periodic_trajectory(profile: TrajectoryProfile) -> GroundTruthSeries:
@@ -131,31 +124,30 @@ def _accelerations(positions: np.ndarray, dt: float) -> np.ndarray:
     return a
 
 
-def inverse_mechanize(gt: GroundTruthSeries, g_n=DEFAULT_GRAVITY) -> ImuSeries:
+def inverse_mechanize(gt: GroundTruthSeries) -> ImuSeries:
     """Derive the noise-free IMU stream consistent with a ground-truth series.
 
-    Specific force is T^T (a_n - g_n) with a_n from finite differences of the
-    positions; angular rate is the log map of consecutive attitude increments
-    divided by dt. Needs at least 3 samples.
+    Specific force is T^T (a_n - DEFAULT_GRAVITY) with a_n from finite
+    differences of the positions; angular rate is the log map of consecutive
+    attitude increments divided by dt. Needs at least 3 samples.
     """
     n = len(gt)
     if n < 3:
         raise ValueError("inverse mechanization needs at least 3 samples")
-    g_n = np.asarray(g_n, dtype=float)
     dt = float(gt.timestamps[1] - gt.timestamps[0])
     a_n = _accelerations(gt.positions, dt)
     dcms = [euler_to_dcm(*att) for att in gt.attitudes]
     f = np.empty((n, 3))
     w = np.empty((n, 3))
     for k in range(n):
-        f[k] = dcms[k].T @ (a_n[k] - g_n)
+        f[k] = dcms[k].T @ (a_n[k] - DEFAULT_GRAVITY)
         if k < n - 1:
             w[k] = dcm_to_rotvec(dcms[k].T @ dcms[k + 1]) / dt
     w[-1] = w[-2]
     return ImuSeries(timestamps=gt.timestamps.copy(), f=f, w=w)
 
 
-def initial_nav_state(gt: GroundTruthSeries, g_n=DEFAULT_GRAVITY) -> NavState:
+def initial_nav_state(gt: GroundTruthSeries) -> NavState:
     """Navigation state at the first ground-truth sample.
 
     The velocity is the one consistent with the discrete inverse: after one
@@ -174,9 +166,8 @@ def initial_nav_state(gt: GroundTruthSeries, g_n=DEFAULT_GRAVITY) -> NavState:
 
 
 def corrupt_imu(imu: ImuSeries, model: ImuErrorModel) -> ImuSeries:
-    """Apply the bias + white-noise error model; deterministic per seed."""
-    if model.is_zero:
-        return ImuSeries(imu.timestamps.copy(), imu.f.copy(), imu.w.copy())
+    """Apply the bias + white-noise error model; deterministic per seed. A
+    zero model changes no value except -0.0, which becomes +0.0."""
     rng = np.random.default_rng(model.seed)
     f = imu.f + model.accel_bias + rng.normal(0.0, model.accel_noise_std, imu.f.shape)
     w = imu.w + model.gyro_bias + rng.normal(0.0, model.gyro_noise_std, imu.w.shape)
@@ -194,19 +185,31 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _read_csv(path, header: str) -> np.ndarray:
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != header:
-            raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in (ln.strip() for ln in fh)
-            if line
-        ]
+def _read_csv(path, header: str, build):
+    """Parse a CSV written by ``_write_csv`` and return ``build`` of its
+    (rows, columns) array. Every parse or validation error, undecodable
+    bytes included, is a ValueError that starts with the path."""
     ncols = header.count(",") + 1
-    data = np.array(rows, dtype=float).reshape(len(rows), ncols)
-    return data
+    rows = []
+    with open(path) as fh:
+        try:
+            first = fh.readline().rstrip("\n")
+            if first != header:
+                raise ValueError(f"expected header {header!r}, got {first!r}")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = [float(v) for v in line.split(",")]
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                if len(row) != ncols:
+                    raise ValueError(f"line {lineno}: expected {ncols} values, got {len(row)}")
+                rows.append(row)
+            return build(np.array(rows, dtype=float).reshape(len(rows), ncols))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def write_gt_csv(path, gt: GroundTruthSeries) -> None:
@@ -215,8 +218,8 @@ def write_gt_csv(path, gt: GroundTruthSeries) -> None:
 
 
 def read_gt_csv(path) -> GroundTruthSeries:
-    data = _read_csv(path, GT_CSV_HEADER)
-    return GroundTruthSeries(timestamps=data[:, 0], positions=data[:, 1:4], attitudes=data[:, 4:7])
+    return _read_csv(path, GT_CSV_HEADER, lambda data: GroundTruthSeries(
+        timestamps=data[:, 0], positions=data[:, 1:4], attitudes=data[:, 4:7]))
 
 
 def write_imu_csv(path, imu: ImuSeries) -> None:
@@ -225,5 +228,5 @@ def write_imu_csv(path, imu: ImuSeries) -> None:
 
 
 def read_imu_csv(path) -> ImuSeries:
-    data = _read_csv(path, IMU_CSV_HEADER)
-    return ImuSeries(timestamps=data[:, 0], f=data[:, 1:4], w=data[:, 4:7])
+    return _read_csv(path, IMU_CSV_HEADER, lambda data: ImuSeries(
+        timestamps=data[:, 0], f=data[:, 1:4], w=data[:, 4:7]))

@@ -42,25 +42,20 @@ class NormStats:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A batch of fixed-size windows with labels and source tags."""
+    """A batch of fixed-size windows with their labels."""
 
     inputs: np.ndarray  # (M, 6, n)
     labels: np.ndarray  # (M, 3)
-    tags: tuple
-    spec: WindowSpec
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
         labels = np.asarray(self.labels, dtype=float)
         if inputs.ndim != 3 or inputs.shape[1] != 6:
             raise ValueError("inputs must have shape (M, 6, n)")
-        if inputs.shape[2] != self.spec.window_size:
-            raise ValueError("window length does not match the spec")
-        if labels.shape != (inputs.shape[0], 3) or len(self.tags) != inputs.shape[0]:
+        if labels.shape != (inputs.shape[0], 3):
             raise ValueError("inconsistent sample-set shapes")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "tags", tuple(self.tags))
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -83,15 +78,25 @@ def window_inputs(imu: ImuSeries, spec: WindowSpec) -> np.ndarray:
         else np.empty((0, 6, n))
 
 
-def window_series(imu: ImuSeries, gt: GroundTruthSeries, spec: WindowSpec,
-                  tag: str = "") -> SampleSet:
-    """Window a synchronized IMU/ground-truth pair into labeled samples."""
+def check_synchronized(imu: ImuSeries, gt: GroundTruthSeries, flight: str) -> None:
+    """Raise ValueError, prefixed by ``flight`` when it is not empty, unless
+    both series have the same length and their timestamps agree to within
+    half a sample period."""
+    where = f"{flight}: " if flight else ""
     if len(imu) != len(gt):
-        raise ValueError("IMU and ground-truth lengths differ")
+        raise ValueError(f"{where}IMU and ground-truth lengths differ"
+                         f" ({len(imu)} and {len(gt)} samples)")
     if len(gt) > 1:
         half_period = 0.5 * float(gt.timestamps[1] - gt.timestamps[0])
         if np.max(np.abs(imu.timestamps - gt.timestamps)) >= half_period:
-            raise ValueError("IMU and ground-truth timestamps do not match")
+            raise ValueError(f"{where}IMU and ground-truth timestamps do not match")
+
+
+def window_series(imu: ImuSeries, gt: GroundTruthSeries, spec: WindowSpec,
+                  tag: str = "") -> SampleSet:
+    """Window a synchronized IMU/ground-truth pair into labeled samples;
+    ``tag`` names the flight in errors."""
+    check_synchronized(imu, gt, tag)
     starts = window_starts(len(imu), spec)
     inputs = window_inputs(imu, spec)
     n = spec.window_size
@@ -99,22 +104,15 @@ def window_series(imu: ImuSeries, gt: GroundTruthSeries, spec: WindowSpec,
         gt.positions[starts + n - 1] - gt.positions[starts]
         if starts.size else np.empty((0, 3))
     )
-    return SampleSet(inputs=inputs, labels=labels, tags=(tag,) * starts.size, spec=spec)
+    return SampleSet(inputs=inputs, labels=labels)
 
 
 def concat_sets(sets) -> SampleSet:
     sets = list(sets)
     if not sets:
         raise ValueError("nothing to concatenate")
-    spec = sets[0].spec
-    if any(s.spec != spec for s in sets):
-        raise ValueError("sample sets disagree on the window spec")
-    return SampleSet(
-        inputs=np.concatenate([s.inputs for s in sets]),
-        labels=np.concatenate([s.labels for s in sets]),
-        tags=tuple(t for s in sets for t in s.tags),
-        spec=spec,
-    )
+    return SampleSet(inputs=np.concatenate([s.inputs for s in sets]),
+                     labels=np.concatenate([s.labels for s in sets]))
 
 
 def split_tags(tags, test_fraction: float, seed: int) -> tuple[list, list]:
@@ -140,8 +138,7 @@ def normalize(sset: SampleSet) -> tuple[SampleSet, NormStats]:
     mean = sset.inputs.mean(axis=(0, 2))
     std = np.maximum(sset.inputs.std(axis=(0, 2)), STD_FLOOR)
     stats = NormStats(mean=mean, std=std)
-    normed = SampleSet(inputs=normalize_inputs(sset.inputs, stats), labels=sset.labels.copy(),
-                       tags=sset.tags, spec=sset.spec)
+    normed = SampleSet(inputs=normalize_inputs(sset.inputs, stats), labels=sset.labels.copy())
     return normed, stats
 
 

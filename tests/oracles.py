@@ -4,7 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from quadndr.network import AdamState, NetConfig, mse_loss, predict
+from quadndr.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    NetConfig,
+    mse_loss,
+    predict,
+)
 
 # Central finite differences hit a roundoff floor of roughly eps * L / h,
 # which for losses of order one and h = 1e-6 is about 1e-9 in absolute
@@ -71,7 +79,7 @@ def out_of_place_adam(params, grads, state: AdamState):
     """Vectorised Adam that builds fresh parameter and moment dicts; the
     in-place ``adam_step`` must match it bit for bit."""
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, m, v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
@@ -79,7 +87,7 @@ def out_of_place_adam(params, grads, state: AdamState):
         v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
         m_hat = m[k] / (1.0 - b1 ** t)
         v_hat = v[k] / (1.0 - b2 ** t)
-        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, replace(state, m=m, v=v, t=t)
 
 

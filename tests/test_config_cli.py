@@ -1,13 +1,16 @@
 import hashlib
 import io
 import json
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadndr.cli import cmd_eval, cmd_simulate, cmd_train, main
-from quadndr.config import ExperimentConfig, load_config, parse_config_text
+from quadndr.config import _PARSERS, ExperimentConfig, _parse_pair, load_config, parse_config_text
+from quadndr.windows import split_tags
 
 
 def tiny_overrides(out_dir, **extra):
@@ -59,6 +62,22 @@ class TestConfigParsing:
         assert cfg.stride == 50
         assert cfg.batch_size == 64
         assert cfg.lr == 1e-3
+
+    def test_default_text_parses_back(self):
+        # an empty default stands for "the architecture's own"; only
+        # conv_channels needs one, since the architectures differ
+        empty = set()
+        for f in fields(ExperimentConfig):
+            if f.default == ():
+                empty.add(f.name)
+                continue
+            text = (",".join(str(v) for v in f.default) if isinstance(f.default, tuple)
+                    else str(f.default))
+            assert _parse_pair(f"{f.name} = {text}") == (f.name, f.default)
+        assert empty == {"conv_channels"}
+
+    def test_parsable_keys_are_the_fields(self):
+        assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
 
     def test_override_precedence(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -138,6 +157,48 @@ def _damage_zip_version(data):
     return data[:at] + b"\xff" + data[at + 1:]
 
 
+def _edit_flight(command, edit):
+    """Copy the experiment, let ``edit`` damage its first test flight (it
+    returns the path the error must name) and run ``command`` on the copy."""
+    def case(tmp_path, out, model):
+        exp = tmp_path / "exp"
+        shutil.copytree(out, exp)
+        cfg = load_config(overrides=tiny_overrides(exp))
+        tags = [f"traj_{i:02d}" for i in range(cfg.num_trajectories)]
+        flight = exp / split_tags(tags, cfg.test_fraction, cfg.seed)[1][0]
+        culprit = edit(flight)
+        argv = [command, *_sets(tiny_overrides(exp))]
+        return argv + (["--models", str(model)] if command == "eval" else []), culprit
+    return case
+
+
+def _keep_rows(path, count):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1 + count]))
+
+
+def _cut_flight(gt_rows, imu_rows):
+    # a tiny_overrides flight has 101 samples
+    def edit(flight):
+        _keep_rows(flight / "gt.csv", gt_rows)
+        _keep_rows(flight / "imu_noisy.csv", imu_rows)
+        return flight
+    return edit
+
+
+def _nan_position(sample):
+    # tiny_overrides windows 20 samples with stride 10
+    def edit(flight):
+        path = flight / "gt.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        values = lines[1 + sample].split(",")
+        values[1] = "nan"
+        lines[1 + sample] = ",".join(values)
+        path.write_text("".join(lines))
+        return path
+    return edit
+
+
 # each case builds (argv, the path the error message must name)
 MALFORMED_INPUTS = {
     "config_is_directory": lambda tmp_path, out, model: (
@@ -155,6 +216,11 @@ MALFORMED_INPUTS = {
         _edit_entries(lambda entries: entries.update({"fc1.w": entries["fc1.w"].T}))),
     "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
     "model_even_kernel": _eval_edited_model(_edit_entries(_even_kernel)),
+    "eval_gt_header_only": _edit_flight("eval", _cut_flight(0, 101)),
+    "eval_imu_shorter_than_gt": _edit_flight("eval", _cut_flight(101, 60)),
+    "eval_flight_shorter_than_window": _edit_flight("eval", _cut_flight(10, 10)),
+    "train_gt_nan_inside_window": _edit_flight("train", _nan_position(5)),
+    "train_gt_nan_at_window_start": _edit_flight("train", _nan_position(10)),
 }
 
 

@@ -127,21 +127,22 @@ class TestDense:
 class TestDropout:
     def test_inference_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(_dropout(x, 0.5, False, None)[0], x)
+        assert np.array_equal(_dropout(x, 0.5, False, None, _Workspace(), "d")[0], x)
 
     def test_zero_rate_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(_dropout(x, 0.0, True, np.random.default_rng(0))[0], x)
+        rng = np.random.default_rng(0)
+        assert np.array_equal(_dropout(x, 0.0, True, rng, _Workspace(), "d")[0], x)
 
     def test_seed_deterministic(self):
         x = np.ones((4, 100))
-        a, _ = _dropout(x, 0.3, True, np.random.default_rng(5))
-        b, _ = _dropout(x, 0.3, True, np.random.default_rng(5))
+        a, _ = _dropout(x, 0.3, True, np.random.default_rng(5), _Workspace(), "d")
+        b, _ = _dropout(x, 0.3, True, np.random.default_rng(5), _Workspace(), "d")
         assert np.array_equal(a, b)
 
     def test_survivors_are_rescaled(self):
         x = np.ones((4, 1000))
-        y, _ = _dropout(x, 0.25, True, np.random.default_rng(1))
+        y, _ = _dropout(x, 0.25, True, np.random.default_rng(1), _Workspace(), "d")
         kept = y[y != 0.0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert 0.6 < kept.size / x.size < 0.9

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadndr.ins import GRAVITY, ImuSeries, mechanize_series
 from quadndr.simulate import (
@@ -151,3 +156,81 @@ def test_ground_truth_requires_uniform_spacing():
     ts = np.array([0.0, 0.01, 0.03])
     with pytest.raises(ValueError):
         GroundTruthSeries(ts, np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("column", ["timestamps", "positions", "attitudes"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ground_truth_rejects_non_finite(column, bad):
+    values = {"timestamps": np.arange(4) / 10.0, "positions": np.zeros((4, 3)),
+              "attitudes": np.zeros((4, 3))}
+    values[column][-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GroundTruthSeries(**values)
+
+
+def _csv_text(reader):
+    gt = generate_periodic_trajectory(TrajectoryProfile(total_span=0.9, sample_rate=5.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        if reader is read_gt_csv:
+            write_gt_csv(path, gt)
+        else:
+            write_imu_csv(path, inverse_mechanize(gt))
+        return path.read_text()
+
+
+@pytest.mark.parametrize("reader", [read_gt_csv, read_imu_csv])
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda row: row.rpartition(",")[0], "line 3: expected 7 values, got 6",
+                 id="short_row"),
+    pytest.param(lambda row: row + ",0.0", "line 3: expected 7 values, got 8", id="long_row"),
+    pytest.param(lambda row: "abc" + row[1:], "line 3: could not convert string to float",
+                 id="bad_value"),
+])
+def test_parse_error_names_file_and_line(reader, edit, message, tmp_path):
+    rows = _csv_text(reader).splitlines()
+    rows[2] = edit(rows[2])
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+@pytest.mark.parametrize("reader", [read_gt_csv, read_imu_csv])
+def test_mutated_csv_loads_or_raises_value_error_naming_it(reader, data):
+    text = _csv_text(reader)
+    header, *rows = text.splitlines()
+    kind = data.draw(st.sampled_from(
+        ["truncate", "ragged", "non_finite", "header", "empty"]), label="mutation")
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1), label="at")]
+    else:
+        row = data.draw(st.integers(0, len(rows) - 1), label="row")
+        values = rows[row].split(",")
+        column = data.draw(st.integers(0, len(values) - 1), label="column")
+        if kind == "ragged":
+            del values[column]
+        elif kind == "non_finite":
+            values[column] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]),
+                                       label="value")
+        elif kind == "header":
+            header = data.draw(st.sampled_from(
+                ["", "t,x,y,z,r,p,yaw", header + ",extra", header.upper()]), label="header")
+        rows[row] = ",".join(values)
+        if kind == "empty":
+            rows = []
+        text = "\n".join([header, *rows]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text)
+        try:
+            reader(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            assert kind != "empty"
+            return
+    # only a cut can leave a valid file, and an empty body is a valid file
+    assert kind in ("truncate", "empty"), kind

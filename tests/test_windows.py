@@ -85,6 +85,14 @@ class TestWindowSeries:
         with pytest.raises(ValueError):
             window_series(shifted, gt, WindowSpec(100, 50))
 
+    def test_errors_name_the_flight(self):
+        gt, imu, tag = make_pair()
+        short = ImuSeries(imu.timestamps[:-1], imu.f[:-1], imu.w[:-1])
+        shifted = ImuSeries(imu.timestamps + 0.5, imu.f, imu.w)
+        for bad in (short, shifted):
+            with pytest.raises(ValueError, match=f"^{tag}: IMU and ground-truth"):
+                window_series(bad, gt, WindowSpec(100, 50), tag=tag)
+
     @settings(deadline=None, max_examples=60)
     @given(length=st.integers(10, 240), n=st.integers(2, 60), data=st.data())
     def test_matches_brute_force(self, length, n, data):
@@ -145,7 +153,7 @@ class TestNormalization:
     def test_normalized_data_has_unit_stats(self):
         rng = np.random.default_rng(0)
         inputs = rng.normal(3.0, 2.0, size=(40, 6, 20))
-        sst = SampleSet(inputs, rng.normal(size=(40, 3)), ("a",) * 40, WindowSpec(20, 20))
+        sst = SampleSet(inputs, rng.normal(size=(40, 3)))
         normed, _ = normalize(sst)
         per_channel = normed.inputs.transpose(1, 0, 2).reshape(6, -1)
         assert np.allclose(per_channel.mean(axis=1), 0.0, atol=1e-12)
