@@ -37,7 +37,6 @@ from .deadreckon import (
     EvalReport,
     improvement_pct,
     integrate_deltas,
-    quadnet_update,
     rmse,
     run_baseline,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,7 @@ from .windows import (
     split_tags,
     window_inputs,
     window_series,
+    window_starts,
 )
 
 ARCHES = ("single", "multi", "baseline")
@@ -134,6 +136,9 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     """Train ``runs`` independently seeded models and save them."""
     if arch not in ARCHES:
         raise ValueError(f"arch must be one of {ARCHES}")
+    if cfg.runs < 1:
+        raise ValueError(f"runs must be >= 1, got {cfg.runs!r}")
+    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr)
     series = _load_trajectories(cfg)
     spec = WindowSpec(cfg.window_size, cfg.stride)
     sets = {tag: window_series(imu, gt, spec, tag) for tag, (gt, imu) in series.items()}
@@ -150,23 +155,17 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     for run in range(cfg.runs):
         run_seed = cfg.seed + 1000 * (run + 1)
         params = init_params(net_cfg, run_seed)
-        tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                           lr=cfg.lr, seed=run_seed)
-        params, history = train(params, net_cfg, train_set.inputs, labels, tcfg)
+        params, history = train(params, net_cfg, train_set.inputs, labels,
+                                replace(tcfg, seed=run_seed))
         model_path = out / f"{arch}_run{run}.qpnet"
-        save_model(model_path, params, net_cfg, norm=norm)
+        save_model(model_path, params, net_cfg, norm)
         with open(out / f"{arch}_run{run}_loss.csv", "w") as fh:
             fh.write("epoch,loss\n")
             for e, loss in enumerate(history):
                 fh.write(f"{e},{loss!r}\n")
-        final = history[-1] if history else float("nan")
-        print(f"{arch} run {run}: final train loss {final:.6g} ({model_path})")
+        print(f"{arch} run {run}: final train loss {history[-1]:.6g} ({model_path})")
         paths.append(model_path)
     return paths
-
-
-def _method_label(net_cfg: NetConfig) -> str:
-    return "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
 
 
 def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
@@ -174,54 +173,44 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     series = _load_trajectories(cfg)
     _, test_tags = split_tags(list(series), cfg.test_fraction, cfg.seed)
     eval_spec = WindowSpec(cfg.window_size, cfg.window_size)
-    models = [load_model(p) for p in list(model_paths) + list(baseline_paths)]
-    for _, net_cfg, _ in models:
+    models = [load_model(p) for p in [*model_paths, *baseline_paths]]
+    # (label, run, params, config, norm); run ranks a model among its label's
+    table = []
+    for params, net_cfg, norm in models:
         if net_cfg.window != cfg.window_size:
             raise ValueError(
                 f"model window {net_cfg.window} does not match config {cfg.window_size}")
+        label = "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
+        table.append((label, sum(row[0] == label for row in table), params, net_cfg, norm))
 
     per_method: dict[str, list[float]] = {}
-    first_traj_curves: dict[str, np.ndarray] = {}
-    run_counter: dict[str, int] = {}
     report: dict = {"test_trajectories": ",".join(test_tags)}
-
+    flights = []  # per test flight, the window-end times and each method's points
     n = cfg.window_size
-    for ti, tag in enumerate(test_tags):
+    for tag in test_tags:
         gt, imu = series[tag]
         flight = Path(cfg.out_dir) / tag
         check_synchronized(imu, gt, str(flight))
         if len(gt) < n:
             raise ValueError(f"{flight}: {len(gt)} samples, fewer than one window of {n}")
-        targets = gt_window_end_positions(gt, eval_spec)
-        ends = np.arange(len(targets)) * n + n - 1
-        end_times = gt.timestamps[ends]
-        if ti == 0:
-            first_traj_curves["gt"] = targets
-            first_times = end_times
-
-        # pure-INS mechanization of the noisy IMU
-        ins_points = mechanize_series(initial_nav_state(gt), imu).p[ends]
-        per_method.setdefault("ins", []).append(rmse(targets, ins_points).rmse)
-        if ti == 0:
-            first_traj_curves["ins"] = ins_points
-
+        ends = window_starts(len(gt), eval_spec) + n - 1
+        init = initial_nav_state(gt)
+        # run 0 of each method; pure INS mechanizes the noisy IMU
+        points = {"gt": gt_window_end_positions(gt, eval_spec),
+                  "ins": mechanize_series(init, imu).p[ends]}
+        per_method.setdefault("ins", []).append(rmse(points["gt"], points["ins"]).rmse)
         inputs = window_inputs(imu, eval_spec)
-        run_counter.clear()
-        for params, net_cfg, norm in models:
-            label = _method_label(net_cfg)
-            run = run_counter.get(label, 0)
-            run_counter[label] = run + 1
+        for label, run, params, net_cfg, norm in table:
             if label == "baseline":
-                points = run_baseline(imu, params, net_cfg, initial_nav_state(gt),
-                                      eval_spec, norm=norm)
+                pts = run_baseline(imu, params, net_cfg, init, eval_spec, norm)
             else:
-                x = normalize_inputs(inputs, norm) if norm is not None else inputs
-                points = integrate_deltas(gt.positions[0], predict(params, net_cfg, x))
-            result = rmse(targets, points)
-            per_method.setdefault(label, []).append(result.rmse)
-            report[f"{label}.run{run}.{tag}.rmse"] = result.rmse
-            if ti == 0 and run == 0:
-                first_traj_curves[label] = points
+                deltas = predict(params, net_cfg, normalize_inputs(inputs, norm))
+                pts = integrate_deltas(gt.positions[0], deltas)
+            score = rmse(points["gt"], pts).rmse
+            per_method.setdefault(label, []).append(score)
+            report[f"{label}.run{run}.{tag}.rmse"] = score
+            points.setdefault(label, pts)
+        flights.append((gt.timestamps[ends], points))
 
     means = {m: float(np.mean(v)) for m, v in per_method.items()}
     for m, v in means.items():
@@ -229,14 +218,15 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     base = means.get("baseline")
     if base is not None:
         for m in means:
-            if m not in ("baseline",):
+            if m != "baseline":
                 report[f"improvement.{m}_vs_baseline_pct"] = improvement_pct(base, means[m])
 
     out = Path(cfg.out_dir)
     write_report(out / "report.txt", report)
-    for name, pts in first_traj_curves.items():
-        write_trajectory_csv(out / f"eval_{name}_traj.csv", first_times[:len(pts)], pts)
-    write_xz_svg(out / "eval_xz.svg", first_traj_curves,
+    times, curves = flights[0]
+    for name, pts in curves.items():
+        write_trajectory_csv(out / f"eval_{name}_traj.csv", times, pts)
+    write_xz_svg(out / "eval_xz.svg", curves,
                  title="ground truth vs reconstructed trajectories")
     for key, value in report.items():
         print(f"{key}={value}")

@@ -1,7 +1,7 @@
 """Dead-reckoning reconstruction and evaluation.
 
-Chains per-window position deltas into trajectories, implements the
-distance + INS-heading baseline update, and scores reconstructions against
+Chains per-window position deltas into trajectories, runs the
+distance + INS-heading baseline, and scores reconstructions against
 ground truth with RMSE. Evaluation compares trajectories at window-end
 instants using non-overlapping (stride = window size) chaining, so deltas
 accumulate without double counting.
@@ -37,50 +37,35 @@ def integrate_deltas(p0, deltas) -> np.ndarray:
     return points
 
 
-def quadnet_update(x: float, y: float, d: float, psi: float) -> tuple[float, float]:
-    """Advance a horizontal position by distance d along heading psi."""
-    if not all(np.isfinite(v) for v in (x, y, d, psi)):
-        raise ValueError("inputs must be finite")
-    return x + d * np.cos(psi), y + d * np.sin(psi)
-
-
 def gt_window_end_positions(gt: GroundTruthSeries, spec: WindowSpec) -> np.ndarray:
-    """Ground-truth positions at window ends, chained from the first sample.
-
-    These are the reconstruction targets for delta chaining: the anchor plus
-    the running sum of the per-window ground-truth labels, evaluated with
-    the same arithmetic the predicted chains use.
-    """
+    """Reconstruction targets: the first ground-truth position chained through
+    the per-window labels by ``integrate_deltas``, as predicted chains are."""
     starts = window_starts(len(gt), spec)
     labels = gt.positions[starts + spec.window_size - 1] - gt.positions[starts]
-    return gt.positions[0][None, :] + np.cumsum(labels, axis=0)
+    return integrate_deltas(gt.positions[0], labels)
 
 
 def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
-                 spec: WindowSpec, norm: NormStats | None = None) -> np.ndarray:
+                 spec: WindowSpec, norm: NormStats) -> np.ndarray:
     """Distance + INS-heading dead reckoning; returns (M, 3) window-end points.
 
-    The network regresses (horizontal distance, altitude change) per window;
-    the heading comes from mechanizing the IMU stream and extracting yaw at
-    each window's final sample.
+    The network regresses (distance d, altitude change dz) per normalized
+    window, psi is the mechanized yaw at the window's last sample, and the
+    steps (d cos psi, d sin psi, dz) are summed in order from ``init.p``.
     """
     if cfg.out_dim != 2:
         raise ValueError("baseline model must output (distance, altitude change)")
     inputs = window_inputs(imu, spec)
     if inputs.shape[2] != cfg.window:
         raise ValueError("window size does not match the model")
-    if norm is not None:
-        inputs = normalize_inputs(inputs, norm)
-    preds = predict(params, cfg, inputs) if len(inputs) else np.empty((0, 2))
+    preds = (predict(params, cfg, normalize_inputs(inputs, norm)) if len(inputs)
+             else np.empty((0, 2)))
     states = mechanize_series(init, imu)
-    starts = window_starts(len(imu), spec)
-    x, y, z = (float(v) for v in init.p)
-    points = np.empty((starts.size, 3))
-    for k, s in enumerate(starts):
-        psi = dcm_to_yaw(states.T[s + spec.window_size - 1])
-        x, y = quadnet_update(x, y, float(preds[k, 0]), psi)
-        z += float(preds[k, 1])
-        points[k] = (x, y, z)
+    ends = window_starts(len(imu), spec) + spec.window_size - 1
+    psi = np.array([dcm_to_yaw(T) for T in states.T[ends]])
+    d = preds[:, 0]
+    steps = np.column_stack([d * np.cos(psi), d * np.sin(psi), preds[:, 1]])
+    points = np.cumsum(np.vstack([init.p, steps]), axis=0)[1:]
     if not np.all(np.isfinite(points)):
         raise ValueError("trajectory points must be finite")
     return points

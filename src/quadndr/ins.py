@@ -110,26 +110,22 @@ def rotvec_to_dcm(rv) -> np.ndarray:
 
 
 def dcm_to_rotvec(T) -> np.ndarray:
-    """Rotation vector (log map) of a rotation matrix."""
+    """Rotation vector (log map) of a rotation matrix; its angle is in [0, pi]."""
     T = _as_dcm(T)
-    cos_theta = np.clip((np.trace(T) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(cos_theta))
     vex = 0.5 * np.array([T[2, 1] - T[1, 2], T[0, 2] - T[2, 0], T[1, 0] - T[0, 1]])
+    cos_theta = (np.trace(T) - 1.0) / 2.0
+    theta = math.atan2(math.sqrt(vex @ vex), cos_theta)
     if theta < 1e-8:
         return vex
-    if theta > np.pi - 1e-6:
-        # near pi the antisymmetric part vanishes; recover the axis from
-        # the symmetric part
-        A = (T + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(A), 0.0))
-        k = int(np.argmax(axis))
-        if axis[k] > 0.0:
-            axis = A[:, k] / axis[k]
-            axis = axis / np.linalg.norm(axis)
-        signs = np.sign(vex)
-        axis = np.where((signs != 0) & (np.sign(axis) != signs), -axis, axis)
-        return theta * axis
-    return vex * (theta / np.sin(theta))
+    if theta < np.pi / 2:
+        return vex * (theta / math.sin(theta))
+    # vex = sin(theta) * axis fades towards a half turn, but the symmetric
+    # part (T + T^T)/2 - cos(theta) I = (1 - cos(theta)) axis axis^T does
+    # not: its largest column gives the axis, and vex only its sign
+    S = (T + T.T) / 2.0 - cos_theta * np.eye(3)
+    col = S[:, int(np.argmax(np.diag(S)))]
+    axis = col / math.sqrt(col @ col)
+    return theta * (-axis if axis @ vex < 0 else axis)
 
 
 def orthonormalize(T) -> np.ndarray:

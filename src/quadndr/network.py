@@ -407,6 +407,16 @@ class TrainConfig:
     #: below stop_ratio * (epoch-1 loss); epochs stays the hard cap
     stop_ratio: float | None = None
 
+    def __post_init__(self):
+        for field in ("epochs", "batch_size"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{field} must be an int >= 1, got {value!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if self.stop_ratio is not None and not 0.0 < self.stop_ratio < 1.0:
+            raise ValueError(f"stop_ratio must be None or in (0, 1), got {self.stop_ratio!r}")
+
 
 def train(params: dict, cfg: NetConfig, inputs, labels,
           tcfg: TrainConfig) -> tuple[dict, list]:
@@ -452,14 +462,11 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
 MODEL_MAGIC = "QPNET2"
 
 
-def save_model(path, params: dict, cfg: NetConfig, norm=None) -> None:
+def save_model(path, params: dict, cfg: NetConfig, norm: NormStats) -> None:
     """Uncompressed ``.npz``: a JSON ``header`` of the magic and every NetConfig
-    field, one float64 entry per block and ``norm.mean``/``norm.std`` if given.
+    field, one float64 entry per block, then ``norm.mean`` and ``norm.std``.
     Round-trip exact and byte-reproducible (numpy dates every entry 1980)."""
-    blocks = dict(params)
-    if norm is not None:
-        blocks["norm.mean"] = norm.mean
-        blocks["norm.std"] = norm.std
+    blocks = {**params, "norm.mean": norm.mean, "norm.std": norm.std}
     # a file object keeps the name as given; np.savez would append ".npz"
     with open(path, "wb") as fh:
         np.savez(fh, header=np.array(json.dumps({"magic": MODEL_MAGIC, **asdict(cfg)})),
@@ -467,10 +474,12 @@ def save_model(path, params: dict, cfg: NetConfig, norm=None) -> None:
 
 
 def load_model(path):
-    """Read a model file; returns (params, config, norm_stats_or_None).
+    """Read a model file; returns (params, config, norm_stats).
 
     Anything but a QPNET2 archive whose entries match its header's NetConfig
-    in name, shape and float64 dtype raises ValueError naming the file."""
+    and the ``norm.*`` pair in name, shape and float64 dtype, with every entry
+    finite and every ``norm.std`` entry > 0, raises ValueError naming the
+    file."""
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != b"PK\x03\x04":  # a zip archive's first bytes
@@ -482,9 +491,7 @@ def load_model(path):
             if header.pop("magic", None) != MODEL_MAGIC:
                 raise ValueError(f"not a {MODEL_MAGIC} model file")
             cfg = NetConfig(**header)
-            expected = param_shapes(cfg)
-            if any(name.startswith("norm.") for name in blocks):
-                expected.update({"norm.mean": (6,), "norm.std": (6,)})
+            expected = {**param_shapes(cfg), "norm.mean": (6,), "norm.std": (6,)}
             for name, shape in expected.items():
                 if name not in blocks:
                     raise ValueError(f"missing block {name!r}")
@@ -492,16 +499,18 @@ def load_model(path):
                 if arr.shape != shape or arr.dtype != np.float64:
                     raise ValueError(f"block {name!r} is {arr.dtype} of shape {arr.shape},"
                                      f" expected float64 of shape {shape}")
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"block {name!r} has non-finite entries")
             unexpected = sorted(blocks.keys() - expected.keys())
             if unexpected:
                 raise ValueError(f"unexpected blocks {unexpected}")
+            if not np.all(blocks["norm.std"] > 0):
+                raise ValueError("block 'norm.std' has entries <= 0")
         # a damaged archive makes zipfile seek before the start (OSError) or see
         # an unknown version or an encryption flag (RuntimeError), or declares
         # an entry too large to allocate (MemoryError)
         except (ValueError, KeyError, TypeError, AttributeError, EOFError, OSError,
                 RuntimeError, MemoryError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from None
-    norm = None
-    if "norm.mean" in blocks:
-        norm = NormStats(mean=blocks.pop("norm.mean"), std=blocks.pop("norm.std"))
+    norm = NormStats(mean=blocks.pop("norm.mean"), std=blocks.pop("norm.std"))
     return blocks, cfg, norm

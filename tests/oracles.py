@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from quadndr.ins import dcm_to_yaw, mechanize_series
 from quadndr.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -13,6 +14,7 @@ from quadndr.network import (
     mse_loss,
     predict,
 )
+from quadndr.windows import normalize_inputs, window_inputs, window_starts
 
 # Central finite differences hit a roundoff floor of roughly eps * L / h,
 # which for losses of order one and h = 1e-6 is about 1e-9 in absolute
@@ -219,3 +221,29 @@ def fresh_loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     loss = mse_loss(out, targets)
     dout = 2.0 * (out - targets) / out.shape[0]
     return loss, _backward(params, cfg, cache, dout), out
+
+
+# The distance + INS-heading baseline as a scalar chain, one window at a
+# time: ``run_baseline`` must match ``loop_baseline`` bit for bit.
+
+
+def quadnet_update(x: float, y: float, d: float, psi: float) -> tuple[float, float]:
+    """Advance a horizontal position by distance d along heading psi."""
+    if not all(np.isfinite(v) for v in (x, y, d, psi)):
+        raise ValueError("inputs must be finite")
+    return x + d * np.cos(psi), y + d * np.sin(psi)
+
+
+def loop_baseline(imu, params, cfg: NetConfig, init, spec, norm):
+    """(M, 3) window-end points of the baseline, chained window by window."""
+    inputs = normalize_inputs(window_inputs(imu, spec), norm)
+    preds = predict(params, cfg, inputs)
+    states = mechanize_series(init, imu)
+    x, y, z = (float(v) for v in init.p)
+    points = np.empty((len(preds), 3))
+    for k, s in enumerate(window_starts(len(imu), spec)):
+        psi = dcm_to_yaw(states.T[s + spec.window_size - 1])
+        x, y = quadnet_update(x, y, float(preds[k, 0]), psi)
+        z += float(preds[k, 1])
+        points[k] = (x, y, z)
+    return points

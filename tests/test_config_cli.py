@@ -146,6 +146,16 @@ def _even_kernel(entries):
             entries[name] = np.concatenate([arr, np.zeros(arr.shape[:2] + (1,))], axis=2)
 
 
+def _drop_norm(entries):
+    del entries["norm.mean"], entries["norm.std"]
+
+
+def _set_entry(name, index, value):
+    def edit(entries):
+        entries[name][index] = value
+    return edit
+
+
 def _cut_after_header_entry(data):
     # the header entry, which holds the magic, is the archive's first
     return data[:data.index(b"PK\x03\x04", 4)]
@@ -212,6 +222,9 @@ MALFORMED_INPUTS = {
         _edit_entries(lambda entries: entries.pop("head.b"))),
     "model_norm_mean_without_std": _eval_edited_model(
         _edit_entries(lambda entries: entries.pop("norm.std"))),
+    "model_without_norm": _eval_edited_model(_edit_entries(_drop_norm)),
+    "model_nan_in_fc1_w": _eval_edited_model(_edit_entries(_set_entry("fc1.w", (0, 0), np.nan))),
+    "model_norm_std_zero": _eval_edited_model(_edit_entries(_set_entry("norm.std", ..., 0.0))),
     "model_block_shape_swapped": _eval_edited_model(
         _edit_entries(lambda entries: entries.update({"fc1.w": entries["fc1.w"].T}))),
     "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
@@ -263,6 +276,19 @@ def test_bad_layer_width_exits_1_without_traceback(setting, trained, capsys):
     assert "Traceback" not in err
     key, _, value = setting.partition("=")
     assert key in err and value.split(",")[-1] in err
+
+
+@pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "lr=-1", "batch_size=-3",
+                                     "batch_size=0", "epochs=0", "epochs=-1", "runs=0"])
+def test_bad_training_setting_exits_1_without_traceback(setting, trained, tmp_path, capsys):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    assert main(["train", *_sets(tiny_overrides(exp)), "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    key, _, value = setting.partition("=")
+    assert key in err and value in err
 
 
 class TestSimulate:

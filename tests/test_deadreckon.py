@@ -3,19 +3,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import loop_baseline, quadnet_update
 from quadndr.deadreckon import (
     gt_window_end_positions,
     improvement_pct,
     integrate_deltas,
-    quadnet_update,
     rmse,
     run_baseline,
     write_trajectory_csv,
 )
-from quadndr.ins import GRAVITY, NavState
+from quadndr.ins import GRAVITY, NavState, dcm_to_yaw, mechanize_series
 from quadndr.network import NetConfig, init_params
-from quadndr.simulate import GroundTruthSeries, inverse_mechanize
-from quadndr.windows import WindowSpec
+from quadndr.simulate import (
+    GroundTruthSeries,
+    ImuErrorModel,
+    corrupt_imu,
+    initial_nav_state,
+    inverse_mechanize,
+)
+from quadndr.windows import NormStats, WindowSpec
+
+IDENTITY_NORM = NormStats(np.zeros(6), np.ones(6))
 
 
 def straight_gt(n=200, rate=100.0, speed=0.5):
@@ -141,7 +149,7 @@ class TestRunBaseline:
         params["head.b"] = np.array([0.5 * 49 / 100.0, 0.0])
         init = NavState(p=gt.positions[0].copy(),
                         v=np.array([0.5, 0.0, 0.0]), T=np.eye(3), t=0.0)
-        points = run_baseline(imu, params, cfg, init, spec)
+        points = run_baseline(imu, params, cfg, init, spec, IDENTITY_NORM)
         targets = gt_window_end_positions(gt, spec)
         assert points.shape == targets.shape
         assert np.max(np.linalg.norm(points - targets, axis=1)) < 1e-3
@@ -153,7 +161,30 @@ class TestRunBaseline:
                         conv_channels=(6, 4), dense_widths=(4,))
         init = NavState(p=np.zeros(3), v=np.zeros(3), T=np.eye(3), t=0.0)
         with pytest.raises(ValueError):
-            run_baseline(imu, init_params(cfg, seed=0), cfg, init, WindowSpec(50, 50))
+            run_baseline(imu, init_params(cfg, seed=0), cfg, init, WindowSpec(50, 50),
+                         IDENTITY_NORM)
+
+    @pytest.mark.parametrize("yaw0, rate", [(2.5, 1.5), (-2.5, -1.5), (3.0, 0.4)])
+    def test_matches_window_loop_bitwise_across_pi(self, yaw0, rate):
+        # a turning flight whose heading wraps past +/-pi, on a noisy IMU
+        n = 400
+        ts = np.arange(n) / 100.0
+        positions = np.column_stack([0.3 * ts, 0.1 * np.sin(ts), 0.7 + 0.05 * ts])
+        attitudes = np.column_stack([np.zeros(n), np.zeros(n), yaw0 + rate * ts])
+        gt = GroundTruthSeries(ts, positions, attitudes)
+        imu = corrupt_imu(inverse_mechanize(gt), ImuErrorModel(
+            accel_noise_std=0.05, gyro_noise_std=0.002, seed=3))
+        spec = WindowSpec(20, 20)
+        cfg = NetConfig(arch="single", window=20, dropout=0.0, out_dim=2,
+                        conv_channels=(6, 4), dense_widths=(8,))
+        params = init_params(cfg, seed=4)
+        rng = np.random.default_rng(5)
+        norm = NormStats(rng.normal(size=6), rng.uniform(0.5, 2.0, size=6))
+        init = initial_nav_state(gt)
+        yaws = [dcm_to_yaw(T) for T in mechanize_series(init, imu).T[19::20]]
+        assert np.any(np.abs(np.diff(yaws)) > np.pi)  # the heading wraps
+        points = run_baseline(imu, params, cfg, init, spec, norm)
+        assert np.array_equal(points, loop_baseline(imu, params, cfg, init, spec, norm))
 
 
 def test_trajectory_csv_header(tmp_path):

@@ -8,6 +8,7 @@ from quadndr.ins import (
     GRAVITY,
     ImuSeries,
     NavState,
+    dcm_to_rotvec,
     dcm_to_yaw,
     euler_to_dcm,
     mechanize_series,
@@ -109,6 +110,24 @@ class TestRotvec:
     def test_result_is_rotation(self, x, y, z):
         R = rotvec_to_dcm([x, y, z])
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
+
+    @staticmethod
+    def assert_log_map_round_trips(axis, theta):
+        R = rotvec_to_dcm(theta * np.asarray(axis) / np.linalg.norm(axis))
+        rv = dcm_to_rotvec(R)
+        assert np.linalg.norm(rv) <= np.pi + 1e-12
+        assert np.max(np.abs(rotvec_to_dcm(rv) - R)) <= 1e-9
+
+    @given(axis=st.tuples(finite, finite, finite).filter(lambda v: np.linalg.norm(v) > 1e-3),
+           theta=st.floats(0.0, np.pi))
+    def test_log_map_round_trip(self, axis, theta):
+        self.assert_log_map_round_trips(axis, theta)
+
+    @pytest.mark.parametrize("axis", [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 1, 0),
+                                      (-0.8967, -0.4417, 0.0293)])
+    @pytest.mark.parametrize("theta", [np.pi, np.pi - 1e-7, np.pi - 1e-3])
+    def test_log_map_round_trip_near_half_turn(self, axis, theta):
+        self.assert_log_map_round_trips(axis, theta)
 
 
 class TestMechanizeStep:

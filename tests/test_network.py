@@ -44,6 +44,7 @@ TINY_MULTI = NetConfig(arch="multi", window=8, dropout=0.0,
                        conv_channels=(3, 4, 4), dense_widths=(6, 4))
 DENSE_ONLY = NetConfig(arch="single", window=8, dropout=0.0,
                        conv_channels=(6,), dense_widths=(6, 4))
+IDENTITY_NORM = NormStats(np.zeros(6), np.ones(6))
 
 
 def conv1d(w, b, x, padding=0):
@@ -462,13 +463,15 @@ class TestTrain:
         y = rng.normal(scale=0.1, size=(m, 3))
         return x, y
 
-    def test_zero_epochs_is_identity(self):
-        x, y = self.make_data()
-        params = init_params(TINY_SINGLE, seed=1)
-        out, history = train(dict(params), TINY_SINGLE, x, y, TrainConfig(epochs=0))
-        assert history == []
-        for k in params:
-            assert np.array_equal(out[k], params[k])
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("epochs", 2.0), ("batch_size", 0),
+        ("batch_size", -3), ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
+        ("lr", -1.0), ("stop_ratio", 0.0), ("stop_ratio", 1.0),
+    ])
+    def test_rejects_bad_setting(self, field, value):
+        with pytest.raises(ValueError, match=field) as exc:
+            TrainConfig(**{"epochs": 1, field: value})
+        assert repr(value) in str(exc.value)
 
     def test_seeded_runs_are_identical(self):
         x, y = self.make_data()
@@ -524,12 +527,34 @@ class TestModelFile:
         assert np.array_equal(back_norm.mean, norm.mean)
         assert np.array_equal(back_norm.std, norm.std)
 
-    def test_roundtrip_without_norm(self, tmp_path):
-        params = init_params(TINY_SINGLE, seed=13)
+    def test_rejects_model_without_norm(self, tmp_path):
         path = tmp_path / "model.qpnet"
-        save_model(path, params, TINY_SINGLE)
-        _, _, norm = load_model(path)
-        assert norm is None
+        save_model(path, init_params(TINY_SINGLE, seed=13), TINY_SINGLE, IDENTITY_NORM)
+        with np.load(path) as archive:
+            entries = {name: archive[name] for name in archive.files
+                       if not name.startswith("norm.")}
+        with path.open("wb") as fh:
+            np.savez(fh, **entries)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing block 'norm.mean'")):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, index, value, problem", [
+        ("fc1.w", (0, 0), np.nan, "non-finite"), ("head.b", (1,), -np.inf, "non-finite"),
+        ("norm.mean", (2,), np.inf, "non-finite"), ("norm.std", (3,), 0.0, "<= 0"),
+        ("norm.std", (0,), -1.0, "<= 0"),
+    ], ids=["nan_fc1_w", "neg_inf_head_b", "inf_norm_mean", "zero_norm_std",
+            "negative_norm_std"])
+    def test_rejects_non_finite_entry_or_non_positive_std(self, name, index, value,
+                                                          problem, tmp_path):
+        blocks = {**init_params(TINY_SINGLE, seed=13),
+                  "norm.mean": np.zeros(6), "norm.std": np.ones(6)}
+        blocks[name][index] = value
+        norm = NormStats(blocks.pop("norm.mean"), blocks.pop("norm.std"))
+        path = tmp_path / "model.qpnet"
+        save_model(path, blocks, TINY_SINGLE, norm)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: block {name!r} has")) as exc:
+            load_model(path)
+        assert problem in str(exc.value)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.qpnet"
@@ -542,7 +567,7 @@ class TestModelFile:
                         dense_widths=(5,), kernel=5)
         params = init_params(cfg, seed=13)
         path = tmp_path / "model.qpnet"
-        save_model(path, params, cfg)
+        save_model(path, params, cfg, IDENTITY_NORM)
         back_params, back_cfg, _ = load_model(path)
         assert back_cfg == cfg
         for k in params:
@@ -619,7 +644,7 @@ class TestModelFile:
     def test_loaded_model_predicts_identically(self, tmp_path):
         params = init_params(TINY_SINGLE, seed=21)
         path = tmp_path / "model.qpnet"
-        save_model(path, params, TINY_SINGLE)
+        save_model(path, params, TINY_SINGLE, IDENTITY_NORM)
         back, cfg, _ = load_model(path)
         x = np.random.default_rng(4).normal(size=(3, 6, 8))
         assert np.array_equal(predict(params, TINY_SINGLE, x), predict(back, cfg, x))
