@@ -10,7 +10,6 @@ from .ins import (
     dcm_to_yaw,
     euler_to_dcm,
     mechanize_series,
-    skew,
 )
 from .simulate import (
     GroundTruthSeries,

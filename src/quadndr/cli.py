@@ -173,13 +173,14 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     series = _load_trajectories(cfg)
     _, test_tags = split_tags(list(series), cfg.test_fraction, cfg.seed)
     eval_spec = WindowSpec(cfg.window_size, cfg.window_size)
-    models = [load_model(p) for p in [*model_paths, *baseline_paths]]
+    paths = [*model_paths, *baseline_paths]
+    models = [load_model(p) for p in paths]
     # (label, run, params, config, norm); run ranks a model among its label's
     table = []
-    for params, net_cfg, norm in models:
+    for path, (params, net_cfg, norm) in zip(paths, models):
         if net_cfg.window != cfg.window_size:
-            raise ValueError(
-                f"model window {net_cfg.window} does not match config {cfg.window_size}")
+            raise ValueError(f"{path}: model window {net_cfg.window} does not match"
+                             f" config {cfg.window_size}")
         label = "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
         table.append((label, sum(row[0] == label for row in table), params, net_cfg, norm))
 
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
             cmd_eval(cfg, args.models, args.baseline)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # includes TrainingDiverged
         print(f"aborted: {exc}", file=sys.stderr)

@@ -55,11 +55,7 @@ def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
     """
     if cfg.out_dim != 2:
         raise ValueError("baseline model must output (distance, altitude change)")
-    inputs = window_inputs(imu, spec)
-    if inputs.shape[2] != cfg.window:
-        raise ValueError("window size does not match the model")
-    preds = (predict(params, cfg, normalize_inputs(inputs, norm)) if len(inputs)
-             else np.empty((0, 2)))
+    preds = predict(params, cfg, normalize_inputs(window_inputs(imu, spec), norm))
     states = mechanize_series(init, imu)
     ends = window_starts(len(imu), spec) + spec.window_size - 1
     psi = np.array([dcm_to_yaw(T) for T in states.T[ends]])

@@ -26,15 +26,6 @@ DEFAULT_GRAVITY.flags.writeable = False
 _DCM_TOL = 1e-6
 
 
-def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
 def _as_dcm(T, name: str = "T") -> np.ndarray:
     a = np.asarray(T, dtype=float)
     if a.shape != (3, 3):
@@ -44,16 +35,6 @@ def _as_dcm(T, name: str = "T") -> np.ndarray:
     if np.max(np.abs(a.T @ a - np.eye(3))) > _DCM_TOL:
         raise ValueError(f"{name} is not orthonormal")
     return a
-
-
-def skew(w) -> np.ndarray:
-    """Cross-product (skew-symmetric) matrix of a 3-vector."""
-    x, y, z = _as_vec3(w, "w")
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
 
 
 def euler_to_dcm(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -92,23 +73,6 @@ def dcm_to_yaw(T) -> float:
     return psi
 
 
-def rotvec_to_dcm(rv) -> np.ndarray:
-    """Rotation matrix for a rotation vector (Rodrigues formula)."""
-    rv = _as_vec3(rv, "rotation vector")
-    theta = float(np.linalg.norm(rv))
-    S = skew(rv)
-    if theta == 0.0:
-        return np.eye(3)
-    if theta < 1e-8:
-        # series expansion keeps full precision for tiny angles
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * S + b * (S @ S)
-
-
 def dcm_to_rotvec(T) -> np.ndarray:
     """Rotation vector (log map) of a rotation matrix; its angle is in [0, pi]."""
     T = _as_dcm(T)
@@ -128,11 +92,24 @@ def dcm_to_rotvec(T) -> np.ndarray:
     return theta * (-axis if axis @ vex < 0 else axis)
 
 
-def orthonormalize(T) -> np.ndarray:
-    """One Gram-Schmidt pass over the rows; det is forced to +1."""
-    T = np.asarray(T, dtype=float)
-    r0 = T[0] / math.sqrt(T[0] @ T[0])
-    r1 = T[1] - (T[1] @ r0) * r0
+def _attitude_step(T: np.ndarray, rv: np.ndarray) -> np.ndarray:
+    """T times the rotation exponential of the rotation vector rv (Rodrigues
+    formula), followed by one Gram-Schmidt pass over the rows with det forced
+    to +1. Unchecked: T is (3, 3) and rv a finite (3,) float array."""
+    theta = float(np.linalg.norm(rv))
+    x, y, z = rv
+    S = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    if theta < 1e-8:
+        # series expansion keeps full precision for tiny angles; at
+        # theta = 0 it gives the identity exactly
+        a = 1.0 - theta * theta / 6.0
+        b = 0.5 - theta * theta / 24.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+    M = T @ (np.eye(3) + a * S + b * (S @ S))
+    r0 = M[0] / math.sqrt(M[0] @ M[0])
+    r1 = M[1] - (M[1] @ r0) * r0
     r1 = r1 / math.sqrt(r1 @ r1)
     r2 = np.array([r0[1] * r1[2] - r0[2] * r1[1],
                    r0[2] * r1[0] - r0[0] * r1[2],
@@ -214,7 +191,7 @@ def mechanize_series(init: NavState, imu: ImuSeries) -> NavState:
     p[0], v[0], T[0] = init.p, init.v, init.T
     for k in range(n):
         dt = float(dts[k])
-        T[k + 1] = orthonormalize(T[k] @ rotvec_to_dcm(w[k] * dt))
+        T[k + 1] = _attitude_step(T[k], w[k] * dt)
         v[k + 1] = v[k] + (T[k + 1] @ f[k] + DEFAULT_GRAVITY) * dt
         p[k + 1] = p[k] + v[k + 1] * dt
     return NavState(p=p, v=v, T=T, t=np.cumsum(np.append(init.t, dts)))

@@ -245,7 +245,7 @@ def _forward(params, cfg: NetConfig, x, ws, training=False, rng=None):
             np.multiply(z, slope, out=act)
 
     dense_cache = []
-    h = feats.reshape(B, -1)
+    h = feats.reshape(B, cfg.feature_dim)
     for i, width in enumerate(cfg.dense_widths):
         name = f"fc{i + 1}"
         z = np.matmul(h, params[name + ".w"].T, out=ws.get(name + ".z", (B, width)))

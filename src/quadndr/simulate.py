@@ -10,7 +10,7 @@ Gaussian noise error model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class TrajectoryProfile:
     heading: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be >= 0")
         for name in ("p2p_distance", "total_span", "speed", "sample_rate"):
@@ -89,6 +93,10 @@ class ImuErrorModel:
     def __post_init__(self):
         object.__setattr__(self, "accel_bias", np.asarray(self.accel_bias, dtype=float))
         object.__setattr__(self, "gyro_bias", np.asarray(self.gyro_bias, dtype=float))
+        for name in ("accel_bias", "gyro_bias", "accel_noise_std", "gyro_noise_std"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()!r}")
         if self.accel_noise_std < 0 or self.gyro_noise_std < 0:
             raise ValueError("noise standard deviations must be >= 0")
 
@@ -101,7 +109,13 @@ def generate_periodic_trajectory(profile: TrajectoryProfile) -> GroundTruthSerie
     distance, phase zero at the start. Attitude is level with constant yaw.
     """
     duration = profile.total_span / profile.speed
-    num = math.floor(duration * profile.sample_rate) + 1
+    samples = duration * profile.sample_rate
+    if not math.isfinite(samples) or samples >= np.iinfo(np.intp).max:
+        raise ValueError(
+            f"sample count total_span / speed * sample_rate = {samples!r} is not finite"
+            f" or too large (total_span={profile.total_span!r}, speed={profile.speed!r},"
+            f" sample_rate={profile.sample_rate!r})")
+    num = math.floor(samples) + 1
     dt = 1.0 / profile.sample_rate
     t = np.arange(num) * dt
     s = profile.speed * t  # horizontal arc progress

@@ -99,11 +99,7 @@ def window_series(imu: ImuSeries, gt: GroundTruthSeries, spec: WindowSpec,
     check_synchronized(imu, gt, tag)
     starts = window_starts(len(imu), spec)
     inputs = window_inputs(imu, spec)
-    n = spec.window_size
-    labels = (
-        gt.positions[starts + n - 1] - gt.positions[starts]
-        if starts.size else np.empty((0, 3))
-    )
+    labels = gt.positions[starts + spec.window_size - 1] - gt.positions[starts]
     return SampleSet(inputs=inputs, labels=labels)
 
 

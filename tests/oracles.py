@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from quadndr.ins import dcm_to_yaw, mechanize_series
+from quadndr.ins import DEFAULT_GRAVITY, NavState, dcm_to_yaw, mechanize_series
 from quadndr.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -247,3 +247,76 @@ def loop_baseline(imu, params, cfg: NetConfig, init, spec, norm):
         z += float(preds[k, 1])
         points[k] = (x, y, z)
     return points
+
+
+# The checked rotation helpers and the per-sample strapdown loop built on
+# them: ``mechanize_series`` must match ``loop_mechanize`` bit for bit.
+
+
+def _as_vec3(v, name: str = "vector") -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def skew(w) -> np.ndarray:
+    """Cross-product (skew-symmetric) matrix of a 3-vector."""
+    x, y, z = _as_vec3(w, "w")
+    return np.array([
+        [0.0, -z, y],
+        [z, 0.0, -x],
+        [-y, x, 0.0],
+    ])
+
+
+def rotvec_to_dcm(rv) -> np.ndarray:
+    """Rotation matrix for a rotation vector (Rodrigues formula)."""
+    rv = _as_vec3(rv, "rotation vector")
+    theta = float(np.linalg.norm(rv))
+    S = skew(rv)
+    if theta == 0.0:
+        return np.eye(3)
+    if theta < 1e-8:
+        # series expansion keeps full precision for tiny angles
+        a = 1.0 - theta * theta / 6.0
+        b = 0.5 - theta * theta / 24.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * S + b * (S @ S)
+
+
+def orthonormalize(T) -> np.ndarray:
+    """One Gram-Schmidt pass over the rows; det is forced to +1."""
+    T = np.asarray(T, dtype=float)
+    r0 = T[0] / math.sqrt(T[0] @ T[0])
+    r1 = T[1] - (T[1] @ r0) * r0
+    r1 = r1 / math.sqrt(r1 @ r1)
+    r2 = np.array([r0[1] * r1[2] - r0[2] * r1[1],
+                   r0[2] * r1[0] - r0[0] * r1[2],
+                   r0[0] * r1[1] - r0[1] * r1[0]])
+    return np.array([r0, r1, r2])
+
+
+def loop_mechanize(init, imu):
+    """The strapdown recursion with each attitude step taken through the
+    checked helpers above; same interval rule as ``mechanize_series``."""
+    n = len(imu)
+    ts = imu.timestamps
+    if n == 1:
+        dts = ts - init.t
+    else:
+        dts = np.diff(ts)
+        dts = np.append(dts, dts[-1:])
+    f, w = imu.f, imu.w
+    p, v, T = np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3, 3))
+    p[0], v[0], T[0] = init.p, init.v, init.T
+    for k in range(n):
+        dt = float(dts[k])
+        T[k + 1] = orthonormalize(T[k] @ rotvec_to_dcm(w[k] * dt))
+        v[k + 1] = v[k] + (T[k + 1] @ f[k] + DEFAULT_GRAVITY) * dt
+        p[k + 1] = p[k] + v[k + 1] * dt
+    return NavState(p=p, v=v, T=T, t=np.cumsum(np.append(init.t, dts)))

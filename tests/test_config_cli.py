@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
 import io
 import json
 import shutil
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadndr.cli import cmd_eval, cmd_simulate, cmd_train, main
 from quadndr.config import _PARSERS, ExperimentConfig, _parse_pair, load_config, parse_config_text
@@ -229,6 +233,9 @@ MALFORMED_INPUTS = {
         _edit_entries(lambda entries: entries.update({"fc1.w": entries["fc1.w"].T}))),
     "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
     "model_even_kernel": _eval_edited_model(_edit_entries(_even_kernel)),
+    "eval_model_window_differs": lambda tmp_path, out, model: (
+        ["eval", *_sets(tiny_overrides(out, window_size=10, stride=10)),
+         "--models", str(model)], model),
     "eval_gt_header_only": _edit_flight("eval", _cut_flight(0, 101)),
     "eval_imu_shorter_than_gt": _edit_flight("eval", _cut_flight(101, 60)),
     "eval_flight_shorter_than_window": _edit_flight("eval", _cut_flight(10, 10)),
@@ -289,6 +296,63 @@ def test_bad_training_setting_exits_1_without_traceback(setting, trained, tmp_pa
     assert "Traceback" not in err
     key, _, value = setting.partition("=")
     assert key in err and value in err
+
+
+# each bad setting and the text its error must contain; speed=1e-15 asks
+# np.arange for 2.5 EiB, which is refused before any page is touched
+BAD_SIMULATE_SETTINGS = {
+    "sample_rate=1e308": "sample_rate", "sample_rate=inf": "sample_rate",
+    "total_span=inf": "total_span", "speed=1e-308": "speed",
+    "speed=1e-15": "out of memory", "accel_noise_std=nan": "accel_noise_std",
+    "gyro_noise_std=inf": "gyro_noise_std", "accel_bias=nan,0,0": "accel_bias",
+    "p2p_distance=inf": "p2p_distance",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(BAD_SIMULATE_SETTINGS))
+def test_bad_simulate_setting_exits_1_without_traceback(setting, tmp_path, capsys):
+    assert main(["simulate", "--set", f"out_dir={tmp_path / 'exp'}", "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert BAD_SIMULATE_SETTINGS[setting] in err
+
+
+FUZZ_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "out_dir"] + ["warp_speed"]
+# on the tiny base below every draw gives a sample count that is tiny, beyond
+# numpy's maximum array size or not finite, so no example allocates more
+# than the base flight does
+FUZZ_VALUES = ["0", "-1", "1", "2.5", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308",
+               "", "x", "1,2", "1,2,3", "nan,0,0"]
+FUZZ_BASE = [("sample_rate", "20"), ("total_span", "0.9"), ("num_trajectories", "3")]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=3))
+@example(pairs=[("sample_rate", "1e308")])
+@example(pairs=[("total_span", "1"), ("speed", "1e-308"), ("sample_rate", "1")])
+def test_simulate_settings_fuzz(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = f"out_dir={Path(tmp) / 'exp'}"
+        lines = [f"{k}={v}" for k, v in FUZZ_BASE + pairs]
+        cfg_path = Path(tmp) / "exp.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        for argv in (["simulate", *_sets(lines), "--set", out_dir],
+                     ["simulate", "--config", str(cfg_path), "--set", out_dir]):
+            code, err = _run_main(argv)
+            assert code in (0, 1), (argv, err)
+            if code == 1:
+                assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
 
 
 class TestSimulate:

@@ -164,6 +164,22 @@ class TestRunBaseline:
             run_baseline(imu, init_params(cfg, seed=0), cfg, init, WindowSpec(50, 50),
                          IDENTITY_NORM)
 
+    def test_flight_shorter_than_one_window(self):
+        gt = straight_gt(n=30)
+        cfg = NetConfig(arch="single", window=50, dropout=0.0, out_dim=2,
+                        conv_channels=(6, 4), dense_widths=(4,))
+        points = run_baseline(inverse_mechanize(gt), init_params(cfg, seed=0), cfg,
+                              initial_nav_state(gt), WindowSpec(50, 50), IDENTITY_NORM)
+        assert points.shape == (0, 3)
+
+    def test_rejects_window_other_than_the_model(self):
+        gt = straight_gt()
+        cfg = NetConfig(arch="single", window=50, dropout=0.0, out_dim=2,
+                        conv_channels=(6, 4), dense_widths=(4,))
+        with pytest.raises(ValueError):
+            run_baseline(inverse_mechanize(gt), init_params(cfg, seed=0), cfg,
+                         initial_nav_state(gt), WindowSpec(40, 40), IDENTITY_NORM)
+
     @pytest.mark.parametrize("yaw0, rate", [(2.5, 1.5), (-2.5, -1.5), (3.0, 0.4)])
     def test_matches_window_loop_bitwise_across_pi(self, yaw0, rate):
         # a turning flight whose heading wraps past +/-pi, on a noisy IMU

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_mechanize, orthonormalize, rotvec_to_dcm, skew
 from quadndr.ins import (
     DEFAULT_GRAVITY,
     GRAVITY,
@@ -12,9 +13,14 @@ from quadndr.ins import (
     dcm_to_yaw,
     euler_to_dcm,
     mechanize_series,
-    orthonormalize,
-    rotvec_to_dcm,
-    skew,
+)
+from quadndr.simulate import (
+    ImuErrorModel,
+    TrajectoryProfile,
+    corrupt_imu,
+    generate_periodic_trajectory,
+    initial_nav_state,
+    inverse_mechanize,
 )
 
 angles = st.floats(-np.pi, np.pi - 1e-6)
@@ -209,3 +215,46 @@ def test_orthonormalize_restores_rotation():
     Q = orthonormalize(T)
     assert np.max(np.abs(Q.T @ Q - np.eye(3))) < 1e-12
     assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
+
+
+# rotation-vector components: exact zeros of both signs, values so small
+# that |rv| < 1e-8 takes the series branch, and values up to |rv| ~ pi
+_rv_component = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(-1e-9, 1e-9),
+                          st.floats(-1.8, 1.8))
+_increments = st.lists(
+    st.one_of(st.tuples(_rv_component, _rv_component, _rv_component),
+              st.sampled_from([(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0)])),
+    min_size=1, max_size=12)
+
+
+def assert_matches_loop(init, imu):
+    got, want = mechanize_series(init, imu), loop_mechanize(init, imu)
+    for name in ("p", "v", "T", "t"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestMechanizeMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(increments=_increments, dt=st.sampled_from([1.0, 0.04, 0.01]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_series(self, increments, dt, seed):
+        rng = np.random.default_rng(seed)
+        n = len(increments)
+        init = NavState(p=rng.normal(size=3), v=rng.normal(size=3),
+                        T=euler_to_dcm(*rng.uniform(-1.0, 1.0, 3)), t=float(rng.uniform()))
+        ts = init.t + dt * np.arange(1, n + 1)
+        f = rng.normal(0.0, 5.0, (n, 3)) - DEFAULT_GRAVITY
+        assert_matches_loop(init, ImuSeries(ts, f, np.array(increments) / dt))
+
+    def test_one_sample(self):
+        init = level_state(t=0.5)
+        imu = ImuSeries(np.array([0.52]), np.array([[0.1, -0.2, -GRAVITY]]),
+                        np.array([[0.3, -0.0, 2.0]]))
+        assert_matches_loop(init, imu)
+
+    def test_criterion_6_noisy_flight(self):
+        gt = generate_periodic_trajectory(TrajectoryProfile(sample_rate=25.0))
+        model = ImuErrorModel(accel_bias=(0.08, -0.05, 0.06), gyro_bias=(0.004, -0.003, 0.03),
+                              accel_noise_std=0.05, gyro_noise_std=0.002, seed=17)
+        assert_matches_loop(initial_nav_state(gt), corrupt_imu(inverse_mechanize(gt), model))

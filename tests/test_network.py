@@ -189,6 +189,11 @@ class TestForward:
         singles = np.stack([predict(params, TINY_SINGLE, xi[None])[0] for xi in x])
         assert np.allclose(batched, singles, atol=1e-12)
 
+    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI, DENSE_ONLY])
+    def test_empty_batch(self, cfg):
+        out = predict(init_params(cfg, seed=0), cfg, np.empty((0, 6, 8)))
+        assert out.shape == (0, cfg.out_dim)
+
     def test_default_channel_progressions(self):
         assert NetConfig(arch="single", window=100).conv_channels == \
             (6, 64, 64, 128, 128, 256, 256)
