@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from .simulate import (
     inverse_mechanize,
     read_gt_csv,
     read_imu_csv,
+    write_csv,
     write_gt_csv,
     write_imu_csv,
 )
@@ -95,8 +96,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     profile = _profile(cfg)
-    gt = generate_periodic_trajectory(profile)
-    clean = inverse_mechanize(gt)
+    try:
+        gt = generate_periodic_trajectory(profile)
+        clean = inverse_mechanize(gt)
+    except ValueError as exc:
+        keys = ", ".join(f"{f.name}={getattr(profile, f.name)!r}" for f in fields(profile))
+        raise ValueError(f"{exc} (trajectory profile: {keys})") from None
     dirs = []
     for i, tag in enumerate(_traj_tags(cfg)):
         tdir = out / tag
@@ -159,10 +164,7 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
                                 replace(tcfg, seed=run_seed))
         model_path = out / f"{arch}_run{run}.qpnet"
         save_model(model_path, params, net_cfg, norm)
-        with open(out / f"{arch}_run{run}_loss.csv", "w") as fh:
-            fh.write("epoch,loss\n")
-            for e, loss in enumerate(history):
-                fh.write(f"{e},{loss!r}\n")
+        write_csv(out / f"{arch}_run{run}_loss.csv", "epoch,loss", enumerate(history))
         print(f"{arch} run {run}: final train loss {history[-1]:.6g} ({model_path})")
         paths.append(model_path)
     return paths
@@ -262,12 +264,15 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(args.config, args.set)
-        if args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "train":
-            cmd_train(cfg, args.arch)
-        elif args.command == "eval":
-            cmd_eval(cfg, args.models, args.baseline)
+        # overflow and invalid values end in the program's own finiteness
+        # errors, so numpy's warnings about them would only add stderr lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "simulate":
+                cmd_simulate(cfg)
+            elif args.command == "train":
+                cmd_train(cfg, args.arch)
+            elif args.command == "eval":
+                cmd_eval(cfg, args.models, args.baseline)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ins import ImuSeries, NavState, dcm_to_yaw, mechanize_series
-from .simulate import GroundTruthSeries
+from .simulate import GroundTruthSeries, write_csv
 from .windows import NormStats, WindowSpec, normalize_inputs, window_inputs, window_starts
 from .network import NetConfig, predict
 
@@ -89,11 +89,8 @@ def improvement_pct(baseline_rmse: float, method_rmse: float) -> float:
 
 
 def write_trajectory_csv(path, timestamps, points) -> None:
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    with open(path, "w") as fh:
-        fh.write(TRAJ_CSV_HEADER + "\n")
-        for t, p in zip(timestamps, points):
-            fh.write(",".join(repr(float(v)) for v in (t, *p)) + "\n")
+    write_csv(path, TRAJ_CSV_HEADER, np.column_stack(
+        [np.asarray(timestamps, dtype=float), np.reshape(points, (-1, 3))]).tolist())
 
 
 def write_report(path, entries: dict) -> None:

@@ -100,10 +100,10 @@ def _attitude_step(T: np.ndarray, rv: np.ndarray) -> np.ndarray:
     x, y, z = rv
     S = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     if theta < 1e-8:
-        # series expansion keeps full precision for tiny angles; at
-        # theta = 0 it gives the identity exactly
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
+        # the series 1 - theta^2/6 and 1/2 - theta^2/24: below 1e-8 the
+        # theta^2 terms are under half an ulp, so they round to the constants
+        # (and at theta = 0 the step is the identity exactly)
+        a, b = 1.0, 0.5
     else:
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / (theta * theta)
@@ -131,6 +131,24 @@ class NavState:
     t: float | np.ndarray
 
 
+def _check_series(series, name: str, fields: tuple) -> np.ndarray:
+    """Check a frozen series' (N,) timestamps and (N, 3) ``fields`` (shapes,
+    finiteness, strictly increasing timestamps), store them as float arrays
+    and return the timestamps. Errors name the series."""
+    ts = np.asarray(series.timestamps, dtype=float)
+    arrays = [np.asarray(getattr(series, f), dtype=float) for f in fields]
+    if ts.ndim != 1 or any(a.shape != (ts.size, 3) for a in arrays):
+        raise ValueError(f"inconsistent {name} series shapes")
+    if not all(np.all(np.isfinite(a)) for a in (ts, *arrays)):
+        raise ValueError(f"{name} series must be finite")
+    if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        raise ValueError(f"{name} timestamps must be strictly increasing")
+    object.__setattr__(series, "timestamps", ts)
+    for f, a in zip(fields, arrays):
+        object.__setattr__(series, f, a)
+    return ts
+
+
 @dataclass(frozen=True)
 class ImuSeries:
     """A time-ordered batch of inertial measurements.
@@ -145,18 +163,7 @@ class ImuSeries:
     w: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        f = np.asarray(self.f, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if ts.ndim != 1 or f.shape != (ts.size, 3) or w.shape != (ts.size, 3):
-            raise ValueError("inconsistent IMU series shapes")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(f)) and np.all(np.isfinite(w))):
-            raise ValueError("IMU series must be finite")
-        if ts.size > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("IMU timestamps must be strictly increasing")
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "w", w)
+        _check_series(self, "IMU", ("f", "w"))
 
     def __len__(self) -> int:
         return self.timestamps.size
@@ -171,7 +178,8 @@ def mechanize_series(init: NavState, imu: ImuSeries) -> NavState:
     of w*dt and re-orthonormalized, velocity with the rotated specific force
     plus DEFAULT_GRAVITY, position with the updated velocity (semi-implicit
     Euler). Returns the initial state followed by one state per sample,
-    stacked over time, so row k is the state at t_k.
+    stacked over time, so row k is the state at t_k. ``ImuSeries`` already
+    holds finite samples in strictly increasing time order.
     """
     n = len(imu)
     ts = imu.timestamps
@@ -181,11 +189,7 @@ def mechanize_series(init: NavState, imu: ImuSeries) -> NavState:
             raise ValueError("cannot infer dt from a single sample at the initial time")
     else:
         dts = np.diff(ts)
-        if np.any(dts <= 0):
-            raise ValueError("IMU timestamps must be strictly increasing")
         dts = np.append(dts, dts[-1:])
-    if not (np.all(np.isfinite(imu.f)) and np.all(np.isfinite(imu.w))):
-        raise ValueError("IMU measurements must be finite")
     f, w = imu.f, imu.w
     p, v, T = np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 3, 3))
     p[0], v[0], T[0] = init.p, init.v, init.T

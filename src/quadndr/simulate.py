@@ -18,6 +18,7 @@ from .ins import (
     DEFAULT_GRAVITY,
     ImuSeries,
     NavState,
+    _check_series,
     dcm_to_rotvec,
     euler_to_dcm,
 )
@@ -59,22 +60,9 @@ class GroundTruthSeries:
     attitudes: np.ndarray   # (N, 3) roll, pitch, yaw
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        pos = np.asarray(self.positions, dtype=float)
-        att = np.asarray(self.attitudes, dtype=float)
-        if ts.ndim != 1 or pos.shape != (ts.size, 3) or att.shape != (ts.size, 3):
-            raise ValueError("inconsistent ground-truth shapes")
-        if not all(np.all(np.isfinite(a)) for a in (ts, pos, att)):
-            raise ValueError("ground-truth series must be finite")
-        if ts.size > 1:
-            dts = np.diff(ts)
-            if not np.all(dts > 0):
-                raise ValueError("timestamps must be strictly increasing")
-            if np.max(dts) - np.min(dts) > 1e-9:
-                raise ValueError("timestamps must be uniformly spaced")
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "attitudes", att)
+        dts = np.diff(_check_series(self, "ground-truth", ("positions", "attitudes")))
+        if dts.size and np.max(dts) - np.min(dts) > 1e-9:
+            raise ValueError("ground-truth timestamps must be uniformly spaced")
 
     def __len__(self) -> int:
         return self.timestamps.size
@@ -111,10 +99,8 @@ def generate_periodic_trajectory(profile: TrajectoryProfile) -> GroundTruthSerie
     duration = profile.total_span / profile.speed
     samples = duration * profile.sample_rate
     if not math.isfinite(samples) or samples >= np.iinfo(np.intp).max:
-        raise ValueError(
-            f"sample count total_span / speed * sample_rate = {samples!r} is not finite"
-            f" or too large (total_span={profile.total_span!r}, speed={profile.speed!r},"
-            f" sample_rate={profile.sample_rate!r})")
+        raise ValueError(f"sample count total_span / speed * sample_rate = {samples!r}"
+                         " is not finite or too large")
     num = math.floor(samples) + 1
     dt = 1.0 / profile.sample_rate
     t = np.arange(num) * dt
@@ -173,7 +159,7 @@ def initial_nav_state(gt: GroundTruthSeries) -> NavState:
     if len(gt) < 3:
         raise ValueError("need at least 3 samples")
     dt = float(gt.timestamps[1] - gt.timestamps[0])
-    a0 = (gt.positions[2] - 2.0 * gt.positions[1] + gt.positions[0]) / (dt * dt)
+    a0 = _accelerations(gt.positions[:3], dt)[0]
     v0 = (gt.positions[1] - gt.positions[0]) / dt - a0 * dt
     T0 = euler_to_dcm(*gt.attitudes[0])
     return NavState(p=gt.positions[0].copy(), v=v0, T=T0, t=float(gt.timestamps[0]))
@@ -192,15 +178,17 @@ def corrupt_imu(imu: ImuSeries, model: ImuErrorModel) -> ImuSeries:
 # CSV persistence
 
 
-def _write_csv(path, header: str, rows: np.ndarray) -> None:
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-separated line per row of Python numbers
+    (``array.tolist()``), each value as its repr, so floats read back exactly."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _read_csv(path, header: str, build):
-    """Parse a CSV written by ``_write_csv`` and return ``build`` of its
+    """Parse a CSV written by ``write_csv`` and return ``build`` of its
     (rows, columns) array. Every parse or validation error, undecodable
     bytes included, is a ValueError that starts with the path."""
     ncols = header.count(",") + 1
@@ -228,7 +216,7 @@ def _read_csv(path, header: str, build):
 
 def write_gt_csv(path, gt: GroundTruthSeries) -> None:
     rows = np.column_stack([gt.timestamps, gt.positions, gt.attitudes])
-    _write_csv(path, GT_CSV_HEADER, rows)
+    write_csv(path, GT_CSV_HEADER, rows.tolist())
 
 
 def read_gt_csv(path) -> GroundTruthSeries:
@@ -238,7 +226,7 @@ def read_gt_csv(path) -> GroundTruthSeries:
 
 def write_imu_csv(path, imu: ImuSeries) -> None:
     rows = np.column_stack([imu.timestamps, imu.f, imu.w])
-    _write_csv(path, IMU_CSV_HEADER, rows)
+    write_csv(path, IMU_CSV_HEADER, rows.tolist())
 
 
 def read_imu_csv(path) -> ImuSeries:

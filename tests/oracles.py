@@ -320,3 +320,21 @@ def loop_mechanize(init, imu):
         v[k + 1] = v[k] + (T[k + 1] @ f[k] + DEFAULT_GRAVITY) * dt
         p[k + 1] = p[k] + v[k + 1] * dt
     return NavState(p=p, v=v, T=T, t=np.cumsum(np.append(init.t, dts)))
+
+
+# The CSV writers ``simulate.write_csv`` replaced: every table value went
+# through ``repr(float(v))``, and the loss curve was written epoch by epoch.
+
+
+def per_value_write_csv(path, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def loop_write_loss_csv(path, history) -> None:
+    with open(path, "w") as fh:
+        fh.write("epoch,loss\n")
+        for e, loss in enumerate(history):
+            fh.write(f"{e},{loss!r}\n")

@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -328,8 +329,11 @@ FUZZ_BASE = [("sample_rate", "20"), ("total_span", "0.9"), ("num_trajectories", 
 
 
 def _run_main(argv):
+    """Exit code and stderr of ``main``, run with every warning an error."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     return code, err.getvalue()
 
@@ -353,6 +357,65 @@ def test_simulate_settings_fuzz(pairs):
                 assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
             else:
                 assert err == "", (argv, err)
+
+
+# window 4 and three tiny layers, so every example trains in milliseconds
+FUZZ_NET = [("window_size", "4"), ("stride", "2"), ("conv_channels", "6,2"),
+            ("dense_widths", "4"), ("epochs", "1"), ("runs", "1")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """The flights of the fuzz base and one model trained on them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = load_config(overrides=[f"{k}={v}" for k, v in FUZZ_BASE + FUZZ_NET]
+                      + [f"out_dir={root / 'exp'}"])
+    cmd_simulate(cfg)
+    model = cmd_train(cfg, "single")[0].rename(root / "model.qpnet")
+    return root / "exp", model
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=3))
+@example(pairs=[("lr", "1e308")])
+def test_train_and_eval_settings_fuzz(fuzz_base, pairs):
+    flights, model = fuzz_base
+    with tempfile.TemporaryDirectory() as tmp:
+        exp = Path(tmp) / "exp"
+        shutil.copytree(flights, exp)
+        lines = [f"{k}={v}" for k, v in FUZZ_BASE + FUZZ_NET + pairs]
+        cfg_path = Path(tmp) / "exp.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        for command in (["train"], ["eval", "--models", str(model)]):
+            for argv in ([*command, *_sets(lines), "--set", f"out_dir={exp}"],
+                         [*command, "--config", str(cfg_path), "--set", f"out_dir={exp}"]):
+                code, err = _run_main(argv)
+                assert code in (0, 1, 2), (argv, err)
+                if code:
+                    assert err.startswith(("error:", "aborted:")) and err.count("\n") == 1, \
+                        (argv, err)
+                else:
+                    assert err == "", (argv, err)
+
+
+def test_overflowing_lr_aborts_with_one_line(trained, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    code, err = _run_main(["train", *_sets(tiny_overrides(exp)), "--set", "lr=1e308"])
+    assert code == 2
+    assert err.startswith("aborted: non-finite loss") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("setting", ["hover_height=1e308", "hover_height=-1e308",
+                                     "amplitude=1e308", "p2p_distance=1e-308"])
+def test_overflowing_profile_names_its_key(setting, tmp_path):
+    code, err = _run_main(["simulate", *_sets(tiny_overrides(tmp_path / "exp")),
+                           "--set", setting])
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    key, _, value = setting.partition("=")
+    assert f"{key}={float(value)!r}" in err, err
 
 
 class TestSimulate:

@@ -209,3 +209,9 @@ def test_trajectory_csv_header(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,px,py,pz"
     assert len(lines) == 3
+
+
+def test_trajectory_csv_rejects_unequal_lengths(tmp_path):
+    with pytest.raises(ValueError):
+        write_trajectory_csv(tmp_path / "traj.csv", [0.0, 0.5, 1.0],
+                             [[0.0, 0.0, 0.7], [0.1, 0.0, 0.7]])

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_write_loss_csv, per_value_write_csv
 from quadndr.ins import GRAVITY, ImuSeries, mechanize_series
 from quadndr.simulate import (
+    GT_CSV_HEADER,
     GroundTruthSeries,
     ImuErrorModel,
     TrajectoryProfile,
@@ -17,6 +20,7 @@ from quadndr.simulate import (
     inverse_mechanize,
     read_gt_csv,
     read_imu_csv,
+    write_csv,
     write_gt_csv,
     write_imu_csv,
 )
@@ -234,3 +238,49 @@ def test_mutated_csv_loads_or_raises_value_error_naming_it(reader, data):
             return
     # only a cut can leave a valid file, and an empty body is a valid file
     assert kind in ("truncate", "empty"), kind
+
+
+def test_series_errors_name_their_series():
+    for series, name in ((GroundTruthSeries, "ground-truth"), (ImuSeries, "IMU")):
+        def build(ts, rows=None):
+            values = np.zeros((len(ts) if rows is None else rows, 3))
+            return series(np.asarray(ts, dtype=float), values, values)
+
+        with pytest.raises(ValueError, match=f"^inconsistent {name} series shapes$"):
+            build([0.0, 0.1], rows=3)
+        with pytest.raises(ValueError, match=f"^{name} series must be finite$"):
+            build([0.0, np.nan])
+        with pytest.raises(ValueError, match=f"^{name} timestamps must be strictly increasing$"):
+            build([0.0, 0.1, 0.1])
+        kept = build([0.0, 0.1, 0.2])
+        assert all(getattr(kept, f.name).dtype == np.float64 for f in fields(series))
+
+
+# the extremes of float64 repr: signed zero, the smallest subnormal, the
+# largest finite value and the switches to exponent notation
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-05, 1.0 / 3.0]
+
+
+def test_write_csv_writes_the_per_value_bytes_and_reads_back_the_bits(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = rng.choice(np.array(EXTREMES + [-v for v in EXTREMES]), size=(40, 7))
+    write_csv(tmp_path / "new.csv", GT_CSV_HEADER, rows.tolist())
+    per_value_write_csv(tmp_path / "old.csv", GT_CSV_HEADER, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    history = EXTREMES * 2  # epochs 0..13, written as ints
+    write_csv(tmp_path / "new_loss.csv", "epoch,loss", enumerate(history))
+    loop_write_loss_csv(tmp_path / "old_loss.csv", history)
+    new = (tmp_path / "new_loss.csv").read_bytes()
+    assert new == (tmp_path / "old_loss.csv").read_bytes()
+    assert new.splitlines()[1:3] == [b"0,-0.0", b"1,5e-324"]
+
+    n = 3 * len(EXTREMES)
+    values = np.resize(np.array(EXTREMES), (n, 3)) * np.array([1.0, -1.0, 1.0])
+    gt = GroundTruthSeries(np.arange(n) * 0.01, values, values[::-1])
+    imu = ImuSeries(gt.timestamps, values[::-1], values)
+    write_gt_csv(tmp_path / "gt.csv", gt)
+    write_imu_csv(tmp_path / "imu.csv", imu)
+    for old, new in ((gt, read_gt_csv(tmp_path / "gt.csv")),
+                     (imu, read_imu_csv(tmp_path / "imu.csv"))):
+        for f in fields(old):
+            assert getattr(new, f.name).tobytes() == getattr(old, f.name).tobytes(), f.name
