@@ -57,12 +57,14 @@ from .windows import (
     normalize,
     normalize_inputs,
     split_tags,
+    window_bounds,
     window_inputs,
     window_series,
-    window_starts,
 )
 
 ARCHES = ("single", "multi", "baseline")
+# the config keys that ImuErrorModel takes under the same names
+ERROR_MODEL_KEYS = ("accel_bias", "gyro_bias", "accel_noise_std", "gyro_noise_std")
 
 
 def _profile(cfg: ExperimentConfig) -> TrajectoryProfile:
@@ -78,13 +80,8 @@ def _profile(cfg: ExperimentConfig) -> TrajectoryProfile:
 
 
 def _error_model(cfg: ExperimentConfig, traj_index: int) -> ImuErrorModel:
-    return ImuErrorModel(
-        accel_bias=np.array(cfg.accel_bias),
-        gyro_bias=np.array(cfg.gyro_bias),
-        accel_noise_std=cfg.accel_noise_std,
-        gyro_noise_std=cfg.gyro_noise_std,
-        seed=cfg.seed + traj_index,
-    )
+    return ImuErrorModel(**{k: getattr(cfg, k) for k in ERROR_MODEL_KEYS},
+                         seed=cfg.seed + traj_index)
 
 
 def _traj_tags(cfg: ExperimentConfig) -> list[str]:
@@ -106,7 +103,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     for i, tag in enumerate(_traj_tags(cfg)):
         tdir = out / tag
         tdir.mkdir(exist_ok=True)
-        noisy = corrupt_imu(clean, _error_model(cfg, i))
+        model = _error_model(cfg, i)
+        try:
+            noisy = corrupt_imu(clean, model)
+        except ValueError as exc:
+            keys = ", ".join(f"{k}={getattr(cfg, k)!r}" for k in ERROR_MODEL_KEYS)
+            raise ValueError(f"{exc} (IMU error model: {keys})") from None
         write_gt_csv(tdir / "gt.csv", gt)
         write_imu_csv(tdir / "imu_clean.csv", clean)
         write_imu_csv(tdir / "imu_noisy.csv", noisy)
@@ -116,6 +118,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _load_trajectories(cfg: ExperimentConfig) -> dict:
+    if cfg.num_trajectories < 2:  # train and eval split the flights
+        raise ValueError(f"num_trajectories must be >= 2 to split train and test flights,"
+                         f" got {cfg.num_trajectories!r}")
     out = Path(cfg.out_dir)
     series = {}
     for tag in _traj_tags(cfg):
@@ -182,13 +187,12 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     for path, (params, net_cfg, norm) in zip(paths, models):
         if net_cfg.window != cfg.window_size:
             raise ValueError(f"{path}: model window {net_cfg.window} does not match"
-                             f" config {cfg.window_size}")
+                             f" window_size {cfg.window_size}")
         label = "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
         table.append((label, sum(row[0] == label for row in table), params, net_cfg, norm))
 
     per_method: dict[str, list[float]] = {}
     report: dict = {"test_trajectories": ",".join(test_tags)}
-    flights = []  # per test flight, the window-end times and each method's points
     n = cfg.window_size
     for tag in test_tags:
         gt, imu = series[tag]
@@ -196,7 +200,7 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
         check_synchronized(imu, gt, str(flight))
         if len(gt) < n:
             raise ValueError(f"{flight}: {len(gt)} samples, fewer than one window of {n}")
-        ends = window_starts(len(gt), eval_spec) + n - 1
+        _, ends = window_bounds(len(gt), eval_spec)
         init = initial_nav_state(gt)
         # run 0 of each method; pure INS mechanizes the noisy IMU
         points = {"gt": gt_window_end_positions(gt, eval_spec),
@@ -213,7 +217,8 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
             per_method.setdefault(label, []).append(score)
             report[f"{label}.run{run}.{tag}.rmse"] = score
             points.setdefault(label, pts)
-        flights.append((gt.timestamps[ends], points))
+        if tag == test_tags[0]:  # only the first test flight is written out
+            times, curves = gt.timestamps[ends], points
 
     means = {m: float(np.mean(v)) for m, v in per_method.items()}
     for m, v in means.items():
@@ -226,7 +231,6 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
 
     out = Path(cfg.out_dir)
     write_report(out / "report.txt", report)
-    times, curves = flights[0]
     for name, pts in curves.items():
         write_trajectory_csv(out / f"eval_{name}_traj.csv", times, pts)
     write_xz_svg(out / "eval_xz.svg", curves,

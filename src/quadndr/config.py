@@ -54,6 +54,12 @@ class ExperimentConfig:
     # output
     out_dir: str = "runs/exp"
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy refuses negative seeds
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.num_trajectories < 1:
+            raise ValueError(f"num_trajectories must be >= 1, got {self.num_trajectories!r}")
+
 
 # a key's text is read by its field's "parse" metadata, else by its default's type
 _PARSERS = {f.name: f.metadata.get("parse", type(f.default)) for f in fields(ExperimentConfig)}

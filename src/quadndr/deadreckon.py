@@ -14,7 +14,8 @@ import numpy as np
 
 from .ins import ImuSeries, NavState, dcm_to_yaw, mechanize_series
 from .simulate import GroundTruthSeries, write_csv
-from .windows import NormStats, WindowSpec, normalize_inputs, window_inputs, window_starts
+from .windows import (NormStats, WindowSpec, normalize_inputs, window_bounds, window_inputs,
+                      window_labels)
 from .network import NetConfig, predict
 
 TRAJ_CSV_HEADER = "t,px,py,pz"
@@ -40,9 +41,7 @@ def integrate_deltas(p0, deltas) -> np.ndarray:
 def gt_window_end_positions(gt: GroundTruthSeries, spec: WindowSpec) -> np.ndarray:
     """Reconstruction targets: the first ground-truth position chained through
     the per-window labels by ``integrate_deltas``, as predicted chains are."""
-    starts = window_starts(len(gt), spec)
-    labels = gt.positions[starts + spec.window_size - 1] - gt.positions[starts]
-    return integrate_deltas(gt.positions[0], labels)
+    return integrate_deltas(gt.positions[0], window_labels(gt, spec))
 
 
 def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
@@ -57,7 +56,7 @@ def run_baseline(imu: ImuSeries, params: dict, cfg: NetConfig, init: NavState,
         raise ValueError("baseline model must output (distance, altitude change)")
     preds = predict(params, cfg, normalize_inputs(window_inputs(imu, spec), norm))
     states = mechanize_series(init, imu)
-    ends = window_starts(len(imu), spec) + spec.window_size - 1
+    _, ends = window_bounds(len(imu), spec)
     psi = np.array([dcm_to_yaw(T) for T in states.T[ends]])
     d = preds[:, 0]
     steps = np.column_stack([d * np.cos(psi), d * np.sin(psi), preds[:, 1]])

@@ -133,20 +133,24 @@ class NavState:
 
 def _check_series(series, name: str, fields: tuple) -> np.ndarray:
     """Check a frozen series' (N,) timestamps and (N, 3) ``fields`` (shapes,
-    finiteness, strictly increasing timestamps), store them as float arrays
-    and return the timestamps. Errors name the series."""
+    finiteness, finite and positive timestamp steps), store them as float
+    arrays and return the (N-1,) steps. Errors name the series."""
     ts = np.asarray(series.timestamps, dtype=float)
     arrays = [np.asarray(getattr(series, f), dtype=float) for f in fields]
     if ts.ndim != 1 or any(a.shape != (ts.size, 3) for a in arrays):
         raise ValueError(f"inconsistent {name} series shapes")
     if not all(np.all(np.isfinite(a)) for a in (ts, *arrays)):
         raise ValueError(f"{name} series must be finite")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0):
+    with np.errstate(over="ignore"):  # an overflowing step is refused below
+        steps = np.diff(ts)
+    if not np.all(np.isfinite(steps)):
+        raise ValueError(f"{name} timestamp steps must be finite")
+    if not np.all(steps > 0):
         raise ValueError(f"{name} timestamps must be strictly increasing")
     object.__setattr__(series, "timestamps", ts)
     for f, a in zip(fields, arrays):
         object.__setattr__(series, f, a)
-    return ts
+    return steps
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,11 @@ class NetConfig:
         if self.arch not in ("single", "multi"):
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.window <= 0:
-            raise ValueError("window must be > 0")
+            raise ValueError(f"window must be > 0, got {self.window!r}")
         if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         # an even kernel would make each padded conv one sample longer
         if type(self.kernel) is not int or self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be an odd int >= 1, got {self.kernel!r}")
@@ -66,7 +66,8 @@ class NetConfig:
                                      f" got {width!r} in {widths!r}")
         expected_in = 6 if self.arch == "single" else 3
         if self.conv_channels[0] != expected_in:
-            raise ValueError(f"{self.arch} networks take {expected_in} input channels")
+            raise ValueError(f"conv_channels must start with {expected_in} for {self.arch}"
+                             f" networks, got {self.conv_channels!r}")
 
     @property
     def branches(self) -> tuple:
@@ -138,15 +139,13 @@ def _leaky_slope(z, alpha, ws, name):
     return slope
 
 
-def _dropout(a, rate: float, training: bool, rng, ws, name):
-    """Inverted dropout: zero with probability ``rate`` and rescale survivors
-    while training; identity at inference. Returns the output and the mask
-    (None when inactive) that the backward pass applies to the gradient,
-    both in buffers of ``ws`` named after ``name``."""
-    if not training or rate == 0.0:
+def _dropout(a, rate: float, rng, ws, name):
+    """Inverted dropout: with an ``rng`` (training), zero with probability
+    ``rate`` and rescale survivors; without one, identity. Returns the output
+    and the mask (None when inactive) that the backward pass applies to the
+    gradient, both in buffers of ``ws`` named after ``name``."""
+    if rng is None or rate == 0.0:
         return a, None
-    if rng is None:
-        raise ValueError("training-mode forward needs an RNG for dropout")
     mask = rng.random(a.shape, out=ws.get(name + ".mask", a.shape))
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
@@ -211,9 +210,9 @@ def _conv_input_grad(dz, w, ws, pad):
 # Full forward / backward
 
 
-def _forward(params, cfg: NetConfig, x, ws, training=False, rng=None):
-    """Batched forward pass into ``ws``; returns predictions and the backward
-    cache. Conv activations are channel-major, (C, B, L)."""
+def _forward(params, cfg: NetConfig, x, ws, rng=None):
+    """Batched forward pass into ``ws`` (dropout on when ``rng`` is given); returns
+    predictions and the backward cache. Conv activations are channel-major, (C, B, L)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[1] != 6 or x.shape[2] != cfg.window:
         raise ValueError(f"expected input of shape (B, 6, {cfg.window})")
@@ -252,7 +251,7 @@ def _forward(params, cfg: NetConfig, x, ws, training=False, rng=None):
         z += params[name + ".b"]
         slope = _leaky_slope(z, cfg.alpha, ws, name + ".slope")
         a = np.multiply(z, slope, out=z)  # z is not needed past its slope
-        a, mask = _dropout(a, cfg.dropout, training, rng, ws, name)
+        a, mask = _dropout(a, cfg.dropout, rng, ws, name)
         dense_cache.append((name, h, slope, mask))
         h = a
     out = np.matmul(h, params["head.w"].T, out=ws.get("head.out", (B, cfg.out_dim)))
@@ -307,15 +306,16 @@ def mse_loss(predictions, targets) -> float:
 
 
 def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
-                       training=False, rng=None, *, workspace=None):
+                       rng=None, *, workspace=None):
     """One forward/backward pass; returns (loss, gradients, predictions).
 
-    Without ``workspace`` every array is freshly allocated. With one, each is
-    written into that workspace's buffers, so the returned gradients and
-    predictions are views, valid until the workspace's next use."""
+    Dropout is active exactly when ``rng`` is given. Without ``workspace``
+    every array is freshly allocated. With one, each is written into that
+    workspace's buffers, so the returned gradients and predictions are views,
+    valid until the workspace's next use."""
     ws = _Workspace() if workspace is None else workspace
     targets = np.asarray(targets, dtype=float)
-    out, cache = _forward(params, cfg, inputs, ws, training=training, rng=rng)
+    out, cache = _forward(params, cfg, inputs, ws, rng=rng)
     if targets.shape != out.shape:
         raise ValueError("target shape does not match network output")
     loss = mse_loss(out, targets)
@@ -422,18 +422,20 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
           tcfg: TrainConfig) -> tuple[dict, list]:
     """Mini-batch Adam training with seeded per-epoch shuffling.
 
-    The last partial batch is kept. ``params`` is copied once on entry and
-    the copies are updated in place by every ``adam_step``, so the caller's
-    arrays are never changed. Returns the trained parameters and the
-    per-epoch mean loss history.
+    The last partial batch is kept. Every ``adam_step`` updates the arrays
+    of ``params`` in place; before any changes, a block that is not a
+    writeable float64 ndarray raises ValueError naming it. Returns the same
+    ``params`` dict and the per-epoch mean loss history.
     """
+    for k, p in params.items():
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.writeable):
+            raise ValueError(f"parameter block {k!r} is not a writeable float64 ndarray")
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     m = inputs.shape[0]
     if m == 0:
         raise ValueError("training set is empty")
     rng = np.random.default_rng(tcfg.seed)
-    params = {k: np.array(p, dtype=float) for k, p in params.items()}
     state = AdamState.for_params(params, lr=tcfg.lr)
     workspace = _Workspace()
     history: list[float] = []
@@ -443,8 +445,7 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
         for lo in range(0, m, tcfg.batch_size):
             idx = perm[lo:lo + tcfg.batch_size]
             loss, grads, _ = loss_and_gradients(
-                params, cfg, inputs[idx], labels[idx], training=True, rng=rng,
-                workspace=workspace)
+                params, cfg, inputs[idx], labels[idx], rng=rng, workspace=workspace)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {lo // tcfg.batch_size}")

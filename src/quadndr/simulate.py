@@ -60,7 +60,7 @@ class GroundTruthSeries:
     attitudes: np.ndarray   # (N, 3) roll, pitch, yaw
 
     def __post_init__(self):
-        dts = np.diff(_check_series(self, "ground-truth", ("positions", "attitudes")))
+        dts = _check_series(self, "ground-truth", ("positions", "attitudes"))
         if dts.size and np.max(dts) - np.min(dts) > 1e-9:
             raise ValueError("ground-truth timestamps must be uniformly spaced")
 
@@ -85,8 +85,9 @@ class ImuErrorModel:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()!r}")
-        if self.accel_noise_std < 0 or self.gyro_noise_std < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        for name in ("accel_noise_std", "gyro_noise_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 def generate_periodic_trajectory(profile: TrajectoryProfile) -> GroundTruthSeries:

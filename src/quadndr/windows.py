@@ -61,21 +61,24 @@ class SampleSet:
         return self.inputs.shape[0]
 
 
-def window_starts(length: int, spec: WindowSpec) -> np.ndarray:
-    """Start indices of all windows that fit: 0, stride, 2*stride, ..."""
-    if length < spec.window_size:
-        return np.empty(0, dtype=int)
-    count = (length - spec.window_size) // spec.stride + 1
-    return np.arange(count) * spec.stride
+def window_bounds(length: int, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Start (0, stride, ...) and last sample index of every window that fits."""
+    count = max(0, (length - spec.window_size) // spec.stride + 1)
+    starts = np.arange(count) * spec.stride
+    return starts, starts + spec.window_size - 1
 
 
 def window_inputs(imu: ImuSeries, spec: WindowSpec) -> np.ndarray:
     """Stack IMU windows into an (M, 6, n) array (f rows, then w rows)."""
-    starts = window_starts(len(imu), spec)
-    n = spec.window_size
+    starts, _ = window_bounds(len(imu), spec)
     channels = np.concatenate([imu.f.T, imu.w.T])  # (6, N)
-    return np.stack([channels[:, s:s + n] for s in starts]) if starts.size \
-        else np.empty((0, 6, n))
+    return channels[:, starts[:, None] + np.arange(spec.window_size)].transpose(1, 0, 2)
+
+
+def window_labels(gt: GroundTruthSeries, spec: WindowSpec) -> np.ndarray:
+    """(M, 3) labels: ground-truth position at each window's last sample minus first."""
+    starts, ends = window_bounds(len(gt), spec)
+    return gt.positions[ends] - gt.positions[starts]
 
 
 def check_synchronized(imu: ImuSeries, gt: GroundTruthSeries, flight: str) -> None:
@@ -97,10 +100,7 @@ def window_series(imu: ImuSeries, gt: GroundTruthSeries, spec: WindowSpec,
     """Window a synchronized IMU/ground-truth pair into labeled samples;
     ``tag`` names the flight in errors."""
     check_synchronized(imu, gt, tag)
-    starts = window_starts(len(imu), spec)
-    inputs = window_inputs(imu, spec)
-    labels = gt.positions[starts + spec.window_size - 1] - gt.positions[starts]
-    return SampleSet(inputs=inputs, labels=labels)
+    return SampleSet(inputs=window_inputs(imu, spec), labels=window_labels(gt, spec))
 
 
 def concat_sets(sets) -> SampleSet:

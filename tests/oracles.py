@@ -14,7 +14,7 @@ from quadndr.network import (
     mse_loss,
     predict,
 )
-from quadndr.windows import normalize_inputs, window_inputs, window_starts
+from quadndr.windows import normalize_inputs, window_bounds, window_inputs
 
 # Central finite differences hit a roundoff floor of roughly eps * L / h,
 # which for losses of order one and h = 1e-6 is about 1e-9 in absolute
@@ -112,8 +112,8 @@ def leaky_relu(x, alpha: float = 0.01):
     return x * _leaky_slope(x, alpha)
 
 
-def _dropout(a, rate, training, rng):
-    if not training or rate == 0.0:
+def _dropout(a, rate, rng):
+    if rng is None or rate == 0.0:
         return a, None
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return a * mask, mask
@@ -153,7 +153,7 @@ def _conv_backward(dy, cols, w, x_shape, padding):
     return (dxp[:, :, padding:padding + L] if padding else dxp), dw, db
 
 
-def _forward(params, cfg: NetConfig, x, training=False, rng=None):
+def _forward(params, cfg: NetConfig, x, rng=None):
     x = np.asarray(x, dtype=float)
     B = x.shape[0]
     pad = cfg.kernel // 2
@@ -176,7 +176,7 @@ def _forward(params, cfg: NetConfig, x, training=False, rng=None):
     for i in range(len(cfg.dense_widths)):
         name = f"fc{i + 1}"
         z = h @ params[name + ".w"].T + params[name + ".b"]
-        a, mask = _dropout(leaky_relu(z, cfg.alpha), cfg.dropout, training, rng)
+        a, mask = _dropout(leaky_relu(z, cfg.alpha), cfg.dropout, rng)
         dense_cache.append((name, h, z, mask))
         h = a
     out = h @ params["head.w"].T + params["head.b"]
@@ -213,11 +213,10 @@ def _backward(params, cfg: NetConfig, cache, dout):
     return grads
 
 
-def fresh_loss_and_gradients(params, cfg: NetConfig, inputs, targets,
-                             training=False, rng=None):
+def fresh_loss_and_gradients(params, cfg: NetConfig, inputs, targets, rng=None):
     """(loss, gradients, predictions) of one allocate-per-step pass."""
     targets = np.asarray(targets, dtype=float)
-    out, cache = _forward(params, cfg, inputs, training=training, rng=rng)
+    out, cache = _forward(params, cfg, inputs, rng=rng)
     loss = mse_loss(out, targets)
     dout = 2.0 * (out - targets) / out.shape[0]
     return loss, _backward(params, cfg, cache, dout), out
@@ -241,7 +240,7 @@ def loop_baseline(imu, params, cfg: NetConfig, init, spec, norm):
     states = mechanize_series(init, imu)
     x, y, z = (float(v) for v in init.p)
     points = np.empty((len(preds), 3))
-    for k, s in enumerate(window_starts(len(imu), spec)):
+    for k, s in enumerate(window_bounds(len(imu), spec)[0]):
         psi = dcm_to_yaw(states.T[s + spec.window_size - 1])
         x, y = quadnet_update(x, y, float(preds[k, 0]), psi)
         z += float(preds[k, 1])

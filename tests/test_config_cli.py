@@ -201,6 +201,17 @@ def _cut_flight(gt_rows, imu_rows):
     return edit
 
 
+def _overflowing_timestamps(flight):
+    # two synchronized samples at finite times whose step, 1e308 - (-1e308),
+    # overflows; nothing else about the flight is wrong
+    for name in ("gt.csv", "imu_noisy.csv"):
+        lines = (flight / name).read_text().splitlines(keepends=True)[:3]
+        for row, t in ((1, "-1e308"), (2, "1e308")):
+            lines[row] = ",".join([t, *lines[row].split(",")[1:]])
+        (flight / name).write_text("".join(lines))
+    return flight / "gt.csv"
+
+
 def _nan_position(sample):
     # tiny_overrides windows 20 samples with stride 10
     def edit(flight):
@@ -242,6 +253,7 @@ MALFORMED_INPUTS = {
     "eval_flight_shorter_than_window": _edit_flight("eval", _cut_flight(10, 10)),
     "train_gt_nan_inside_window": _edit_flight("train", _nan_position(5)),
     "train_gt_nan_at_window_start": _edit_flight("train", _nan_position(10)),
+    "train_gt_timestamp_step_overflows": _edit_flight("train", _overflowing_timestamps),
 }
 
 
@@ -355,6 +367,7 @@ def test_simulate_settings_fuzz(pairs):
             assert code in (0, 1), (argv, err)
             if code == 1:
                 assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+                assert any(key in err for key, _ in pairs), (argv, err)
             else:
                 assert err == "", (argv, err)
 
@@ -405,6 +418,29 @@ def test_overflowing_lr_aborts_with_one_line(trained, tmp_path):
     code, err = _run_main(["train", *_sets(tiny_overrides(exp)), "--set", "lr=1e308"])
     assert code == 2
     assert err.startswith("aborted: non-finite loss") and err.count("\n") == 1, err
+
+
+# (command, setting) pairs refused with one error line naming the key and value
+KEY_NAMING_ERRORS = [
+    ("simulate", "seed=-1"), ("train", "seed=-1"), ("eval", "seed=-1"),
+    ("simulate", "num_trajectories=0"), ("simulate", "num_trajectories=-1"),
+    ("train", "num_trajectories=1"), ("eval", "num_trajectories=1"),
+    ("simulate", "accel_noise_std=-1"), ("simulate", "gyro_noise_std=-1"),
+    ("simulate", "accel_noise_std=1e308"), ("simulate", "gyro_noise_std=1e308"),
+    ("train", "conv_channels=1,2"), ("eval", "window_size=10"),
+]
+
+
+@pytest.mark.parametrize("command, setting", KEY_NAMING_ERRORS)
+def test_bad_setting_error_names_key_and_value(command, setting, trained, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    argv = [command, *_sets(tiny_overrides(exp)), "--set", setting]
+    code, err = _run_main(argv + (["--models", str(trained[1])] if command == "eval" else []))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    key, value = _parse_pair(setting)
+    assert key in err and repr(value) in err, err
 
 
 @pytest.mark.parametrize("setting", ["hover_height=1e308", "hover_height=-1e308",

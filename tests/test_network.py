@@ -1,3 +1,4 @@
+import copy
 import io
 import re
 import tempfile
@@ -128,22 +129,22 @@ class TestDense:
 class TestDropout:
     def test_inference_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(_dropout(x, 0.5, False, None, _Workspace(), "d")[0], x)
+        assert np.array_equal(_dropout(x, 0.5, None, _Workspace(), "d")[0], x)
 
     def test_zero_rate_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
         rng = np.random.default_rng(0)
-        assert np.array_equal(_dropout(x, 0.0, True, rng, _Workspace(), "d")[0], x)
+        assert np.array_equal(_dropout(x, 0.0, rng, _Workspace(), "d")[0], x)
 
     def test_seed_deterministic(self):
         x = np.ones((4, 100))
-        a, _ = _dropout(x, 0.3, True, np.random.default_rng(5), _Workspace(), "d")
-        b, _ = _dropout(x, 0.3, True, np.random.default_rng(5), _Workspace(), "d")
+        a, _ = _dropout(x, 0.3, np.random.default_rng(5), _Workspace(), "d")
+        b, _ = _dropout(x, 0.3, np.random.default_rng(5), _Workspace(), "d")
         assert np.array_equal(a, b)
 
     def test_survivors_are_rescaled(self):
         x = np.ones((4, 1000))
-        y, _ = _dropout(x, 0.25, True, np.random.default_rng(1), _Workspace(), "d")
+        y, _ = _dropout(x, 0.25, np.random.default_rng(1), _Workspace(), "d")
         kept = y[y != 0.0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert 0.6 < kept.size / x.size < 0.9
@@ -333,16 +334,43 @@ class TestInPlaceAdam:
         _assert_bit_equal((params, state.m, state.v), before)
         assert state.t == t_before
 
-    def test_train_leaves_callers_arrays_unchanged(self):
+    def test_train_updates_callers_arrays_in_place(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(32, 6, 8))
+        y = rng.normal(scale=0.1, size=(32, 3))
+        tcfg = TrainConfig(epochs=2, batch_size=16, seed=1)
+        params = init_params(TINY_SINGLE, seed=3)
+        arrays = dict(params)
+        copied = copy.deepcopy(params)
+        trained, _ = train(params, TINY_SINGLE, x, y, tcfg)
+        assert trained is params
+        assert all(trained[k] is a for k, a in arrays.items())
+        ref, _ = train(copied, TINY_SINGLE, x, y, tcfg)
+        assert trained.keys() == ref.keys()
+        for k, a in ref.items():
+            assert trained[k].tobytes() == a.tobytes(), k
+        assert not np.array_equal(trained["head.w"], init_params(TINY_SINGLE, seed=3)["head.w"])
+
+    @pytest.mark.parametrize("kind", ["float32", "int", "list", "read-only"])
+    def test_train_rejects_block_it_cannot_update_in_place(self, kind):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(32, 6, 8))
         y = rng.normal(scale=0.1, size=(32, 3))
         params = init_params(TINY_SINGLE, seed=3)
-        before = {k: p.copy() for k, p in params.items()}
-        trained, _ = train(params, TINY_SINGLE, x, y,
-                           TrainConfig(epochs=2, batch_size=16, seed=1))
-        _assert_bit_equal((params,), (before,))
-        assert not np.array_equal(trained["head.w"], before["head.w"])
+        # the last block, so that a check made while training would come too late
+        block = params["head.b"]
+        if kind == "read-only":
+            block.flags.writeable = False
+        else:
+            params["head.b"] = {"float32": block.astype(np.float32),
+                                "int": block.astype(int), "list": block.tolist()}[kind]
+        before = copy.deepcopy(params)
+        with pytest.raises(ValueError, match="'head.b'"):
+            train(params, TINY_SINGLE, x, y, TrainConfig(epochs=1, batch_size=16))
+        assert params.keys() == before.keys()
+        for k, a in before.items():
+            assert type(params[k]) is type(a), k
+            assert np.asarray(params[k]).tobytes() == np.asarray(a).tobytes(), k
 
     def test_step_allocates_at_most_two_and_a_half_blocks(self):
         rng = np.random.default_rng(14)
@@ -409,11 +437,10 @@ class TestWorkspace:
         cfg, batch = BITWISE_NETS[net]
         cfg = replace(cfg, dropout=dropout)
         params, x, y = _bitwise_case(cfg, batch, seed=6)
-        want = fresh_loss_and_gradients(params, cfg, x, y, training=True,
-                                        rng=np.random.default_rng(7))
+        want = fresh_loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(7))
         for ws in (None, _Workspace()):
-            got = loss_and_gradients(params, cfg, x, y, training=True,
-                                     rng=np.random.default_rng(7), workspace=ws)
+            got = loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(7),
+                                     workspace=ws)
             _assert_same_bytes(got, want)
         ref_out = fresh_loss_and_gradients(params, cfg, x, y)[2]
         assert predict(params, cfg, x).tobytes() == ref_out.tobytes()
@@ -425,8 +452,8 @@ class TestWorkspace:
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         for seed, batch in enumerate((16, 11, 16)):
             params, x, y = _bitwise_case(cfg, batch, seed)
-            want = fresh_loss_and_gradients(params, cfg, x, y, training=True, rng=ref_rng)
-            got = loss_and_gradients(params, cfg, x, y, training=True, rng=rng, workspace=ws)
+            want = fresh_loss_and_gradients(params, cfg, x, y, rng=ref_rng)
+            got = loss_and_gradients(params, cfg, x, y, rng=rng, workspace=ws)
             _assert_same_bytes(got, want)
 
     def test_calls_without_workspace_do_not_alias(self):
@@ -447,8 +474,7 @@ class TestWorkspace:
         ws = _Workspace()
 
         def step(batch):
-            loss_and_gradients(params, cfg, x[:batch], y[:batch], training=True,
-                               rng=rng, workspace=ws)
+            loss_and_gradients(params, cfg, x[:batch], y[:batch], rng=rng, workspace=ws)
 
         step(16)
         step(11)
@@ -459,6 +485,22 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * params["fc1.w"].nbytes
+
+    def test_train_batch_peaks_under_four_and_a_half_parameter_sets(self):
+        # the parameters themselves, Adam's two moments, the gradients and the
+        # activations: no further model-sized copy
+        cfg = NetConfig(arch="single", window=64, conv_channels=(6, 16, 16),
+                        dense_widths=(256, 16))
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(16, 6, 64)), rng.normal(size=(16, 3))
+        tracemalloc.start()
+        try:
+            train(params, cfg, x, y, TrainConfig(epochs=1, batch_size=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * sum(p.nbytes for p in params.values())
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -254,6 +255,16 @@ def test_series_errors_name_their_series():
             build([0.0, 0.1, 0.1])
         kept = build([0.0, 0.1, 0.2])
         assert all(getattr(kept, f.name).dtype == np.float64 for f in fields(series))
+
+
+def test_overflowing_timestamp_steps_are_refused():
+    # each timestamp is finite, but the step between them is not
+    values = np.zeros((2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for series, name in ((GroundTruthSeries, "ground-truth"), (ImuSeries, "IMU")):
+            with pytest.raises(ValueError, match=f"^{name} timestamp steps must be finite$"):
+                series(np.array([-1e308, 1e308]), values, values)
 
 
 # the extremes of float64 repr: signed zero, the smallest subnormal, the

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadndr.deadreckon import gt_window_end_positions
 from quadndr.ins import GRAVITY, ImuSeries
 from quadndr.simulate import GroundTruthSeries, TrajectoryProfile, generate_periodic_trajectory, inverse_mechanize
 from quadndr.windows import (
@@ -12,9 +13,10 @@ from quadndr.windows import (
     normalize,
     normalize_inputs,
     split_tags,
+    window_bounds,
     window_inputs,
+    window_labels,
     window_series,
-    window_starts,
 )
 
 
@@ -29,7 +31,7 @@ def make_pair(n_samples=300, rate=100.0, speed=0.5, tag="traj_00"):
 def brute_force_windows(imu, gt, spec):
     """Reference enumerator: every start index where a full window fits."""
     L = len(imu.timestamps)
-    inputs, labels = [], []
+    inputs, labels, ends = [], [], []
     start = 0
     while start + spec.window_size <= L:
         block = np.vstack([imu.f[start:start + spec.window_size].T,
@@ -37,19 +39,20 @@ def brute_force_windows(imu, gt, spec):
         inputs.append(block)
         end = start + spec.window_size - 1
         labels.append(gt.positions[end] - gt.positions[start])
+        ends.append(end)
         start += spec.stride
-    return inputs, labels
+    return inputs, labels, ends
 
 
 class TestWindowCounts:
     def test_standard_example(self):
-        assert len(window_starts(240, WindowSpec(120, 60))) == 3
+        assert len(window_bounds(240, WindowSpec(120, 60))[0]) == 3
 
     def test_too_short_series(self):
-        assert len(window_starts(119, WindowSpec(120, 60))) == 0
+        assert len(window_bounds(119, WindowSpec(120, 60))[0]) == 0
 
     def test_exact_fit(self):
-        assert list(window_starts(120, WindowSpec(120, 120))) == [0]
+        assert list(window_bounds(120, WindowSpec(120, 120))[0]) == [0]
 
     def test_rejects_gapped_stride(self):
         with pytest.raises(ValueError):
@@ -94,7 +97,7 @@ class TestWindowSeries:
                 window_series(bad, gt, WindowSpec(100, 50), tag=tag)
 
     @settings(deadline=None, max_examples=60)
-    @given(length=st.integers(10, 240), n=st.integers(2, 60), data=st.data())
+    @given(length=st.integers(1, 240), n=st.integers(2, 60), data=st.data())
     def test_matches_brute_force(self, length, n, data):
         stride = data.draw(st.integers(1, n))
         rng = np.random.default_rng(length * 1000 + n * 10 + stride)
@@ -103,12 +106,17 @@ class TestWindowSeries:
                                np.zeros((length, 3)))
         imu = ImuSeries(ts, rng.normal(size=(length, 3)), rng.normal(size=(length, 3)))
         spec = WindowSpec(n, stride)
-        ref_inputs, ref_labels = brute_force_windows(imu, gt, spec)
+        ref_inputs, ref_labels, ref_ends = brute_force_windows(imu, gt, spec)
         sst = window_series(imu, gt, spec, tag="t")
         assert len(sst) == len(ref_inputs)
         for k in range(len(sst)):
             assert np.array_equal(sst.inputs[k], ref_inputs[k])
             assert np.array_equal(sst.labels[k], ref_labels[k])
+        labels = np.reshape(ref_labels, (-1, 3))
+        assert window_bounds(length, spec)[1].tobytes() == np.array(ref_ends, dtype=int).tobytes()
+        assert window_labels(gt, spec).tobytes() == labels.tobytes()
+        assert gt_window_end_positions(gt, spec).tobytes() == \
+            (gt.positions[0] + np.cumsum(labels, axis=0)).tobytes()
 
     def test_gap_free_labels_telescope(self):
         gt, imu, tag = make_pair(n_samples=400)
