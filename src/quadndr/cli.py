@@ -101,14 +101,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
         raise ValueError(f"{exc} (trajectory profile: {keys})") from None
     dirs = []
     for i, tag in enumerate(_traj_tags(cfg)):
-        tdir = out / tag
-        tdir.mkdir(exist_ok=True)
-        model = _error_model(cfg, i)
+        # a flight that cannot be built leaves no directory behind
         try:
-            noisy = corrupt_imu(clean, model)
+            noisy = corrupt_imu(clean, _error_model(cfg, i))
         except ValueError as exc:
             keys = ", ".join(f"{k}={getattr(cfg, k)!r}" for k in ERROR_MODEL_KEYS)
             raise ValueError(f"{exc} (IMU error model: {keys})") from None
+        tdir = out / tag
+        tdir.mkdir(exist_ok=True)
         write_gt_csv(tdir / "gt.csv", gt)
         write_imu_csv(tdir / "imu_clean.csv", clean)
         write_imu_csv(tdir / "imu_noisy.csv", noisy)
@@ -125,9 +125,13 @@ def _load_trajectories(cfg: ExperimentConfig) -> dict:
     series = {}
     for tag in _traj_tags(cfg):
         tdir = out / tag
+        gt_path, imu_path = tdir / "gt.csv", tdir / "imu_noisy.csv"
         if not tdir.is_dir():
             raise ValueError(f"missing trajectory directory {tdir}; run simulate first")
-        series[tag] = (read_gt_csv(tdir / "gt.csv"), read_imu_csv(tdir / "imu_noisy.csv"))
+        for path in (gt_path, imu_path):
+            if not path.is_file():
+                raise ValueError(f"missing trajectory file {path}; run simulate first")
+        series[tag] = (read_gt_csv(gt_path), read_imu_csv(imu_path))
     return series
 
 

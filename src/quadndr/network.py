@@ -46,8 +46,10 @@ class NetConfig:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.window <= 0:
             raise ValueError(f"window must be > 0, got {self.window!r}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
+        # a Leaky ReLU's negative slope; the layers form its derivative as
+        # max(z > 0, alpha), which is 1 or alpha only for alpha <= 1
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         # an even kernel would make each padded conv one sample longer
@@ -115,7 +117,17 @@ class _Workspace:
     """Named flat buffers, grown on demand. ``get`` hands out a contiguous
     prefix of one in the requested shape, so a training step writes into
     memory that earlier steps already touched. A view stays valid until the
-    next ``get`` of its name."""
+    next ``get`` of its name.
+
+    A name is shared by arrays that are never live at the same time:
+    ``conv.in`` holds each conv's padded input in the forward pass and each
+    padded input gradient in the backward pass, and ``conv.z`` and
+    ``fcN.z`` hold a layer's pre-activation and then its gradient, which
+    the backward pass forms only after the forward pass is done with the
+    pre-activation. A layer's input gradient overwrites the input it caches
+    once its weight gradient has read it: a conv's goes into its im2col
+    columns ``convN.cols``, and a dense layer's into its input, ``flat`` or
+    the previous layer's activation."""
 
     def __init__(self):
         self._bufs = {}
@@ -128,15 +140,13 @@ class _Workspace:
         return buf[:n].reshape(shape)
 
 
-def _leaky_slope(z, alpha, ws, name):
-    """Leaky ReLU derivative of ``z`` into buffer ``name``: 1 where z > 0 and
-    alpha elsewhere, at exactly 0 and at NaN included."""
-    mask = ws.get("slope.mask", z.shape, bool)
-    np.greater(z, 0, out=mask)
-    slope = ws.get(name, z.shape)
-    slope.fill(alpha)
-    np.copyto(slope, 1.0, where=mask)
-    return slope
+def _leaky(positive, alpha, x, out):
+    """``out = max(positive, alpha) * x``: a Leaky ReLU, or the gradient through
+    one, whose ``z > 0`` mask is ``positive``. The slope is alpha at exactly 0
+    and at NaN too; a product commutes, so the bits are those of ``x * slope``."""
+    np.maximum(positive, alpha, out=out)
+    out *= x
+    return out
 
 
 def _dropout(a, rate: float, rng, ws, name):
@@ -192,14 +202,15 @@ def _conv_param_grads(dz, cols, w, ws, name):
     return dw.reshape(w.shape), db
 
 
-def _conv_input_grad(dz, w, ws, pad):
-    """The (in, B, Lout + kernel - 1 - 2*pad) input gradient of one conv."""
+def _conv_input_grad(dz, w, cols, ws, pad):
+    """The (in, B, Lout + kernel - 1 - 2*pad) input gradient of one conv, in
+    buffer ``conv.in``; its columns overwrite ``cols``, the layer's im2col
+    columns, which are dead once its weight gradient is formed."""
     cout, cin, kernel = w.shape
     _, B, lout = dz.shape
-    dcols = np.matmul(w.reshape(cout, cin * kernel).T, dz.reshape(cout, B * lout),
-                      out=ws.get("conv.dcols", (cin * kernel, B * lout)))
+    dcols = np.matmul(w.reshape(cout, cin * kernel).T, dz.reshape(cout, B * lout), out=cols)
     dcols = dcols.reshape(cin, kernel, B, lout)
-    dxp = ws.get("conv.dx", (cin, B, lout + kernel - 1))
+    dxp = ws.get("conv.in", (cin, B, lout + kernel - 1))
     dxp.fill(0.0)
     for k in range(kernel):
         dxp[:, :, k:k + lout] += dcols[:, k]
@@ -234,14 +245,14 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         for i in range(nconv):
             name = f"{prefix}{i + 1}"
             z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], ws, name)
-            slope = _leaky_slope(z, cfg.alpha, ws, name + ".slope")
-            conv_cache.append((name, cols, slope))
+            positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
+            conv_cache.append((name, cols, positive))
             if i == nconv - 1:
                 act = feats[:, bi].transpose(1, 0, 2)
             else:
                 h = _padded(ws, chans[i + 1], B, L, pad)
                 act = h[:, :, pad:pad + L]
-            np.multiply(z, slope, out=act)
+            _leaky(positive, cfg.alpha, z, act)
 
     dense_cache = []
     h = feats.reshape(B, cfg.feature_dim)
@@ -249,10 +260,10 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         name = f"fc{i + 1}"
         z = np.matmul(h, params[name + ".w"].T, out=ws.get(name + ".z", (B, width)))
         z += params[name + ".b"]
-        slope = _leaky_slope(z, cfg.alpha, ws, name + ".slope")
-        a = np.multiply(z, slope, out=z)  # z is not needed past its slope
+        positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
+        a = _leaky(positive, cfg.alpha, z, ws.get(name + ".act", z.shape))
         a, mask = _dropout(a, cfg.dropout, rng, ws, name)
-        dense_cache.append((name, h, slope, mask))
+        dense_cache.append((name, h, positive, mask))
         h = a
     out = np.matmul(h, params["head.w"].T, out=ws.get("head.out", (B, cfg.out_dim)))
     out += params["head.b"]
@@ -264,15 +275,15 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     grads = {}
     grads["head.w"] = np.matmul(dout.T, head_in, out=ws.get("grad head.w", params["head.w"].shape))
     grads["head.b"] = np.sum(dout, axis=0, out=ws.get("grad head.b", params["head.b"].shape))
-    dh = np.matmul(dout, params["head.w"], out=ws.get("head.dx", head_in.shape))
-    for name, h_in, slope, mask in reversed(dense_cache):
+    dh = np.matmul(dout, params["head.w"], out=head_in)
+    for name, h_in, positive, mask in reversed(dense_cache):
         if mask is not None:
             dh *= mask
-        dh *= slope
+        dz = _leaky(positive, cfg.alpha, dh, ws.get(name + ".z", dh.shape))
         w = params[name + ".w"]
-        grads[name + ".w"] = np.matmul(dh.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
-        grads[name + ".b"] = np.sum(dh, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
-        dh = np.matmul(dh, w, out=ws.get(name + ".dx", h_in.shape))
+        grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
+        grads[name + ".b"] = np.sum(dz, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
+        dh = np.matmul(dz, w, out=h_in)
 
     chans = cfg.conv_channels
     nconv = len(chans) - 1
@@ -281,12 +292,12 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     for bi in range(len(cfg.branches)):
         da = dfeats[:, bi].transpose(1, 0, 2)
         for i in reversed(range(nconv)):
-            name, cols, slope = conv_cache[bi * nconv + i]
+            name, cols, positive = conv_cache[bi * nconv + i]
             w = params[name + ".w"]
-            dz = np.multiply(da, slope, out=ws.get("conv.dz", slope.shape))
+            dz = _leaky(positive, cfg.alpha, da, ws.get("conv.z", positive.shape))
             grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
             if i > 0:  # the network's input needs no gradient
-                da = _conv_input_grad(dz, w, ws, pad)
+                da = _conv_input_grad(dz, w, cols, ws, pad)
     return grads
 
 
@@ -362,7 +373,11 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     out-of-place form. Each block is walked in chunks of _ADAM_CHUNK elements,
     so the scratch is two chunk-sized arrays whatever the block size."""
     for k, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        # a finite sum needs every term finite; only a block whose sum is not
+        # finite (or overflows) pays for the elementwise check
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.sum(g))
+        if not (finite or np.all(np.isfinite(g))):
             raise TrainingDiverged(f"non-finite gradient in block {k!r}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2

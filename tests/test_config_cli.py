@@ -140,12 +140,17 @@ def _edit_entries(edit):
     return rewrite
 
 
+def _set_header(**fields):
+    def edit(entries):
+        header = json.loads(str(entries["header"]))
+        entries["header"] = np.array(json.dumps({**header, **fields}))
+    return edit
+
+
 def _even_kernel(entries):
     # header kernel=4, and every conv weight padded to 4 taps so that the
     # block shapes agree with the header
-    header = json.loads(str(entries["header"]))
-    header["kernel"] = 4
-    entries["header"] = np.array(json.dumps(header))
+    _set_header(kernel=4)(entries)
     for name, arr in entries.items():
         if arr.ndim == 3:
             entries[name] = np.concatenate([arr, np.zeros(arr.shape[:2] + (1,))], axis=2)
@@ -245,6 +250,7 @@ MALFORMED_INPUTS = {
         _edit_entries(lambda entries: entries.update({"fc1.w": entries["fc1.w"].T}))),
     "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
     "model_even_kernel": _eval_edited_model(_edit_entries(_even_kernel)),
+    "model_alpha_above_one": _eval_edited_model(_edit_entries(_set_header(alpha=2))),
     "eval_model_window_differs": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out, window_size=10, stride=10)),
          "--models", str(model)], model),
@@ -441,6 +447,29 @@ def test_bad_setting_error_names_key_and_value(command, setting, trained, tmp_pa
     assert err.startswith("error:") and err.count("\n") == 1, err
     key, value = _parse_pair(setting)
     assert key in err and repr(value) in err, err
+
+
+def test_failed_simulate_leaves_no_flight_directory(tmp_path):
+    exp = tmp_path / "exp"
+    code, err = _run_main(["simulate", *_sets(tiny_overrides(exp)),
+                           "--set", "accel_noise_std=1e308"])
+    assert code == 1 and "accel_noise_std" in err, err
+    assert not (exp / "traj_00").exists()
+    code, err = _run_main(["train", *_sets(tiny_overrides(exp))])
+    assert code == 1
+    assert err == f"error: missing trajectory directory {exp / 'traj_00'}; run simulate first\n"
+
+
+@pytest.mark.parametrize("name", ["gt.csv", "imu_noisy.csv"])
+def test_flight_without_its_csv_asks_for_simulate(name, trained, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    missing = exp / "traj_01" / name
+    missing.unlink()
+    for command in (["train"], ["eval", "--models", str(trained[1])]):
+        code, err = _run_main([command[0], *_sets(tiny_overrides(exp)), *command[1:]])
+        assert code == 1
+        assert err == f"error: missing trajectory file {missing}; run simulate first\n"
 
 
 @pytest.mark.parametrize("setting", ["hover_height=1e308", "hover_height=-1e308",

@@ -3,6 +3,7 @@ import io
 import re
 import tempfile
 import tracemalloc
+import warnings
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -372,7 +373,9 @@ class TestInPlaceAdam:
             assert type(params[k]) is type(a), k
             assert np.asarray(params[k]).tobytes() == np.asarray(a).tobytes(), k
 
-    def test_step_allocates_at_most_two_and_a_half_blocks(self):
+    def test_step_allocates_only_two_scratch_chunks(self):
+        # neither the finiteness check nor the update makes a block-sized
+        # temporary: the two chunks are 0.033 of this block
         rng = np.random.default_rng(14)
         params = {"w": rng.normal(size=(1000, 1000))}
         grads = {"w": rng.normal(size=(1000, 1000))}
@@ -384,7 +387,37 @@ class TestInPlaceAdam:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * params["w"].nbytes
+        assert peak <= 0.05 * params["w"].nbytes
+
+    def test_finite_block_whose_sum_overflows_still_steps(self):
+        rng = np.random.default_rng(15)
+        params = {"a.w": rng.normal(size=(4, 3)), "b.b": rng.normal(size=5)}
+        state = AdamState.for_params(params)
+        ref_params = {k: p.copy() for k, p in params.items()}
+        ref_state = AdamState.for_params(ref_params)
+        grads = {"a.w": rng.normal(size=(4, 3)), "b.b": np.full(5, 1e308)}
+        with np.errstate(over="ignore"):
+            adam_step(params, grads, state)
+            ref_params, ref_state = out_of_place_adam(ref_params, grads, ref_state)
+        _assert_bit_equal((params, state.m, state.v), (ref_params, ref_state.m, ref_state.v))
+        assert state.t == ref_state.t == 1
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "inf_and_-inf"])
+    def test_non_finite_entries_change_nothing(self, bad):
+        rng = np.random.default_rng(16)
+        params = {"a.w": rng.normal(size=(4, 3)), "b.w": rng.normal(size=(6, 5))}
+        state = AdamState.for_params(params)
+        adam_step(params, {k: rng.normal(size=p.shape) for k, p in params.items()}, state)
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        grads["b.w"].flat[[7, 20][:len(bad)]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check itself prints nothing
+            with pytest.raises(TrainingDiverged, match="'b.w'"):
+                adam_step(params, grads, state)
+        _assert_bit_equal((params, state.m, state.v), before)
+        assert state.t == 1
 
 
 def _net(arch, **kw):
@@ -403,6 +436,9 @@ BITWISE_NETS = {
     "multi_no_hidden": (_net("multi", dense_widths=()), 5),
     "single_batch1": (_net("single"), 1),
     "multi_batch1": (_net("multi"), 1),
+    # the Leaky ReLU slope max(z > 0, alpha) at a mid and at the largest alpha
+    **{f"{arch}_alpha{a}": (_net(arch, alpha=a), 5) for arch in ("single", "multi")
+       for a in (0.3, 1.0)},
 }
 
 
@@ -455,6 +491,39 @@ class TestWorkspace:
             want = fresh_loss_and_gradients(params, cfg, x, y, rng=ref_rng)
             got = loss_and_gradients(params, cfg, x, y, rng=rng, workspace=ws)
             _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_training_and_inference_passes_share_a_workspace(self, arch):
+        # the inference pass leaves the dropout buffers as they were, and the
+        # backward pass overwrites cached inputs; neither may leak into the next
+        cfg = _net(arch, dropout=0.5)
+        ws = _Workspace()
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for seed, training in enumerate((True, False, True, False, True)):
+            params, x, y = _bitwise_case(cfg, 6, seed)
+            want = fresh_loss_and_gradients(params, cfg, x, y, rng=ref_rng if training else None)
+            got = loss_and_gradients(params, cfg, x, y, rng=rng if training else None,
+                                     workspace=ws)
+            _assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_workspace_holds_no_buffer_beyond_the_live_set(self, arch):
+        cfg = _net(arch, kernel=5, dropout=0.5)
+        B, L, k, chans = 7, cfg.window, cfg.kernel, cfg.conv_channels
+        params, x, y = _bitwise_case(cfg, B, seed=2)
+        ws = _Workspace()
+        loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
+        convs = list(zip(chans[:-1], chans[1:])) * len(cfg.branches)
+        floats = (sum(p.size for p in params.values())                  # gradients
+                  + sum(cin * k * B * L for cin, _ in convs)            # one im2col each
+                  + 4 * sum(B * w for w in cfg.dense_widths)            # z, act, dropout
+                  + B * cfg.out_dim                                     # predictions
+                  + B * cfg.feature_dim                                 # flat
+                  + max(chans[1:]) * B * L                              # conv.z
+                  + max(chans[:-1]) * B * (L + k - 1))                  # conv.in
+        bools = sum(cout * B * L for _, cout in convs) + sum(B * w for w in cfg.dense_widths)
+        bound = 8 * floats + bools
+        assert sum(buf.nbytes for buf in ws._bufs.values()) <= bound
 
     def test_calls_without_workspace_do_not_alias(self):
         params, x, y = _bitwise_case(TINY_MULTI, 4, seed=10)
@@ -720,6 +789,12 @@ class TestNetConfigValidation:
         with pytest.raises(ValueError, match=field) as exc:
             NetConfig(arch="single", window=8, **{field: widths})
         assert bad in str(exc.value)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.01, 1.0000000000000002, 2.0, np.inf, np.nan])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha") as exc:
+            NetConfig(arch="single", window=8, alpha=alpha)
+        assert repr(alpha) in str(exc.value)
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError):
