@@ -27,7 +27,8 @@ DENSE_WIDTHS = (512, 128)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient turns non-finite during training."""
+    """Raised when a loss or gradient turns non-finite during training, or a
+    gradient grows too large for Adam's second moment."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,9 @@ class _Workspace:
     """Named flat buffers, grown on demand. ``get`` hands out a contiguous
     prefix of one in the requested shape, so a training step writes into
     memory that earlier steps already touched. A view stays valid until the
-    next ``get`` of its name.
+    next ``get`` of its name; a buffer that is sliced further, ``arena``, is
+    sized for the whole pass before the views are taken, because a grown
+    buffer leaves the views of its old memory holding that memory alive.
 
     A name is shared by arrays that are never live at the same time:
     ``conv.in`` holds each conv's padded input in the forward pass and each
@@ -126,8 +129,14 @@ class _Workspace:
     the backward pass forms only after the forward pass is done with the
     pre-activation. A layer's input gradient overwrites the input it caches
     once its weight gradient has read it: a conv's goes into its im2col
-    columns ``convN.cols``, and a dense layer's into its input, ``flat`` or
-    the previous layer's activation."""
+    columns, and a dense layer's into its input, the previous layer's
+    activation. ``arena`` holds every conv's im2col columns, one after
+    another, then the gradient of ``flat``, the flattened conv features.
+    ``flat`` itself stays intact, because the dense layer that reads it
+    forms its weight gradient last, after the conv backward pass: by then
+    every im2col buffer and the gradient of ``flat`` are dead, and that
+    weight gradient, the largest block of the default network, goes into
+    the start of ``arena``."""
 
     def __init__(self):
         self._bufs = {}
@@ -171,18 +180,24 @@ def _padded(ws, channels, batch, length, pad):
     return h
 
 
-def _conv_forward(xp, w, b, ws, name):
+def _im2col_floats(cfg: NetConfig, batch: int) -> int:
+    """Floats in all of one pass's im2col columns, (in*kernel, batch*window)
+    per conv."""
+    return len(cfg.branches) * sum(cfg.conv_channels[:-1]) * cfg.kernel * batch * cfg.window
+
+
+def _conv_forward(xp, w, b, ws, name, free):
     """Cross-correlate a zero-padded channel-major (in, B, Lp) input with
     (out, in, kernel) weights; returns the (out, B, Lp - kernel + 1)
-    pre-activation and the (in*kernel, B*Lout) im2col columns, kept in
-    buffer ``name``."""
+    pre-activation and the (in*kernel, B*Lout) im2col columns, kept at the
+    start of the flat buffer ``free``."""
     cin, B, lp = xp.shape
     cout, w_cin, kernel = w.shape
     if w_cin != cin or lp < kernel:
         raise ValueError(f"conv {name}: input of shape {xp.shape} does not fit"
                          f" weights of shape {w.shape}")
     lout = lp - kernel + 1
-    cols = ws.get(name + ".cols", (cin, kernel, B, lout))
+    cols = free[:cin * kernel * B * lout].reshape(cin, kernel, B, lout)
     win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
     np.copyto(cols, win.transpose(0, 3, 1, 2))
     cols = cols.reshape(cin * kernel, B * lout)
@@ -221,18 +236,26 @@ def _conv_input_grad(dz, w, cols, ws, pad):
 # Full forward / backward
 
 
-def _forward(params, cfg: NetConfig, x, ws, rng=None):
-    """Batched forward pass into ``ws`` (dropout on when ``rng`` is given); returns
-    predictions and the backward cache. Conv activations are channel-major, (C, B, L)."""
-    x = np.asarray(x, dtype=float)
+def _as_windows(cfg: NetConfig, inputs) -> np.ndarray:
+    """``inputs`` as a float (B, 6, window) array, or ValueError."""
+    x = np.asarray(inputs, dtype=float)
     if x.ndim != 3 or x.shape[1] != 6 or x.shape[2] != cfg.window:
         raise ValueError(f"expected input of shape (B, 6, {cfg.window})")
+    return x
+
+
+def _forward(params, cfg: NetConfig, x, ws, rng=None):
+    """Batched forward pass of ``_as_windows`` input ``x`` into ``ws`` (dropout on
+    when ``rng`` is given); returns predictions and the backward cache. Conv
+    activations are channel-major, (C, B, L)."""
     B, L = x.shape[0], cfg.window
     pad = cfg.kernel // 2
     chans = cfg.conv_channels
     nconv = len(chans) - 1
     # per branch, the last conv output; flattened it is the dense input
     feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
+    # the im2col columns of each conv in turn fill buffer "arena" from the start
+    free = ws.get("arena", (_im2col_floats(cfg, B),))
 
     conv_cache = []
     for bi, prefix in enumerate(cfg.branches):
@@ -244,7 +267,8 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         np.copyto(h[:, :, pad:pad + L], branch_x.transpose(1, 0, 2))
         for i in range(nconv):
             name = f"{prefix}{i + 1}"
-            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], ws, name)
+            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], ws, name, free)
+            free = free[cols.size:]
             positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
             conv_cache.append((name, cols, positive))
             if i == nconv - 1:
@@ -272,23 +296,36 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
 
 def _backward(params, cfg: NetConfig, cache, dout, ws):
     conv_cache, dense_cache, head_in = cache
+    B = dout.shape[0]
+    # the dense layers from the head back; the last of them reads the flat features
+    dense = [("head", head_in, None, None), *reversed(dense_cache)]
+    flat = dense[-1][1]
+    ncols = _im2col_floats(cfg, B)
     grads = {}
-    grads["head.w"] = np.matmul(dout.T, head_in, out=ws.get("grad head.w", params["head.w"].shape))
-    grads["head.b"] = np.sum(dout, axis=0, out=ws.get("grad head.b", params["head.b"].shape))
-    dh = np.matmul(dout, params["head.w"], out=head_in)
-    for name, h_in, positive, mask in reversed(dense_cache):
-        if mask is not None:
-            dh *= mask
-        dz = _leaky(positive, cfg.alpha, dh, ws.get(name + ".z", dh.shape))
+    for name, h_in, positive, mask in dense:
+        if positive is None:
+            dz = dout
+        else:
+            if mask is not None:
+                dh *= mask
+            dz = _leaky(positive, cfg.alpha, dh, ws.get(name + ".z", dh.shape))
         w = params[name + ".w"]
-        grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
+        if h_in is flat:
+            # formed after the conv backward pass; the key keeps its place
+            grads[name + ".w"] = None
+            dh_out = ws.get("arena", (ncols + flat.size,))[ncols:].reshape(flat.shape)
+        else:
+            grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
+            dh_out = h_in
         grads[name + ".b"] = np.sum(dz, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
-        dh = np.matmul(dz, w, out=h_in)
+        dh = np.matmul(dz, w, out=dh_out)
+
+    flat_name, flat_dz = name, dz  # the loop ends at the layer that reads flat
 
     chans = cfg.conv_channels
     nconv = len(chans) - 1
     pad = cfg.kernel // 2
-    dfeats = dh.reshape(dh.shape[0], len(cfg.branches), chans[-1], cfg.window)
+    dfeats = dh.reshape(B, len(cfg.branches), chans[-1], cfg.window)
     for bi in range(len(cfg.branches)):
         da = dfeats[:, bi].transpose(1, 0, 2)
         for i in reversed(range(nconv)):
@@ -298,12 +335,15 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
             if i > 0:  # the network's input needs no gradient
                 da = _conv_input_grad(dz, w, cols, ws, pad)
+    # every im2col buffer and the gradient of flat are dead now
+    grads[flat_name + ".w"] = np.matmul(
+        flat_dz.T, flat, out=ws.get("arena", params[flat_name + ".w"].shape))
     return grads
 
 
 def predict(params, cfg: NetConfig, inputs) -> np.ndarray:
     """Batched inference on (M, 6, n) windows."""
-    out, _ = _forward(params, cfg, inputs, _Workspace())
+    out, _ = _forward(params, cfg, _as_windows(cfg, inputs), _Workspace())
     return out
 
 
@@ -325,8 +365,14 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     workspace's buffers, so the returned gradients and predictions are views,
     valid until the workspace's next use."""
     ws = _Workspace() if workspace is None else workspace
+    x = _as_windows(cfg, inputs)
     targets = np.asarray(targets, dtype=float)
-    out, cache = _forward(params, cfg, inputs, ws, rng=rng)
+    # sized once for the step: grown later, it would hold its old and new
+    # memory together (see _Workspace)
+    batch, flat_out = x.shape[0], (cfg.dense_widths + (cfg.out_dim,))[0]
+    ws.get("arena", (max(_im2col_floats(cfg, batch) + batch * cfg.feature_dim,
+                         flat_out * cfg.feature_dim),))
+    out, cache = _forward(params, cfg, x, ws, rng=rng)
     if targets.shape != out.shape:
         raise ValueError("target shape does not match network output")
     loss = mse_loss(out, targets)
@@ -360,25 +406,30 @@ class AdamState:
 
 # elements per chunk of one Adam pass: six chunk-sized arrays fit in L2 cache
 _ADAM_CHUNK = 16384
+# the largest gradient entry Adam takes: v_hat is at most the largest squared
+# entry, so v and v_hat stay finite, with a factor 4 to spare
+_ADAM_GRAD_MAX = 2.0 ** 511
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
     """One Adam update in place: overwrites ``params[k]``, ``state.m[k]`` and
     ``state.v[k]``, advances ``state.t`` and returns the same two objects.
 
-    Every gradient block is checked finite before any array changes, so
-    TrainingDiverged leaves params and state as they were. The operation order
-    is the textbook one, ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
+    Before any array changes, every gradient block is checked finite and
+    within _ADAM_GRAD_MAX in magnitude, so TrainingDiverged leaves params and
+    state as they were. The operation order is the textbook one,
+    ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
     ``p - (lr*m_hat)/(sqrt(v_hat)+eps)``, so results are bitwise those of the
     out-of-place form. Each block is walked in chunks of _ADAM_CHUNK elements,
     so the scratch is two chunk-sized arrays whatever the block size."""
     for k, g in grads.items():
-        # a finite sum needs every term finite; only a block whose sum is not
-        # finite (or overflows) pays for the elementwise check
+        # a sum of squares within the bound's square bounds every entry; only a
+        # block past it (or whose sum overflows) pays for the elementwise check
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(np.sum(g))
-        if not (finite or np.all(np.isfinite(g))):
-            raise TrainingDiverged(f"non-finite gradient in block {k!r}")
+            if not (np.vdot(g, g) <= _ADAM_GRAD_MAX ** 2
+                    or np.all(np.abs(g) <= _ADAM_GRAD_MAX)):
+                raise TrainingDiverged(f"gradient in block {k!r} is non-finite or"
+                                       f" above {_ADAM_GRAD_MAX:.3g} in magnitude")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
@@ -439,7 +490,8 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
 
     The last partial batch is kept. Every ``adam_step`` updates the arrays
     of ``params`` in place; before any changes, a block that is not a
-    writeable float64 ndarray raises ValueError naming it. Returns the same
+    writeable float64 ndarray raises ValueError naming it, and so do labels
+    whose row count is not that of ``inputs``. Returns the same
     ``params`` dict and the per-epoch mean loss history.
     """
     for k, p in params.items():
@@ -450,6 +502,9 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
     m = inputs.shape[0]
     if m == 0:
         raise ValueError("training set is empty")
+    if labels.shape[:1] != (m,):
+        raise ValueError(f"{len(labels) if labels.ndim else 0} label rows"
+                         f" for {m} input windows")
     rng = np.random.default_rng(tcfg.seed)
     state = AdamState.for_params(params, lr=tcfg.lr)
     workspace = _Workspace()
