@@ -158,6 +158,10 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     sets = {tag: window_series(imu, gt, spec, tag) for tag, (gt, imu) in series.items()}
     train_tags, _ = split_tags(list(series), cfg.test_fraction, cfg.seed)
     train_set = concat_sets([s for tag, s in sets.items() if tag in train_tags])
+    if len(train_set) == 0:
+        longest = max(len(series[tag][0]) for tag in train_tags)
+        raise ValueError(f"no training windows: window_size {cfg.window_size!r} does not"
+                         f" fit in any training flight (the longest has {longest} samples)")
     train_set, norm = normalize(train_set)
     labels = train_set.labels
     if arch == "baseline":
@@ -192,6 +196,9 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
         if net_cfg.window != cfg.window_size:
             raise ValueError(f"{path}: model window {net_cfg.window} does not match"
                              f" window_size {cfg.window_size}")
+        if net_cfg.out_dim not in (3, 2):
+            raise ValueError(f"{path}: model out_dim {net_cfg.out_dim} is neither 3 (xyz)"
+                             f" nor 2 (the baseline's distance, dz)")
         label = "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
         table.append((label, sum(row[0] == label for row in table), params, net_cfg, norm))
 

@@ -45,8 +45,11 @@ class NetConfig:
     def __post_init__(self):
         if self.arch not in ("single", "multi"):
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.window <= 0:
-            raise ValueError(f"window must be > 0, got {self.window!r}")
+        # a float would pass every shape check and fail as a buffer size
+        for field in ("window", "out_dim"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{field} must be an int >= 1, got {value!r}")
         # a Leaky ReLU's negative slope; the layers form its derivative as
         # max(z > 0, alpha), which is 1 or alpha only for alpha <= 1
         if not 0.0 < self.alpha <= 1.0:
@@ -123,20 +126,21 @@ class _Workspace:
     buffer leaves the views of its old memory holding that memory alive.
 
     A name is shared by arrays that are never live at the same time:
-    ``conv.in`` holds each conv's padded input in the forward pass and each
-    padded input gradient in the backward pass, and ``conv.z`` and
-    ``fcN.z`` hold a layer's pre-activation and then its gradient, which
-    the backward pass forms only after the forward pass is done with the
-    pre-activation. A layer's input gradient overwrites the input it caches
-    once its weight gradient has read it: a conv's goes into its im2col
-    columns, and a dense layer's into its input, the previous layer's
-    activation. ``arena`` holds every conv's im2col columns, one after
-    another, then the gradient of ``flat``, the flattened conv features.
+    ``fcN.z`` holds a dense layer's pre-activation and then its gradient,
+    which the backward pass forms only after the forward pass is done with
+    the pre-activation, and a dense layer's input gradient overwrites its
+    input, the previous layer's activation, once its weight gradient has
+    read it. ``arena`` holds the conv layers (see ``_arena_floats``): every
+    conv's zero-padded input, which the backward pass needs, and then one
+    region each for the im2col columns, the pre-activation and the padded
+    input gradient of the conv at hand, sized for the largest conv, and the
+    gradient of ``flat``, the flattened conv features. The backward pass
+    rebuilds a conv's columns from its input before it forms that conv's
+    weight gradient, and the columns of its input gradient overwrite them.
     ``flat`` itself stays intact, because the dense layer that reads it
     forms its weight gradient last, after the conv backward pass: by then
-    every im2col buffer and the gradient of ``flat`` are dead, and that
-    weight gradient, the largest block of the default network, goes into
-    the start of ``arena``."""
+    all of ``arena`` is dead, and that weight gradient, the largest block of
+    the default network, goes into its start."""
 
     def __init__(self):
         self._bufs = {}
@@ -171,40 +175,54 @@ def _dropout(a, rate: float, rng, ws, name):
     return np.multiply(a, mask, out=ws.get(name + ".out", a.shape)), mask
 
 
-def _padded(ws, channels, batch, length, pad):
-    """The shared conv input buffer, (channels, batch, length + 2*pad), with
-    its pad columns zeroed; the caller fills the interior."""
-    h = ws.get("conv.in", (channels, batch, length + 2 * pad))
-    h[:, :, :pad] = 0.0
-    h[:, :, pad + length:] = 0.0
-    return h
+def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
+    """Floats in each region of buffer ``arena`` in one pass, in order: every
+    conv's zero-padded (in, B, Lp) input; then, sized for the largest conv,
+    one conv's (in*kernel, B*window) im2col columns, its pre-activation (its
+    gradient in the backward pass) and its padded input gradient, which the
+    first conv of a branch does not form; last, the gradient of ``flat``."""
+    chans = cfg.conv_channels
+    length, padded = batch * cfg.window, batch * (cfg.window + cfg.kernel - 1)
+    return (len(cfg.branches) * sum(chans[:-1]) * padded,
+            max(chans[:-1], default=0) * cfg.kernel * length,
+            max(chans[1:], default=0) * length,
+            max(chans[1:-1], default=0) * padded,
+            batch * cfg.feature_dim)
 
 
-def _im2col_floats(cfg: NetConfig, batch: int) -> int:
-    """Floats in all of one pass's im2col columns, (in*kernel, batch*window)
-    per conv."""
-    return len(cfg.branches) * sum(cfg.conv_channels[:-1]) * cfg.kernel * batch * cfg.window
+def _arena_regions(ws, cfg: NetConfig, batch: int, count: int) -> list:
+    """The first ``count`` regions of ``arena``, as flat views."""
+    sizes = _arena_floats(cfg, batch)[:count]
+    return np.split(ws.get("arena", (sum(sizes),)), np.cumsum(sizes[:-1]))
 
 
-def _conv_forward(xp, w, b, ws, name, free):
+def _im2col(xp, kernel, free):
+    """The (in*kernel, B*Lout) im2col columns of a zero-padded channel-major
+    (in, B, Lp) input, at the start of the flat buffer ``free``."""
+    cin, B, lp = xp.shape
+    lout = lp - kernel + 1
+    cols = free[:cin * kernel * B * lout].reshape(cin, kernel, B, lout)
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
+    np.copyto(cols, win.transpose(0, 3, 1, 2))
+    return cols.reshape(cin * kernel, B * lout)
+
+
+def _conv_forward(xp, w, b, name, cols_free, z_free):
     """Cross-correlate a zero-padded channel-major (in, B, Lp) input with
     (out, in, kernel) weights; returns the (out, B, Lp - kernel + 1)
-    pre-activation and the (in*kernel, B*Lout) im2col columns, kept at the
-    start of the flat buffer ``free``."""
+    pre-activation at the start of the flat buffer ``z_free``. Its im2col
+    columns go to the start of ``cols_free``."""
     cin, B, lp = xp.shape
     cout, w_cin, kernel = w.shape
     if w_cin != cin or lp < kernel:
         raise ValueError(f"conv {name}: input of shape {xp.shape} does not fit"
                          f" weights of shape {w.shape}")
-    lout = lp - kernel + 1
-    cols = free[:cin * kernel * B * lout].reshape(cin, kernel, B, lout)
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    np.copyto(cols, win.transpose(0, 3, 1, 2))
-    cols = cols.reshape(cin * kernel, B * lout)
-    z = np.matmul(w.reshape(cout, cin * kernel), cols, out=ws.get("conv.z", (cout, B * lout)))
-    z = z.reshape(cout, B, lout)
+    cols = _im2col(xp, kernel, cols_free)
+    z = z_free[:cout * cols.shape[1]].reshape(cout, cols.shape[1])
+    np.matmul(w.reshape(cout, cin * kernel), cols, out=z)
+    z = z.reshape(cout, B, lp - kernel + 1)
     z += b[:, None, None]
-    return z, cols
+    return z
 
 
 def _conv_param_grads(dz, cols, w, ws, name):
@@ -217,15 +235,16 @@ def _conv_param_grads(dz, cols, w, ws, name):
     return dw.reshape(w.shape), db
 
 
-def _conv_input_grad(dz, w, cols, ws, pad):
-    """The (in, B, Lout + kernel - 1 - 2*pad) input gradient of one conv, in
-    buffer ``conv.in``; its columns overwrite ``cols``, the layer's im2col
-    columns, which are dead once its weight gradient is formed."""
+def _conv_input_grad(dz, w, cols, dxp_free, pad):
+    """The (in, B, Lout + kernel - 1 - 2*pad) input gradient of one conv,
+    padded at the start of the flat buffer ``dxp_free``; its columns
+    overwrite ``cols``, the layer's im2col columns, which are dead once its
+    weight gradient is formed."""
     cout, cin, kernel = w.shape
     _, B, lout = dz.shape
     dcols = np.matmul(w.reshape(cout, cin * kernel).T, dz.reshape(cout, B * lout), out=cols)
     dcols = dcols.reshape(cin, kernel, B, lout)
-    dxp = ws.get("conv.in", (cin, B, lout + kernel - 1))
+    dxp = dxp_free[:cin * B * (lout + kernel - 1)].reshape(cin, B, lout + kernel - 1)
     dxp.fill(0.0)
     for k in range(kernel):
         dxp[:, :, k:k + lout] += dcols[:, k]
@@ -254,8 +273,12 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     nconv = len(chans) - 1
     # per branch, the last conv output; flattened it is the dense input
     feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
-    # the im2col columns of each conv in turn fill buffer "arena" from the start
-    free = ws.get("arena", (_im2col_floats(cfg, B),))
+    inputs, cols_free, z_free = _arena_regions(ws, cfg, B, 3)
+    # every conv's padded input, stacked on the channel axis, handed out in turn
+    xp = inputs.reshape(len(cfg.branches) * sum(chans[:-1]), B, L + 2 * pad)
+    xp[:, :, :pad] = 0.0
+    xp[:, :, pad + L:] = 0.0
+    padded = iter(np.split(xp, np.cumsum(chans[:-1] * len(cfg.branches))[:-1]))
 
     conv_cache = []
     for bi, prefix in enumerate(cfg.branches):
@@ -263,18 +286,18 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         if nconv == 0:
             np.copyto(feats[:, bi], branch_x)
             continue
-        h = _padded(ws, chans[0], B, L, pad)
+        h = next(padded)
         np.copyto(h[:, :, pad:pad + L], branch_x.transpose(1, 0, 2))
         for i in range(nconv):
             name = f"{prefix}{i + 1}"
-            z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], ws, name, free)
-            free = free[cols.size:]
+            z = _conv_forward(h, params[name + ".w"], params[name + ".b"], name,
+                              cols_free, z_free)
             positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
-            conv_cache.append((name, cols, positive))
+            conv_cache.append((name, h, positive))
             if i == nconv - 1:
                 act = feats[:, bi].transpose(1, 0, 2)
             else:
-                h = _padded(ws, chans[i + 1], B, L, pad)
+                h = next(padded)
                 act = h[:, :, pad:pad + L]
             _leaky(positive, cfg.alpha, z, act)
 
@@ -300,7 +323,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     # the dense layers from the head back; the last of them reads the flat features
     dense = [("head", head_in, None, None), *reversed(dense_cache)]
     flat = dense[-1][1]
-    ncols = _im2col_floats(cfg, B)
+    _, cols_free, z_free, dxp_free, dflat = _arena_regions(ws, cfg, B, 5)
     grads = {}
     for name, h_in, positive, mask in dense:
         if positive is None:
@@ -313,7 +336,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         if h_in is flat:
             # formed after the conv backward pass; the key keeps its place
             grads[name + ".w"] = None
-            dh_out = ws.get("arena", (ncols + flat.size,))[ncols:].reshape(flat.shape)
+            dh_out = dflat.reshape(flat.shape)
         else:
             grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
             dh_out = h_in
@@ -329,13 +352,15 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     for bi in range(len(cfg.branches)):
         da = dfeats[:, bi].transpose(1, 0, 2)
         for i in reversed(range(nconv)):
-            name, cols, positive = conv_cache[bi * nconv + i]
+            name, xp, positive = conv_cache[bi * nconv + i]
             w = params[name + ".w"]
-            dz = _leaky(positive, cfg.alpha, da, ws.get("conv.z", positive.shape))
+            dz = _leaky(positive, cfg.alpha, da, z_free[:positive.size].reshape(positive.shape))
+            # the forward pass kept the conv's input, not its columns
+            cols = _im2col(xp, cfg.kernel, cols_free)
             grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
             if i > 0:  # the network's input needs no gradient
-                da = _conv_input_grad(dz, w, cols, ws, pad)
-    # every im2col buffer and the gradient of flat are dead now
+                da = _conv_input_grad(dz, w, cols, dxp_free, pad)
+    # all of arena is dead now
     grads[flat_name + ".w"] = np.matmul(
         flat_dz.T, flat, out=ws.get("arena", params[flat_name + ".w"].shape))
     return grads
@@ -370,8 +395,7 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     # sized once for the step: grown later, it would hold its old and new
     # memory together (see _Workspace)
     batch, flat_out = x.shape[0], (cfg.dense_widths + (cfg.out_dim,))[0]
-    ws.get("arena", (max(_im2col_floats(cfg, batch) + batch * cfg.feature_dim,
-                         flat_out * cfg.feature_dim),))
+    ws.get("arena", (max(sum(_arena_floats(cfg, batch)), flat_out * cfg.feature_dim),))
     out, cache = _forward(params, cfg, x, ws, rng=rng)
     if targets.shape != out.shape:
         raise ValueError("target shape does not match network output")

@@ -156,6 +156,15 @@ def _even_kernel(entries):
             entries[name] = np.concatenate([arr, np.zeros(arr.shape[:2] + (1,))], axis=2)
 
 
+def _four_outputs(entries):
+    # header out_dim=4, and the head blocks grown by one output so that the
+    # block shapes agree with the header
+    _set_header(out_dim=4)(entries)
+    for name in ("head.w", "head.b"):
+        arr = entries[name]
+        entries[name] = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])
+
+
 def _drop_norm(entries):
     del entries["norm.mean"], entries["norm.std"]
 
@@ -251,6 +260,9 @@ MALFORMED_INPUTS = {
     "model_zip_version_damaged": _eval_edited_model(_damage_zip_version),
     "model_even_kernel": _eval_edited_model(_edit_entries(_even_kernel)),
     "model_alpha_above_one": _eval_edited_model(_edit_entries(_set_header(alpha=2))),
+    "model_window_not_int": _eval_edited_model(_edit_entries(_set_header(window=20.0))),
+    "model_out_dim_not_int": _eval_edited_model(_edit_entries(_set_header(out_dim=3.0))),
+    "model_out_dim_four": _eval_edited_model(_edit_entries(_four_outputs)),
     "eval_model_window_differs": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out, window_size=10, stride=10)),
          "--models", str(model)], model),
@@ -434,6 +446,7 @@ KEY_NAMING_ERRORS = [
     ("simulate", "accel_noise_std=-1"), ("simulate", "gyro_noise_std=-1"),
     ("simulate", "accel_noise_std=1e308"), ("simulate", "gyro_noise_std=1e308"),
     ("train", "conv_channels=1,2"), ("eval", "window_size=10"),
+    ("train", "window_size=200"),
 ]
 
 

@@ -55,8 +55,8 @@ def conv1d(w, b, x, padding=0):
     zero-padded channel-major (in_channels, B, L + 2*padding) input."""
     xp = np.pad(np.asarray(x, dtype=float), ((0, 0), (padding, padding)))[:, None]
     w = np.asarray(w, dtype=float)
-    y, _ = _conv_forward(xp, w, np.asarray(b, dtype=float), _Workspace(), "conv",
-                         np.empty(xp.size * w.shape[-1]))
+    y = _conv_forward(xp, w, np.asarray(b, dtype=float), "conv",
+                      np.empty(xp.size * w.shape[-1]), np.empty(w.shape[0] * xp.shape[2]))
     return y[:, 0]
 
 
@@ -532,9 +532,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("arch", ["single", "multi"])
     def test_workspace_holds_no_buffer_beyond_the_live_set(self, arch):
-        # fc1 narrower than the batch leaves the im2col columns and the gradient
-        # of flat the larger part of the shared buffer; a wide fc1's weight
-        # gradient is larger than both
+        # fc1 narrower than the batch leaves the conv layers' memory the larger
+        # part of the shared buffer; a wide fc1's weight gradient is larger
         for width in (12, 200):
             cfg = _net(arch, kernel=5, dropout=0.5, dense_widths=(width, 4))
             B, L, k, chans = 7, cfg.window, cfg.kernel, cfg.conv_channels
@@ -543,18 +542,21 @@ class TestWorkspace:
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
             convs = list(zip(chans[:-1], chans[1:])) * len(cfg.branches)
             flat = B * cfg.feature_dim
-            im2col = sum(cin * k * B * L for cin, _ in convs)
+            conv_layers = (sum(cin * B * (L + k - 1) for cin, _ in convs)  # padded inputs
+                           + max(cin * k * B * L for cin, _ in convs)      # one conv's im2col
+                           + max(cout * B * L for _, cout in convs)        # its z
+                           + max(chans[1:-1]) * B * (L + k - 1)            # its input grad;
+                                                                           # a first conv has none
+                           + flat)                                         # flat's grad
             fc1_w = params["fc1.w"].size
             floats = (sum(p.size for p in params.values()) - fc1_w     # other gradients
-                      + max(im2col + flat, fc1_w)                       # im2col, flat's grad;
-                                                                        # then fc1.w's grad
+                      + max(conv_layers, fc1_w)                         # then fc1.w's grad
                       + 4 * sum(B * w for w in cfg.dense_widths)        # z, act, dropout
                       + B * cfg.out_dim                                 # predictions
-                      + flat                                            # flat
-                      + max(chans[1:]) * B * L                          # conv.z
-                      + max(chans[:-1]) * B * (L + k - 1))              # conv.in
+                      + flat)                                           # flat
             bools = sum(cout * B * L for _, cout in convs) + sum(B * w for w in cfg.dense_widths)
             bound = 8 * floats + bools
+            # each buffer counts once, however many views of it the pass took
             assert sum(buf.nbytes for buf in ws._bufs.values()) <= bound, width
 
     def test_calls_without_workspace_do_not_alias(self):
@@ -587,9 +589,9 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak <= 0.5 * params["fc1.w"].nbytes
 
-    def test_train_batch_peaks_under_three_and_a_half_parameter_sets(self):
-        # Adam's two moments, the gradients and the activations, 3.40x; fc1's
-        # weight gradient shares the im2col memory rather than adding to it
+    def test_train_batch_peaks_under_3_point_3_parameter_sets(self):
+        # Adam's two moments, the gradients and the activations, 3.28x; fc1's
+        # weight gradient shares the conv layers' memory rather than adding to it
         cfg = NetConfig(arch="single", window=64, conv_channels=(6, 16, 16),
                         dense_widths=(256, 16))
         params = init_params(cfg, seed=0)
@@ -601,7 +603,24 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * sum(p.nbytes for p in params.values())
+        assert peak <= 3.3 * sum(p.nbytes for p in params.values())
+
+    def test_predict_holds_one_conv_of_im2col_columns_at_a_time(self):
+        # six convs at kernel 3: every conv's padded input is about a third of
+        # all of their im2col columns together
+        cfg = NetConfig(arch="single", window=64, conv_channels=(6,) + (16,) * 6,
+                        dense_widths=(8,))
+        params = init_params(cfg, seed=0)
+        x = np.random.default_rng(0).normal(size=(32, 6, 64))
+        im2col = sum(cin * cfg.kernel * x.shape[0] * cfg.window * 8
+                     for cin in cfg.conv_channels[:-1])
+        tracemalloc.start()
+        try:
+            predict(params, cfg, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col
 
 
 class TestTrain:
@@ -841,3 +860,12 @@ class TestNetConfigValidation:
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError):
             NetConfig(arch="single", window=8, dropout=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", 20.0), ("window", 0), ("window", True),
+        ("out_dim", 3.0), ("out_dim", 0), ("out_dim", -1),
+    ])
+    def test_rejects_window_or_out_dim_that_is_not_a_positive_int(self, field, value):
+        with pytest.raises(ValueError, match=field) as exc:
+            NetConfig(**{"arch": "single", "window": 8, field: value})
+        assert repr(value) in str(exc.value)

@@ -1,10 +1,12 @@
-"""Every public function in the package's modules has a caller in the package.
+"""Every top-level function in the package's modules has a caller in the package.
 
-A public function is a top-level ``def`` whose name has no leading
-underscore. It counts as called when another function's body, or a module's
-``if __name__ == "__main__":`` block, refers to it by name or as an
-attribute. Module-level statements and ``__init__.py`` re-exports do not
-count: a function only tests use belongs in ``tests/`` as an oracle."""
+That holds for private helpers too: a helper that a refactor leaves without
+callers is dead code, whatever its name. A function counts as called when
+another function's body, a class body (say, a dataclass field's parser) or a
+module's ``if __name__ == "__main__":`` block refers to it by name or as an
+attribute. Other module-level statements and
+``__init__.py`` re-exports do not count: a function only tests use belongs
+in ``tests/`` as an oracle."""
 import ast
 from pathlib import Path
 
@@ -30,34 +32,38 @@ def _is_main_guard(node) -> bool:
                     for c in test.comparators))
 
 
-def uncalled_public_functions(sources: list[str]) -> list[str]:
-    """Public top-level functions of ``sources`` that no other function body
-    and no ``__main__`` block of ``sources`` refers to."""
-    public, called = [], set()
+def uncalled_functions(sources: list[str]) -> list[str]:
+    """Top-level functions of ``sources`` that no other function body, no
+    class body and no ``__main__`` block of ``sources`` refers to."""
+    defined, called = [], set()
     for source in sources:
         tree = ast.parse(source)
-        public += [node.name for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-        called |= _referenced(node for node in tree.body if _is_main_guard(node))
+        defined += [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        called |= _referenced(node for node in tree.body
+                              if _is_main_guard(node) or isinstance(node, ast.ClassDef))
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 called |= _referenced(fn.body) - {fn.name}
-    return [name for name in public if name not in called]
+    return [name for name in defined if name not in called]
 
 
-def test_every_public_function_has_a_caller_in_the_package():
+def test_every_function_has_a_caller_in_the_package():
     snippet = (
         "import sys\n"
         "def helper(): pass\n"
         "def orphan(): pass\n"
         "def recursive(n): return recursive(n - 1)\n"
         "def _private(): pass\n"
-        "def main(): return helper() + mod.attr_called()\n"
+        "def _helper(): pass\n"
+        "def _parse(): pass\n"
+        "class Config:\n"
+        "    key: int = field(metadata={'parse': _parse})\n"
+        "def main(): return helper() + _helper() + mod.attr_called()\n"
         "def attr_called(): pass\n"
-        "table = {'x': orphan}\n"
+        "table = {'x': orphan, 'y': _private}\n"
         "if __name__ == '__main__':\n"
         "    sys.exit(main())\n")
-    assert uncalled_public_functions([snippet]) == ["orphan", "recursive"]
+    assert uncalled_functions([snippet]) == ["orphan", "recursive", "_private"]
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
-    assert uncalled_public_functions([p.read_text() for p in modules]) == []
+    assert uncalled_functions([p.read_text() for p in modules]) == []
