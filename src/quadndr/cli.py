@@ -68,15 +68,7 @@ ERROR_MODEL_KEYS = ("accel_bias", "gyro_bias", "accel_noise_std", "gyro_noise_st
 
 
 def _profile(cfg: ExperimentConfig) -> TrajectoryProfile:
-    return TrajectoryProfile(
-        hover_height=cfg.hover_height,
-        amplitude=cfg.amplitude,
-        p2p_distance=cfg.p2p_distance,
-        total_span=cfg.total_span,
-        speed=cfg.speed,
-        sample_rate=cfg.sample_rate,
-        heading=cfg.heading,
-    )
+    return TrajectoryProfile(**{f.name: getattr(cfg, f.name) for f in fields(TrajectoryProfile)})
 
 
 def _error_model(cfg: ExperimentConfig, traj_index: int) -> ImuErrorModel:
@@ -236,8 +228,9 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
         report[f"{m}.rmse_mean"] = v
     base = means.get("baseline")
     if base is not None:
+        # the paper compares each network, not pure INS, with the baseline
         for m in means:
-            if m != "baseline":
+            if m not in ("ins", "baseline"):
                 report[f"improvement.{m}_vs_baseline_pct"] = improvement_pct(base, means[m])
 
     out = Path(cfg.out_dir)

@@ -94,11 +94,16 @@ def _parse_pair(text: str) -> tuple:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Defaults, overridden by a config file, overridden by CLI pairs."""
+    """Defaults, overridden by a config file, overridden by CLI pairs. Every
+    error in reading or parsing the file, undecodable bytes included, is a
+    ValueError that starts with its path."""
     cfg = ExperimentConfig()
     if path is not None:
         with open(path) as fh:
-            cfg = replace(cfg, **parse_config_text(fh.read()))
+            try:
+                cfg = replace(cfg, **parse_config_text(fh.read()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     if overrides:
         cfg = replace(cfg, **dict(_parse_pair(item) for item in overrides))
     return cfg

@@ -125,22 +125,23 @@ class _Workspace:
     sized for the whole pass before the views are taken, because a grown
     buffer leaves the views of its old memory holding that memory alive.
 
-    A name is shared by arrays that are never live at the same time:
-    ``fcN.z`` holds a dense layer's pre-activation and then its gradient,
-    which the backward pass forms only after the forward pass is done with
-    the pre-activation, and a dense layer's input gradient overwrites its
-    input, the previous layer's activation, once its weight gradient has
-    read it. ``arena`` holds the conv layers (see ``_arena_floats``): every
-    conv's zero-padded input, which the backward pass needs, and then one
-    region each for the im2col columns, the pre-activation and the padded
-    input gradient of the conv at hand, sized for the largest conv, and the
-    gradient of ``flat``, the flattened conv features. The backward pass
-    rebuilds a conv's columns from its input before it forms that conv's
-    weight gradient, and the columns of its input gradient overwrite them.
-    ``flat`` itself stays intact, because the dense layer that reads it
-    forms its weight gradient last, after the conv backward pass: by then
-    all of ``arena`` is dead, and that weight gradient, the largest block of
-    the default network, goes into its start."""
+    Buffers are shared by one rule: in the backward pass each buffer holds
+    the gradient of what it held in the forward pass, once nothing reads
+    that any more. ``fcN.z`` holds a dense layer's pre-activation and then
+    its gradient, and a dense layer's input gradient overwrites its input,
+    the previous layer's activation. ``arena`` holds the conv layers (see
+    ``_arena_floats``): every conv's zero-padded input, then one region each
+    for the im2col columns and the pre-activation of the conv at hand. The
+    backward pass rebuilds a conv's columns from its input before it forms
+    that conv's weight gradient; then the columns of its input gradient
+    overwrite the columns, and the padded input gradient the input.
+
+    The one exception is ``flat``, the flattened conv features. The dense
+    layer that reads it forms its weight gradient last, after the conv
+    backward pass, so ``flat`` stays intact and its gradient gets a region
+    of its own at the end of ``arena``. By then all of ``arena`` is dead, and
+    that weight gradient, the largest block of the default network, goes
+    into its start."""
 
     def __init__(self):
         self._bufs = {}
@@ -177,16 +178,15 @@ def _dropout(a, rate: float, rng, ws, name):
 
 def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
     """Floats in each region of buffer ``arena`` in one pass, in order: every
-    conv's zero-padded (in, B, Lp) input; then, sized for the largest conv,
-    one conv's (in*kernel, B*window) im2col columns, its pre-activation (its
-    gradient in the backward pass) and its padded input gradient, which the
-    first conv of a branch does not form; last, the gradient of ``flat``."""
+    conv's zero-padded (in, B, Lp) input (its gradient in the backward pass);
+    then, sized for the largest conv, one conv's (in*kernel, B*window) im2col
+    columns and its pre-activation (their gradients in the backward pass);
+    last, the gradient of ``flat``."""
     chans = cfg.conv_channels
     length, padded = batch * cfg.window, batch * (cfg.window + cfg.kernel - 1)
     return (len(cfg.branches) * sum(chans[:-1]) * padded,
             max(chans[:-1], default=0) * cfg.kernel * length,
             max(chans[1:], default=0) * length,
-            max(chans[1:-1], default=0) * padded,
             batch * cfg.feature_dim)
 
 
@@ -235,20 +235,19 @@ def _conv_param_grads(dz, cols, w, ws, name):
     return dw.reshape(w.shape), db
 
 
-def _conv_input_grad(dz, w, cols, dxp_free, pad):
-    """The (in, B, Lout + kernel - 1 - 2*pad) input gradient of one conv,
-    padded at the start of the flat buffer ``dxp_free``; its columns
-    overwrite ``cols``, the layer's im2col columns, which are dead once its
-    weight gradient is formed."""
+def _conv_input_grad(dz, w, cols, xp):
+    """The (in, B, Lout) input gradient of one length-preserving conv, padded
+    in ``xp``, the layer's (in, B, Lout + kernel - 1) padded input; its
+    columns overwrite ``cols``, the layer's im2col columns. Both are dead
+    once its weight gradient is formed."""
     cout, cin, kernel = w.shape
     _, B, lout = dz.shape
     dcols = np.matmul(w.reshape(cout, cin * kernel).T, dz.reshape(cout, B * lout), out=cols)
     dcols = dcols.reshape(cin, kernel, B, lout)
-    dxp = dxp_free[:cin * B * (lout + kernel - 1)].reshape(cin, B, lout + kernel - 1)
-    dxp.fill(0.0)
+    xp.fill(0.0)
     for k in range(kernel):
-        dxp[:, :, k:k + lout] += dcols[:, k]
-    return dxp[:, :, pad:dxp.shape[2] - pad]
+        xp[:, :, k:k + lout] += dcols[:, k]
+    return xp[:, :, kernel // 2:kernel // 2 + lout]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     # the dense layers from the head back; the last of them reads the flat features
     dense = [("head", head_in, None, None), *reversed(dense_cache)]
     flat = dense[-1][1]
-    _, cols_free, z_free, dxp_free, dflat = _arena_regions(ws, cfg, B, 5)
+    _, cols_free, z_free, dflat = _arena_regions(ws, cfg, B, 4)
     grads = {}
     for name, h_in, positive, mask in dense:
         if positive is None:
@@ -347,7 +346,6 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
 
     chans = cfg.conv_channels
     nconv = len(chans) - 1
-    pad = cfg.kernel // 2
     dfeats = dh.reshape(B, len(cfg.branches), chans[-1], cfg.window)
     for bi in range(len(cfg.branches)):
         da = dfeats[:, bi].transpose(1, 0, 2)
@@ -359,7 +357,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             cols = _im2col(xp, cfg.kernel, cols_free)
             grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
             if i > 0:  # the network's input needs no gradient
-                da = _conv_input_grad(dz, w, cols, dxp_free, pad)
+                da = _conv_input_grad(dz, w, cols, xp)
     # all of arena is dead now
     grads[flat_name + ".w"] = np.matmul(
         flat_dz.T, flat, out=ws.get("arena", params[flat_name + ".w"].shape))

@@ -25,11 +25,12 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.window_size <= 0:
-            raise ValueError("window_size must be > 0")
+            raise ValueError(f"window_size must be > 0, got {self.window_size!r}")
         if self.stride <= 0:
-            raise ValueError("stride must be > 0")
+            raise ValueError(f"stride must be > 0, got {self.stride!r}")
         if self.stride > self.window_size:
-            raise ValueError("stride must not exceed window_size")
+            raise ValueError(f"stride must not exceed window_size, got stride {self.stride!r}"
+                             f" and window_size {self.window_size!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def concat_sets(sets) -> SampleSet:
 def split_tags(tags, test_fraction: float, seed: int) -> tuple[list, list]:
     """Deterministically partition distinct tags into train/test groups."""
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
     distinct = sorted(set(tags))
     if len(distinct) < 2:
         raise ValueError("need at least 2 distinct source tags to split")

@@ -239,10 +239,17 @@ def _nan_position(sample):
     return edit
 
 
+def _undecodable_config(tmp_path, out, model):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"seed = 3\n\xff\n")
+    return ["simulate", "--config", str(path)], path
+
+
 # each case builds (argv, the path the error message must name)
 MALFORMED_INPUTS = {
     "config_is_directory": lambda tmp_path, out, model: (
         ["simulate", "--config", str(tmp_path)], tmp_path),
+    "config_not_utf8": _undecodable_config,
     "out_dir_is_file": lambda tmp_path, out, model: (
         ["simulate", *_sets(tiny_overrides(model))], model),
     "models_is_directory": lambda tmp_path, out, model: (
@@ -281,7 +288,7 @@ def test_malformed_input_exits_1_without_traceback(case, trained, tmp_path, caps
     argv, culprit = MALFORMED_INPUTS[case](tmp_path, out, model)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert str(culprit) in err
 
@@ -302,7 +309,7 @@ def test_bad_config_value_names_the_key(setting, in_file, tmp_path, capsys):
     assert err.startswith("error:")
     assert repr(setting.partition("=")[0].strip()) in err
     if in_file:
-        assert "line 2:" in err
+        assert f"{path}: line 2:" in err
 
 
 @pytest.mark.parametrize("setting", ["conv_channels=6,0", "conv_channels=6,-2", "dense_widths=0"])
@@ -446,7 +453,8 @@ KEY_NAMING_ERRORS = [
     ("simulate", "accel_noise_std=-1"), ("simulate", "gyro_noise_std=-1"),
     ("simulate", "accel_noise_std=1e308"), ("simulate", "gyro_noise_std=1e308"),
     ("train", "conv_channels=1,2"), ("eval", "window_size=10"),
-    ("train", "window_size=200"),
+    ("train", "window_size=200"), ("train", "window_size=0"), ("train", "stride=0"),
+    ("train", "stride=30"), ("train", "test_fraction=1.5"), ("eval", "test_fraction=0"),
 ]
 
 
@@ -564,6 +572,7 @@ class TestPipeline:
         report = (out / "report.txt").read_text()
         assert "single.rmse_mean=" in report
         assert "improvement.single_vs_baseline_pct=" in report
+        assert "improvement.ins_vs_baseline_pct" not in report
         assert (out / "eval_gt_traj.csv").read_text().startswith("t,px,py,pz\n")
         assert (out / "eval_xz.svg").read_text().startswith("<svg")
 

@@ -545,8 +545,6 @@ class TestWorkspace:
             conv_layers = (sum(cin * B * (L + k - 1) for cin, _ in convs)  # padded inputs
                            + max(cin * k * B * L for cin, _ in convs)      # one conv's im2col
                            + max(cout * B * L for _, cout in convs)        # its z
-                           + max(chans[1:-1]) * B * (L + k - 1)            # its input grad;
-                                                                           # a first conv has none
                            + flat)                                         # flat's grad
             fc1_w = params["fc1.w"].size
             floats = (sum(p.size for p in params.values()) - fc1_w     # other gradients

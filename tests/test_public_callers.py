@@ -6,7 +6,11 @@ another function's body, a class body (say, a dataclass field's parser) or a
 module's ``if __name__ == "__main__":`` block refers to it by name or as an
 attribute. Other module-level statements and
 ``__init__.py`` re-exports do not count: a function only tests use belongs
-in ``tests/`` as an oracle."""
+in ``tests/`` as an oracle.
+
+Every parameter of every function in the package is read by its body, too:
+a parameter that a refactor leaves unread is dead, however its callers
+fill it."""
 import ast
 from pathlib import Path
 
@@ -67,3 +71,40 @@ def test_every_function_has_a_caller_in_the_package():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
     assert uncalled_functions([p.read_text() for p in modules]) == []
+
+
+def unread_parameters(sources: list[str]) -> list[str]:
+    """``function.parameter`` for every parameter of a function of ``sources``
+    that the function's body does not read, ``self`` and ``cls`` excepted."""
+    unread = []
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            read = {sub.id for node in fn.body for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{fn.name}.{a.arg}" for a in params
+                       if a.arg not in read | {"self", "cls"}]
+    return unread
+
+
+def test_every_parameter_is_read():
+    snippet = (
+        "def used(a, *rest, key=1, **extra): return a, rest, key, extra\n"
+        "def unused(a, b, *, key=None): return a\n"
+        "def default_only(a, b=a): return b\n"
+        "def outer(a):\n"
+        "    def inner(b): return a\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def method(self, x): return 0\n"
+        "    @classmethod\n"
+        "    def make(cls): return 0\n")
+    assert unread_parameters([snippet]) == [
+        "unused.b", "unused.key", "default_only.a", "inner.b", "method.x"]
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    assert unread_parameters([p.read_text() for p in modules]) == []

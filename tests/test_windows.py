@@ -62,6 +62,15 @@ class TestWindowCounts:
         with pytest.raises(ValueError):
             WindowSpec(0, 0)
 
+    @pytest.mark.parametrize("window_size, stride, message", [
+        (0, 0, "window_size must be > 0, got 0$"),
+        (20, 0, "stride must be > 0, got 0$"),
+        (20, 30, "stride must not exceed window_size, got stride 30 and window_size 20$"),
+    ])
+    def test_errors_name_the_value(self, window_size, stride, message):
+        with pytest.raises(ValueError, match=message):
+            WindowSpec(window_size, stride)
+
 
 class TestWindowSeries:
     def test_label_for_straight_flight(self):
@@ -147,6 +156,11 @@ class TestSplitting:
     def test_rejects_single_tag(self):
         with pytest.raises(ValueError):
             split_tags(["solo"], 0.25, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
+    def test_bad_fraction_error_names_the_value(self, fraction):
+        with pytest.raises(ValueError, match=rf"must be in \(0, 1\), got {fraction}$"):
+            split_tags(["a", "b"], fraction, seed=0)
 
 
 class TestNormalization:
