@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from .network import DENSE_WIDTHS
+from .simulate import TrajectoryProfile
 
 
 def _triple(text: str) -> tuple:
@@ -24,13 +25,13 @@ def _int_tuple(text: str) -> tuple:
 @dataclass(frozen=True)
 class ExperimentConfig:
     # trajectory profile
-    hover_height: float = 0.7
-    amplitude: float = 0.1
-    p2p_distance: float = 0.7
-    total_span: float = 3.6
-    speed: float = 0.18
-    sample_rate: float = 100.0
-    heading: float = 0.0
+    hover_height: float = TrajectoryProfile.hover_height
+    amplitude: float = TrajectoryProfile.amplitude
+    p2p_distance: float = TrajectoryProfile.p2p_distance
+    total_span: float = TrajectoryProfile.total_span
+    speed: float = TrajectoryProfile.speed
+    sample_rate: float = TrajectoryProfile.sample_rate
+    heading: float = TrajectoryProfile.heading
     num_trajectories: int = 8
     # IMU error model
     accel_bias: tuple = field(default=(0.0, 0.0, 0.0), metadata={"parse": _triple})

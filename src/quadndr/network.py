@@ -24,6 +24,8 @@ from .windows import NormStats
 SINGLE_CHANNELS = (6, 64, 64, 128, 128, 256, 256)
 MULTI_CHANNELS = (3, 32, 32, 64, 64, 128, 128)
 DENSE_WIDTHS = (512, 128)
+KERNEL = 3  # odd, so a conv zero-padded by KERNEL // 2 per side keeps the length
+LEAKY_SLOPE = 0.01  # below 1, so max(z > 0, LEAKY_SLOPE) is the Leaky ReLU's slope
 
 
 class TrainingDiverged(RuntimeError):
@@ -35,12 +37,11 @@ class TrainingDiverged(RuntimeError):
 class NetConfig:
     arch: str                  # "single" | "multi"
     window: int
-    alpha: float = 0.01
     dropout: float = 0.2
     out_dim: int = 3
     conv_channels: tuple = ()  # per-branch channel progression, 7 entries default
     dense_widths: tuple = DENSE_WIDTHS
-    kernel: int = 3
+    kernel = KERNEL  # unannotated: a class constant, not a field
 
     def __post_init__(self):
         if self.arch not in ("single", "multi"):
@@ -50,15 +51,8 @@ class NetConfig:
             value = getattr(self, field)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{field} must be an int >= 1, got {value!r}")
-        # a Leaky ReLU's negative slope; the layers form its derivative as
-        # max(z > 0, alpha), which is 1 or alpha only for alpha <= 1
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        # an even kernel would make each padded conv one sample longer
-        if type(self.kernel) is not int or self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"kernel must be an odd int >= 1, got {self.kernel!r}")
         if not self.conv_channels:
             default = SINGLE_CHANNELS if self.arch == "single" else MULTI_CHANNELS
             object.__setattr__(self, "conv_channels", default)
@@ -90,7 +84,7 @@ def param_shapes(cfg: NetConfig) -> dict:
     chans = cfg.conv_channels
     for prefix in cfg.branches:
         for i in range(len(chans) - 1):
-            shapes[f"{prefix}{i + 1}.w"] = (chans[i + 1], chans[i], cfg.kernel)
+            shapes[f"{prefix}{i + 1}.w"] = (chans[i + 1], chans[i], KERNEL)
             shapes[f"{prefix}{i + 1}.b"] = (chans[i + 1],)
     dims = (cfg.feature_dim,) + cfg.dense_widths + (cfg.out_dim,)
     names = [f"fc{i + 1}" for i in range(len(cfg.dense_widths))] + ["head"]
@@ -129,19 +123,16 @@ class _Workspace:
     the gradient of what it held in the forward pass, once nothing reads
     that any more. ``fcN.z`` holds a dense layer's pre-activation and then
     its gradient, and a dense layer's input gradient overwrites its input,
-    the previous layer's activation. ``arena`` holds the conv layers (see
-    ``_arena_floats``): every conv's zero-padded input, then one region each
-    for the im2col columns and the pre-activation of the conv at hand. The
-    backward pass rebuilds a conv's columns from its input before it forms
-    that conv's weight gradient; then the columns of its input gradient
-    overwrite the columns, and the padded input gradient the input.
+    the previous layer's activation. ``arena`` holds the conv layers, laid
+    out by ``_arena_floats`` and ``_arena_size``. The backward pass rebuilds
+    a conv's columns from its input before it forms that conv's weight
+    gradient; then the columns of its input gradient overwrite the columns,
+    and the padded input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. The dense
     layer that reads it forms its weight gradient last, after the conv
     backward pass, so ``flat`` stays intact and its gradient gets a region
-    of its own at the end of ``arena``. By then all of ``arena`` is dead, and
-    that weight gradient, the largest block of the default network, goes
-    into its start."""
+    of its own in ``arena``."""
 
     def __init__(self):
         self._bufs = {}
@@ -154,11 +145,11 @@ class _Workspace:
         return buf[:n].reshape(shape)
 
 
-def _leaky(positive, alpha, x, out):
-    """``out = max(positive, alpha) * x``: a Leaky ReLU, or the gradient through
-    one, whose ``z > 0`` mask is ``positive``. The slope is alpha at exactly 0
-    and at NaN too; a product commutes, so the bits are those of ``x * slope``."""
-    np.maximum(positive, alpha, out=out)
+def _leaky(positive, x, out):
+    """``out = max(positive, LEAKY_SLOPE) * x``: a Leaky ReLU, or the gradient
+    through one, whose ``z > 0`` mask is ``positive``. The slope is LEAKY_SLOPE
+    at 0 and NaN too; a product commutes, so the bits are those of ``x * slope``."""
+    np.maximum(positive, LEAKY_SLOPE, out=out)
     out *= x
     return out
 
@@ -183,11 +174,18 @@ def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
     columns and its pre-activation (their gradients in the backward pass);
     last, the gradient of ``flat``."""
     chans = cfg.conv_channels
-    length, padded = batch * cfg.window, batch * (cfg.window + cfg.kernel - 1)
+    length, padded = batch * cfg.window, batch * (cfg.window + KERNEL - 1)
     return (len(cfg.branches) * sum(chans[:-1]) * padded,
-            max(chans[:-1], default=0) * cfg.kernel * length,
+            max(chans[:-1], default=0) * KERNEL * length,
             max(chans[1:], default=0) * length,
             batch * cfg.feature_dim)
+
+
+def _arena_size(cfg: NetConfig, batch: int) -> int:
+    """Floats in ``arena`` in a training step: the regions of one pass or, if larger,
+    the weight gradient of the layer reading ``flat``, formed there once they are dead."""
+    flat_out = (cfg.dense_widths + (cfg.out_dim,))[0]
+    return max(sum(_arena_floats(cfg, batch)), flat_out * cfg.feature_dim)
 
 
 def _arena_regions(ws, cfg: NetConfig, batch: int, count: int) -> list:
@@ -267,7 +265,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     when ``rng`` is given); returns predictions and the backward cache. Conv
     activations are channel-major, (C, B, L)."""
     B, L = x.shape[0], cfg.window
-    pad = cfg.kernel // 2
+    pad = KERNEL // 2
     chans = cfg.conv_channels
     nconv = len(chans) - 1
     # per branch, the last conv output; flattened it is the dense input
@@ -298,7 +296,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
             else:
                 h = next(padded)
                 act = h[:, :, pad:pad + L]
-            _leaky(positive, cfg.alpha, z, act)
+            _leaky(positive, z, act)
 
     dense_cache = []
     h = feats.reshape(B, cfg.feature_dim)
@@ -307,7 +305,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         z = np.matmul(h, params[name + ".w"].T, out=ws.get(name + ".z", (B, width)))
         z += params[name + ".b"]
         positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
-        a = _leaky(positive, cfg.alpha, z, ws.get(name + ".act", z.shape))
+        a = _leaky(positive, z, ws.get(name + ".act", z.shape))
         a, mask = _dropout(a, cfg.dropout, rng, ws, name)
         dense_cache.append((name, h, positive, mask))
         h = a
@@ -330,7 +328,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         else:
             if mask is not None:
                 dh *= mask
-            dz = _leaky(positive, cfg.alpha, dh, ws.get(name + ".z", dh.shape))
+            dz = _leaky(positive, dh, ws.get(name + ".z", dh.shape))
         w = params[name + ".w"]
         if h_in is flat:
             # formed after the conv backward pass; the key keeps its place
@@ -352,9 +350,9 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         for i in reversed(range(nconv)):
             name, xp, positive = conv_cache[bi * nconv + i]
             w = params[name + ".w"]
-            dz = _leaky(positive, cfg.alpha, da, z_free[:positive.size].reshape(positive.shape))
+            dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
             # the forward pass kept the conv's input, not its columns
-            cols = _im2col(xp, cfg.kernel, cols_free)
+            cols = _im2col(xp, KERNEL, cols_free)
             grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
             if i > 0:  # the network's input needs no gradient
                 da = _conv_input_grad(dz, w, cols, xp)
@@ -390,10 +388,7 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     ws = _Workspace() if workspace is None else workspace
     x = _as_windows(cfg, inputs)
     targets = np.asarray(targets, dtype=float)
-    # sized once for the step: grown later, it would hold its old and new
-    # memory together (see _Workspace)
-    batch, flat_out = x.shape[0], (cfg.dense_widths + (cfg.out_dim,))[0]
-    ws.get("arena", (max(sum(_arena_floats(cfg, batch)), flat_out * cfg.feature_dim),))
+    ws.get("arena", (_arena_size(cfg, x.shape[0]),))  # before any view of it (see _Workspace)
     out, cache = _forward(params, cfg, x, ws, rng=rng)
     if targets.shape != out.shape:
         raise ValueError("target shape does not match network output")
@@ -552,7 +547,7 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
 # ---------------------------------------------------------------------------
 # Model persistence
 
-MODEL_MAGIC = "QPNET2"
+MODEL_MAGIC = "QPNET3"
 
 
 def save_model(path, params: dict, cfg: NetConfig, norm: NormStats) -> None:
@@ -569,7 +564,7 @@ def save_model(path, params: dict, cfg: NetConfig, norm: NormStats) -> None:
 def load_model(path):
     """Read a model file; returns (params, config, norm_stats).
 
-    Anything but a QPNET2 archive whose entries match its header's NetConfig
+    Anything but a QPNET3 archive whose entries match its header's NetConfig
     and the ``norm.*`` pair in name, shape and float64 dtype, with every entry
     finite and every ``norm.std`` entry > 0, raises ValueError naming the
     file."""

@@ -9,6 +9,8 @@ from quadndr.network import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    KERNEL,
+    LEAKY_SLOPE,
     AdamState,
     NetConfig,
     mse_loss,
@@ -99,12 +101,12 @@ def out_of_place_adam(params, grads, state: AdamState):
 # ``fresh_loss_and_gradients`` bit for bit, with or without a workspace.
 
 
-def _leaky_slope(z, alpha):
+def _leaky_slope(z, alpha=LEAKY_SLOPE):
     # convention: derivative at exactly 0 is alpha
     return np.where(z > 0, 1.0, alpha)
 
 
-def leaky_relu(x, alpha: float = 0.01):
+def leaky_relu(x, alpha: float = LEAKY_SLOPE):
     """x for x >= 0, alpha*x otherwise, elementwise."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
@@ -156,7 +158,7 @@ def _conv_backward(dy, cols, w, x_shape, padding):
 def _forward(params, cfg: NetConfig, x, rng=None):
     x = np.asarray(x, dtype=float)
     B = x.shape[0]
-    pad = cfg.kernel // 2
+    pad = KERNEL // 2
     branch_inputs = {"conv": x} if cfg.arch == "single" else {"acc": x[:, :3], "gyro": x[:, 3:]}
 
     conv_cache = []
@@ -167,7 +169,7 @@ def _forward(params, cfg: NetConfig, x, rng=None):
             name = f"{prefix}{i + 1}"
             z, cols = _conv_forward(h, params[name + ".w"], params[name + ".b"], pad)
             conv_cache.append((name, h.shape, cols, z))
-            h = leaky_relu(z, cfg.alpha)
+            h = leaky_relu(z)
         flats.append(h.reshape(B, -1))
     flat = flats[0] if len(flats) == 1 else np.concatenate(flats, axis=1)
 
@@ -176,7 +178,7 @@ def _forward(params, cfg: NetConfig, x, rng=None):
     for i in range(len(cfg.dense_widths)):
         name = f"fc{i + 1}"
         z = h @ params[name + ".w"].T + params[name + ".b"]
-        a, mask = _dropout(leaky_relu(z, cfg.alpha), cfg.dropout, rng)
+        a, mask = _dropout(leaky_relu(z), cfg.dropout, rng)
         dense_cache.append((name, h, z, mask))
         h = a
     out = h @ params["head.w"].T + params["head.b"]
@@ -193,20 +195,20 @@ def _backward(params, cfg: NetConfig, cache, dout):
     for name, h_in, z, mask in reversed(dense_cache):
         if mask is not None:
             dh = dh * mask
-        dz = dh * _leaky_slope(z, cfg.alpha)
+        dz = dh * _leaky_slope(z)
         grads[name + ".w"] = dz.T @ h_in
         grads[name + ".b"] = dz.sum(axis=0)
         dh = dz @ params[name + ".w"]
 
     nconv = len(cfg.conv_channels) - 1
     offset = 0
-    pad = cfg.kernel // 2
+    pad = KERNEL // 2
     for bi, prefix in enumerate(cfg.branches):
         dflat = dh[:, offset:offset + flat_dims[bi]]
         offset += flat_dims[bi]
         da = dflat.reshape(-1, cfg.conv_channels[-1], cfg.window)
         for name, x_shape, cols, z in reversed(conv_cache[bi * nconv:(bi + 1) * nconv]):
-            dz = da * _leaky_slope(z, cfg.alpha)
+            dz = da * _leaky_slope(z)
             da, dw, db = _conv_backward(dz, cols, params[name + ".w"], x_shape, pad)
             grads[name + ".w"] = dw
             grads[name + ".b"] = db

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shutil
 import tempfile
 import warnings
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadndr.cli import cmd_eval, cmd_simulate, cmd_train, main
+from quadndr.cli import _profile, cmd_eval, cmd_simulate, cmd_train, main
 from quadndr.config import _PARSERS, ExperimentConfig, _parse_pair, load_config, parse_config_text
+from quadndr.simulate import TrajectoryProfile
 from quadndr.windows import split_tags
 
 
@@ -67,6 +69,10 @@ class TestConfigParsing:
         assert cfg.stride == 50
         assert cfg.batch_size == 64
         assert cfg.lr == 1e-3
+
+    def test_default_flight_is_the_default_profile(self):
+        # the CLI flies ExperimentConfig(), the default_train benchmark TrajectoryProfile()
+        assert _profile(ExperimentConfig()) == TrajectoryProfile()
 
     def test_default_text_parses_back(self):
         # an empty default stands for "the architecture's own"; only
@@ -467,7 +473,9 @@ def test_bad_setting_error_names_key_and_value(command, setting, trained, tmp_pa
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
     key, value = _parse_pair(setting)
-    assert key in err and repr(value) in err, err
+    # the value as a whole token: after "got ", after its key, or as key=value
+    token = rf"\b(got |{key}[ =]){re.escape(repr(value))}(?![\w.])"
+    assert key in err and re.search(token, err), err
 
 
 def test_failed_simulate_leaves_no_flight_directory(tmp_path):

@@ -10,9 +10,15 @@ in ``tests/`` as an oracle.
 
 Every parameter of every function in the package is read by its body, too:
 a parameter that a refactor leaves unread is dead, however its callers
-fill it."""
+fill it.
+
+Every ``NetConfig`` field is set by the CLI, too: a field that no production
+caller sets is an option only tests vary, and belongs in a constant."""
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from quadndr.network import NetConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quadndr"
 
@@ -108,3 +114,21 @@ def test_every_parameter_is_read():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
     assert unread_parameters([p.read_text() for p in modules]) == []
+
+
+def keywords_passed(source: str, function: str, callee: str) -> set[str]:
+    """Keywords that top-level ``function`` of ``source`` passes to ``callee``."""
+    tree = ast.parse(source)
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {kw.arg for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == callee
+            for kw in call.keywords}
+
+
+def test_cli_sets_every_net_config_field():
+    snippet = ("def build(cfg):\n"
+               "    return Net(arch=cfg.arch, **extra) if cfg else Other(window=1)\n")
+    assert keywords_passed(snippet, "build", "Net") == {"arch", None}
+    passed = keywords_passed((SRC / "cli.py").read_text(), "_net_config", "NetConfig")
+    assert sorted({f.name for f in fields(NetConfig)} - passed) == []
