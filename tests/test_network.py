@@ -451,10 +451,20 @@ def _net(arch, **kw):
 
 
 # every layout the workspace must handle: three conv layers of different
-# widths share the conv buffers, and a net without conv layers copies its
-# input straight into the dense features
+# widths share the conv buffers, a later conv wider than the first sizes the
+# im2col and z regions, a one-sample window is all pad columns but one, a wide
+# fc1's weight gradient outgrows the conv regions and so sizes the arena, and
+# a net without conv layers copies its input straight into the dense features
 BITWISE_NETS = {
     **{f"{arch}_k3": (_net(arch), 5) for arch in ("single", "multi")},
+    "single_one_conv": (_net("single", conv_channels=(6, 4)), 5),
+    "multi_one_conv": (_net("multi", conv_channels=(3, 4)), 5),
+    "single_widening": (_net("single", conv_channels=(6, 16, 4)), 5),
+    "multi_widening": (_net("multi", conv_channels=(3, 16, 4)), 5),
+    "single_window1": (replace(_net("single"), window=1), 5),
+    "multi_window1": (replace(_net("multi"), window=1), 5),
+    "single_wide_fc1": (_net("single", dense_widths=(200, 4)), 5),
+    "multi_wide_fc1": (_net("multi", dense_widths=(200, 4)), 5),
     "single_no_conv": (_net("single", conv_channels=(6,)), 5),
     "multi_no_conv": (_net("multi", conv_channels=(3,)), 5),
     "single_no_hidden": (_net("single", dense_widths=()), 5),
@@ -737,15 +747,7 @@ class TestModelFile:
 
     def test_rejects_model_of_the_previous_format(self, tmp_path):
         # a QPNET2 header also held the Leaky ReLU slope and the conv kernel
-        path = tmp_path / "model.qpnet"
-        save_model(path, init_params(TINY_SINGLE, seed=13), TINY_SINGLE, IDENTITY_NORM)
-        with np.load(path) as archive:
-            entries = {name: archive[name] for name in archive.files}
-        header = {**json.loads(str(entries["header"])), "magic": "QPNET2",
-                  "alpha": 0.01, "kernel": 3}
-        entries["header"] = np.array(json.dumps(header))
-        with path.open("wb") as fh:
-            np.savez(fh, **entries)
+        path = _model_with_header(tmp_path, magic="QPNET2", alpha=0.01, kernel=3)
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a QPNET3 model file")):
             load_model(path)
 
@@ -837,6 +839,18 @@ class TestModelFile:
         assert np.array_equal(predict(params, TINY_SINGLE, x), predict(back, cfg, x))
 
 
+def _model_with_header(tmp_path, **changes):
+    """A saved TINY_SINGLE model whose JSON header has ``changes`` applied."""
+    path = tmp_path / "model.qpnet"
+    save_model(path, init_params(TINY_SINGLE, seed=13), TINY_SINGLE, IDENTITY_NORM)
+    with np.load(path) as archive:
+        entries = {name: archive[name] for name in archive.files}
+    entries["header"] = np.array(json.dumps({**json.loads(str(entries["header"])), **changes}))
+    with path.open("wb") as fh:
+        np.savez(fh, **entries)
+    return path
+
+
 class TestNetConfigValidation:
     def test_rejects_unknown_arch(self):
         with pytest.raises(ValueError):
@@ -845,6 +859,16 @@ class TestNetConfigValidation:
     def test_rejects_wrong_input_channels(self):
         with pytest.raises(ValueError):
             NetConfig(arch="single", window=8, conv_channels=(3, 4))
+
+    # the kernel is the constant KERNEL: neither a config nor a model header
+    # can set one, whatever its value
+    @pytest.mark.parametrize("kernel", [2, 0, -1])
+    def test_rejects_kernel_that_is_not_odd_and_positive(self, kernel, tmp_path):
+        with pytest.raises(TypeError, match="kernel"):
+            NetConfig(arch="single", window=8, kernel=kernel)
+        path = _model_with_header(tmp_path, kernel=kernel)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*'kernel'"):
+            load_model(path)
 
     @pytest.mark.parametrize("field, widths, bad", [
         ("conv_channels", (6, 0), "0"), ("conv_channels", (6, -2), "-2"),
@@ -855,6 +879,16 @@ class TestNetConfigValidation:
         with pytest.raises(ValueError, match=field) as exc:
             NetConfig(arch="single", window=8, **{field: widths})
         assert bad in str(exc.value)
+
+    # the Leaky ReLU slope is the constant LEAKY_SLOPE: neither a config nor a
+    # model header can set one, whatever its value
+    @pytest.mark.parametrize("alpha", [0.0, -0.01, 1.0000000000000002, 2.0, np.inf, np.nan])
+    def test_rejects_alpha_outside_unit_interval(self, alpha, tmp_path):
+        with pytest.raises(TypeError, match="alpha"):
+            NetConfig(arch="single", window=8, alpha=alpha)
+        path = _model_with_header(tmp_path, alpha=alpha)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*'alpha'"):
+            load_model(path)
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ValueError):
