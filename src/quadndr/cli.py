@@ -180,11 +180,10 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     series = _load_trajectories(cfg)
     _, test_tags = split_tags(list(series), cfg.test_fraction, cfg.seed)
     eval_spec = WindowSpec(cfg.window_size, cfg.window_size)
-    paths = [*model_paths, *baseline_paths]
-    models = [load_model(p) for p in paths]
-    # (label, run, params, config, norm); run ranks a model among its label's
+    # (path, label, run, params, config, norm); run ranks a model among its label's
     table = []
-    for path, (params, net_cfg, norm) in zip(paths, models):
+    for path in [*model_paths, *baseline_paths]:
+        params, net_cfg, norm = load_model(path)
         if net_cfg.window != cfg.window_size:
             raise ValueError(f"{path}: model window {net_cfg.window} does not match"
                              f" window_size {cfg.window_size}")
@@ -192,34 +191,38 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
             raise ValueError(f"{path}: model out_dim {net_cfg.out_dim} is neither 3 (xyz)"
                              f" nor 2 (the baseline's distance, dz)")
         label = "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
-        table.append((label, sum(row[0] == label for row in table), params, net_cfg, norm))
+        table.append((path, label, sum(row[1] == label for row in table), params, net_cfg, norm))
 
     per_method: dict[str, list[float]] = {}
     report: dict = {"test_trajectories": ",".join(test_tags)}
-    n = cfg.window_size
     for tag in test_tags:
         gt, imu = series[tag]
-        flight = Path(cfg.out_dir) / tag
-        check_synchronized(imu, gt, str(flight))
-        if len(gt) < n:
-            raise ValueError(f"{flight}: {len(gt)} samples, fewer than one window of {n}")
-        _, ends = window_bounds(len(gt), eval_spec)
-        init = initial_nav_state(gt)
-        # run 0 of each method; pure INS mechanizes the noisy IMU
-        points = {"gt": gt_window_end_positions(gt, eval_spec),
-                  "ins": mechanize_series(init, imu).p[ends]}
-        per_method.setdefault("ins", []).append(rmse(points["gt"], points["ins"]).rmse)
-        inputs = window_inputs(imu, eval_spec)
-        for label, run, params, net_cfg, norm in table:
-            if label == "baseline":
-                pts = run_baseline(imu, params, net_cfg, init, eval_spec, norm)
-            else:
-                deltas = predict(params, net_cfg, normalize_inputs(inputs, norm))
-                pts = integrate_deltas(gt.positions[0], deltas)
-            score = rmse(points["gt"], pts).rmse
-            per_method.setdefault(label, []).append(score)
-            report[f"{label}.run{run}.{tag}.rmse"] = score
-            points.setdefault(label, pts)
+        try:
+            check_synchronized(imu, gt)
+            if len(gt) < cfg.window_size:
+                raise ValueError(f"{len(gt)} samples, fewer than one window of {cfg.window_size}")
+            _, ends = window_bounds(len(gt), eval_spec)
+            init = initial_nav_state(gt)
+            # run 0 of each method; pure INS mechanizes the noisy IMU
+            points = {"gt": gt_window_end_positions(gt, eval_spec),
+                      "ins": mechanize_series(init, imu).p[ends]}
+            per_method.setdefault("ins", []).append(rmse(points["gt"], points["ins"]).rmse)
+            inputs = window_inputs(imu, eval_spec)
+            for path, label, run, params, net_cfg, norm in table:
+                try:
+                    if label == "baseline":
+                        pts = run_baseline(imu, params, net_cfg, init, eval_spec, norm)
+                    else:
+                        deltas = predict(params, net_cfg, normalize_inputs(inputs, norm))
+                        pts = integrate_deltas(gt.positions[0], deltas)
+                    score = rmse(points["gt"], pts).rmse
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+                per_method.setdefault(label, []).append(score)
+                report[f"{label}.run{run}.{tag}.rmse"] = score
+                points.setdefault(label, pts)
+        except ValueError as exc:
+            raise ValueError(f"{Path(cfg.out_dir) / tag}: {exc}") from None
         if tag == test_tags[0]:  # only the first test flight is written out
             times, curves = gt.timestamps[ends], points
 

@@ -56,10 +56,9 @@ class NetConfig:
         if not self.conv_channels:
             default = SINGLE_CHANNELS if self.arch == "single" else MULTI_CHANNELS
             object.__setattr__(self, "conv_channels", default)
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
-        object.__setattr__(self, "dense_widths", tuple(self.dense_widths))
         for field in ("conv_channels", "dense_widths"):
-            widths = getattr(self, field)
+            widths = tuple(getattr(self, field))
+            object.__setattr__(self, field, widths)
             for width in widths:
                 if type(width) is not int or width < 1:
                     raise ValueError(f"{field} entries must be ints >= 1,"
@@ -92,6 +91,21 @@ def param_shapes(cfg: NetConfig) -> dict:
         shapes[f"{name}.w"] = (dout, din)
         shapes[f"{name}.b"] = (dout,)
     return shapes
+
+
+def _check_blocks(blocks: dict, shapes: dict) -> None:
+    """Raise ValueError, naming the block, unless ``blocks`` holds exactly the
+    blocks named in ``shapes``, each a float64 ndarray of its shape."""
+    for name, shape in shapes.items():
+        if name not in blocks:
+            raise ValueError(f"missing block {name!r}")
+        arr = blocks[name]
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.shape == shape):
+            raise ValueError(f"block {name!r} is {getattr(arr, 'dtype', type(arr).__name__)} of"
+                             f" shape {np.shape(arr)}, expected float64 of shape {shape}")
+    unexpected = sorted(blocks.keys() - shapes.keys())
+    if unexpected:
+        raise ValueError(f"unexpected blocks {unexpected}")
 
 
 def init_params(cfg: NetConfig, seed: int) -> dict:
@@ -170,7 +184,7 @@ def _dropout(a, rate: float, rng, ws, name):
 def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
     """Floats in each region of buffer ``arena`` in one pass, in order: every
     conv's zero-padded (in, B, Lp) input (its gradient in the backward pass);
-    then, sized for the largest conv, one conv's (in*kernel, B*window) im2col
+    then, sized for the largest conv, one conv's (in*KERNEL, B*window) im2col
     columns and its pre-activation (their gradients in the backward pass);
     last, the gradient of ``flat``."""
     chans = cfg.conv_channels
@@ -194,31 +208,27 @@ def _arena_regions(ws, cfg: NetConfig, batch: int, count: int) -> list:
     return np.split(ws.get("arena", (sum(sizes),)), np.cumsum(sizes[:-1]))
 
 
-def _im2col(xp, kernel, free):
-    """The (in*kernel, B*Lout) im2col columns of a zero-padded channel-major
+def _im2col(xp, free):
+    """The (in*KERNEL, B*Lout) im2col columns of a zero-padded channel-major
     (in, B, Lp) input, at the start of the flat buffer ``free``."""
     cin, B, lp = xp.shape
-    lout = lp - kernel + 1
-    cols = free[:cin * kernel * B * lout].reshape(cin, kernel, B, lout)
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
+    lout = lp - KERNEL + 1
+    cols = free[:cin * KERNEL * B * lout].reshape(cin, KERNEL, B, lout)
+    win = np.lib.stride_tricks.sliding_window_view(xp, KERNEL, axis=2)
     np.copyto(cols, win.transpose(0, 3, 1, 2))
-    return cols.reshape(cin * kernel, B * lout)
+    return cols.reshape(cin * KERNEL, B * lout)
 
 
-def _conv_forward(xp, w, b, name, cols_free, z_free):
+def _conv_forward(xp, w, b, cols_free, z_free):
     """Cross-correlate a zero-padded channel-major (in, B, Lp) input with
-    (out, in, kernel) weights; returns the (out, B, Lp - kernel + 1)
+    (out, in, KERNEL) weights; returns the (out, B, Lp - KERNEL + 1)
     pre-activation at the start of the flat buffer ``z_free``. Its im2col
     columns go to the start of ``cols_free``."""
-    cin, B, lp = xp.shape
-    cout, w_cin, kernel = w.shape
-    if w_cin != cin or lp < kernel:
-        raise ValueError(f"conv {name}: input of shape {xp.shape} does not fit"
-                         f" weights of shape {w.shape}")
-    cols = _im2col(xp, kernel, cols_free)
+    cout, B = w.shape[0], xp.shape[1]
+    cols = _im2col(xp, cols_free)
     z = z_free[:cout * cols.shape[1]].reshape(cout, cols.shape[1])
-    np.matmul(w.reshape(cout, cin * kernel), cols, out=z)
-    z = z.reshape(cout, B, lp - kernel + 1)
+    np.matmul(w.reshape(cout, cols.shape[0]), cols, out=z)
+    z = z.reshape(cout, B, xp.shape[2] - KERNEL + 1)
     z += b[:, None, None]
     return z
 
@@ -235,17 +245,16 @@ def _conv_param_grads(dz, cols, w, ws, name):
 
 def _conv_input_grad(dz, w, cols, xp):
     """The (in, B, Lout) input gradient of one length-preserving conv, padded
-    in ``xp``, the layer's (in, B, Lout + kernel - 1) padded input; its
+    in ``xp``, the layer's (in, B, Lout + KERNEL - 1) padded input; its
     columns overwrite ``cols``, the layer's im2col columns. Both are dead
     once its weight gradient is formed."""
-    cout, cin, kernel = w.shape
-    _, B, lout = dz.shape
-    dcols = np.matmul(w.reshape(cout, cin * kernel).T, dz.reshape(cout, B * lout), out=cols)
-    dcols = dcols.reshape(cin, kernel, B, lout)
+    cout, B, lout = dz.shape
+    dcols = np.matmul(w.reshape(cout, cols.shape[0]).T, dz.reshape(cout, B * lout), out=cols)
+    dcols = dcols.reshape(xp.shape[0], KERNEL, B, lout)
     xp.fill(0.0)
-    for k in range(kernel):
+    for k in range(KERNEL):
         xp[:, :, k:k + lout] += dcols[:, k]
-    return xp[:, :, kernel // 2:kernel // 2 + lout]
+    return xp[:, :, KERNEL // 2:KERNEL // 2 + lout]
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +273,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     """Batched forward pass of ``_as_windows`` input ``x`` into ``ws`` (dropout on
     when ``rng`` is given); returns predictions and the backward cache. Conv
     activations are channel-major, (C, B, L)."""
+    _check_blocks(params, param_shapes(cfg))
     B, L = x.shape[0], cfg.window
     pad = KERNEL // 2
     chans = cfg.conv_channels
@@ -287,8 +297,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         np.copyto(h[:, :, pad:pad + L], branch_x.transpose(1, 0, 2))
         for i in range(nconv):
             name = f"{prefix}{i + 1}"
-            z = _conv_forward(h, params[name + ".w"], params[name + ".b"], name,
-                              cols_free, z_free)
+            z = _conv_forward(h, params[name + ".w"], params[name + ".b"], cols_free, z_free)
             positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
             conv_cache.append((name, h, positive))
             if i == nconv - 1:
@@ -352,7 +361,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             w = params[name + ".w"]
             dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
             # the forward pass kept the conv's input, not its columns
-            cols = _im2col(xp, KERNEL, cols_free)
+            cols = _im2col(xp, cols_free)
             grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
             if i > 0:  # the network's input needs no gradient
                 da = _conv_input_grad(dz, w, cols, xp)
@@ -387,11 +396,8 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     valid until the workspace's next use."""
     ws = _Workspace() if workspace is None else workspace
     x = _as_windows(cfg, inputs)
-    targets = np.asarray(targets, dtype=float)
     ws.get("arena", (_arena_size(cfg, x.shape[0]),))  # before any view of it (see _Workspace)
     out, cache = _forward(params, cfg, x, ws, rng=rng)
-    if targets.shape != out.shape:
-        raise ValueError("target shape does not match network output")
     loss = mse_loss(out, targets)
     dout = 2.0 * (out - targets) / out.shape[0]
     grads = _backward(params, cfg, cache, dout, ws)
@@ -506,14 +512,14 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
     """Mini-batch Adam training with seeded per-epoch shuffling.
 
     The last partial batch is kept. Every ``adam_step`` updates the arrays
-    of ``params`` in place; before any changes, a block that is not a
-    writeable float64 ndarray raises ValueError naming it, and so do labels
-    whose row count is not that of ``inputs``. Returns the same
-    ``params`` dict and the per-epoch mean loss history.
+    of ``params`` in place; before any changes, a read-only block raises
+    ValueError naming it, as do labels whose row count is not that of
+    ``inputs`` and (in the first forward pass) a missing, extra or misshapen
+    block. Returns the same ``params`` dict and the per-epoch mean loss history.
     """
     for k, p in params.items():
-        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.flags.writeable):
-            raise ValueError(f"parameter block {k!r} is not a writeable float64 ndarray")
+        if isinstance(p, np.ndarray) and not p.flags.writeable:
+            raise ValueError(f"parameter block {k!r} is read-only")
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     m = inputs.shape[0]
@@ -579,19 +585,10 @@ def load_model(path):
             if header.pop("magic", None) != MODEL_MAGIC:
                 raise ValueError(f"not a {MODEL_MAGIC} model file")
             cfg = NetConfig(**header)
-            expected = {**param_shapes(cfg), "norm.mean": (6,), "norm.std": (6,)}
-            for name, shape in expected.items():
-                if name not in blocks:
-                    raise ValueError(f"missing block {name!r}")
-                arr = blocks[name]
-                if arr.shape != shape or arr.dtype != np.float64:
-                    raise ValueError(f"block {name!r} is {arr.dtype} of shape {arr.shape},"
-                                     f" expected float64 of shape {shape}")
+            _check_blocks(blocks, {**param_shapes(cfg), "norm.mean": (6,), "norm.std": (6,)})
+            for name, arr in blocks.items():
                 if not np.all(np.isfinite(arr)):
                     raise ValueError(f"block {name!r} has non-finite entries")
-            unexpected = sorted(blocks.keys() - expected.keys())
-            if unexpected:
-                raise ValueError(f"unexpected blocks {unexpected}")
             if not np.all(blocks["norm.std"] > 0):
                 raise ValueError("block 'norm.std' has entries <= 0")
         # a damaged archive makes zipfile seek before the start (OSError) or see

@@ -82,7 +82,7 @@ def window_labels(gt: GroundTruthSeries, spec: WindowSpec) -> np.ndarray:
     return gt.positions[ends] - gt.positions[starts]
 
 
-def check_synchronized(imu: ImuSeries, gt: GroundTruthSeries, flight: str) -> None:
+def check_synchronized(imu: ImuSeries, gt: GroundTruthSeries, flight: str = "") -> None:
     """Raise ValueError, prefixed by ``flight`` when it is not empty, unless
     both series have the same length and their timestamps agree to within
     half a sample period."""

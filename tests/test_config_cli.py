@@ -171,6 +171,16 @@ def _four_outputs(entries):
         entries[name] = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])
 
 
+def _overflowing_head_b(out_dim):
+    # finite blocks (a baseline's when out_dim is 2) whose every prediction
+    # is about 1e308, so the chained reconstruction overflows
+    def edit(entries):
+        _set_header(out_dim=out_dim)(entries)
+        entries["head.w"] = entries["head.w"][:out_dim]
+        entries["head.b"] = np.full(out_dim, 1e308)
+    return edit
+
+
 def _drop_norm(entries):
     del entries["norm.mean"], entries["norm.std"]
 
@@ -192,18 +202,22 @@ def _damage_zip_version(data):
     return data[:at] + b"\xff" + data[at + 1:]
 
 
-def _edit_flight(command, edit):
+def _edit_flight(command, edit, models=True, **overrides):
     """Copy the experiment, let ``edit`` damage its first test flight (it
-    returns the path the error must name) and run ``command`` on the copy."""
+    returns the path the error must name) and run ``command`` on the copy,
+    with ``overrides`` on the tiny config; eval scores the trained model
+    unless ``models`` is false."""
     def case(tmp_path, out, model):
         exp = tmp_path / "exp"
         shutil.copytree(out, exp)
-        cfg = load_config(overrides=tiny_overrides(exp))
+        cfg = load_config(overrides=tiny_overrides(exp, **overrides))
         tags = [f"traj_{i:02d}" for i in range(cfg.num_trajectories)]
         flight = exp / split_tags(tags, cfg.test_fraction, cfg.seed)[1][0]
         culprit = edit(flight)
-        argv = [command, *_sets(tiny_overrides(exp))]
-        return argv + (["--models", str(model)] if command == "eval" else []), culprit
+        argv = [command, *_sets(tiny_overrides(exp, **overrides))]
+        if command == "eval" and models:
+            argv += ["--models", str(model)]
+        return argv, culprit
     return case
 
 
@@ -276,12 +290,17 @@ MALFORMED_INPUTS = {
     "model_window_not_int": _eval_edited_model(_edit_entries(_set_header(window=20.0))),
     "model_out_dim_not_int": _eval_edited_model(_edit_entries(_set_header(out_dim=3.0))),
     "model_out_dim_four": _eval_edited_model(_edit_entries(_four_outputs)),
+    "model_reconstruction_overflows": _eval_edited_model(_edit_entries(_overflowing_head_b(3))),
+    "baseline_reconstruction_overflows": _eval_edited_model(
+        _edit_entries(_overflowing_head_b(2))),
     "eval_model_window_differs": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out, window_size=10, stride=10)),
          "--models", str(model)], model),
     "eval_gt_header_only": _edit_flight("eval", _cut_flight(0, 101)),
     "eval_imu_shorter_than_gt": _edit_flight("eval", _cut_flight(101, 60)),
     "eval_flight_shorter_than_window": _edit_flight("eval", _cut_flight(10, 10)),
+    "eval_flight_of_two_samples": _edit_flight("eval", _cut_flight(2, 2), models=False,
+                                               window_size=2, stride=2),
     "train_gt_nan_inside_window": _edit_flight("train", _nan_position(5)),
     "train_gt_nan_at_window_start": _edit_flight("train", _nan_position(10)),
     "train_gt_timestamp_step_overflows": _edit_flight("train", _overflowing_timestamps),

@@ -28,6 +28,7 @@ from quadndr.network import (
     TrainConfig,
     TrainingDiverged,
     _ADAM_GRAD_MAX,
+    KERNEL,
     _conv_forward,
     _dropout,
     _Workspace,
@@ -56,8 +57,8 @@ def conv1d(w, b, x, padding=0):
     zero-padded channel-major (in_channels, B, L + 2*padding) input."""
     xp = np.pad(np.asarray(x, dtype=float), ((0, 0), (padding, padding)))[:, None]
     w = np.asarray(w, dtype=float)
-    y = _conv_forward(xp, w, np.asarray(b, dtype=float), "conv",
-                      np.empty(xp.size * w.shape[-1]), np.empty(w.shape[0] * xp.shape[2]))
+    y = _conv_forward(xp, w, np.asarray(b, dtype=float),
+                      np.empty(xp.size * KERNEL), np.empty(w.shape[0] * xp.shape[2]))
     return y[:, 0]
 
 
@@ -94,8 +95,8 @@ class TestLeakyRelu:
 
 class TestConv1d:
     def test_moving_sum(self):
-        y = conv1d(np.ones((1, 1, 2)), np.zeros(1), [[1.0, 2.0, 3.0]])
-        assert np.array_equal(y, [[3.0, 5.0]])
+        y = conv1d(np.ones((1, 1, 3)), np.zeros(1), [[1.0, 2.0, 3.0, 4.0]])
+        assert np.array_equal(y, [[6.0, 9.0]])
 
     def test_identity_kernel_with_padding(self):
         w = np.zeros((1, 1, 3))
@@ -110,12 +111,10 @@ class TestConv1d:
         assert np.array_equal(y[1], np.full(5, -0.5))
 
     def test_rejects_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            conv1d(np.ones((1, 2, 2)), np.zeros(1), [[1.0, 2.0]])
-
-    def test_rejects_input_shorter_than_kernel(self):
-        with pytest.raises(ValueError):
-            conv1d(np.ones((1, 1, 4)), np.zeros(1), [[1.0, 2.0]])
+        params = init_params(TINY_SINGLE, seed=0)
+        params["conv2.w"] = np.ones((4, 5, KERNEL))
+        with pytest.raises(ValueError, match="'conv2.w'"):
+            predict(params, TINY_SINGLE, np.ones((1, 6, 8)))
 
 
 class TestDense:
@@ -253,6 +252,56 @@ class TestGradients:
         fd = finite_difference_grads(params, cfg, x, targets)
         assert set(grads) == set(fd)
         assert guarded_relative_error(grads, fd) < 1e-4
+
+
+def _short_head_b(params):
+    params["head.b"] = params["head.b"][:1].copy()
+    return "head.b"
+
+
+def _extra_block(params):
+    params["fc9.w"] = np.zeros((2, 2))
+    return "fc9.w"
+
+
+def _missing_block(params):
+    del params["fc2.b"]
+    return "fc2.b"
+
+
+def _two_tap_conv(params):
+    params["conv1.w"] = params["conv1.w"][:, :, :2].copy()
+    return "conv1.w"
+
+
+def _call_predict(params, x, y):
+    predict(params, TINY_SINGLE, x)
+
+
+def _call_loss_and_gradients(params, x, y):
+    loss_and_gradients(params, TINY_SINGLE, x, y)
+
+
+def _call_train(params, x, y):
+    train(params, TINY_SINGLE, x, y, TrainConfig(epochs=1, batch_size=2))
+
+
+class TestParameterBlocks:
+    # each edit returns the block the error must name
+    @pytest.mark.parametrize("edit", [_short_head_b, _extra_block, _missing_block,
+                                      _two_tap_conv])
+    @pytest.mark.parametrize("call", [_call_predict, _call_loss_and_gradients, _call_train])
+    def test_refuses_block_unlike_param_shapes(self, call, edit):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(4, 6, 8)), rng.normal(size=(4, 3))
+        params = init_params(TINY_SINGLE, seed=3)
+        name = edit(params)
+        before = copy.deepcopy(params)
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            call(params, x, y)
+        assert params.keys() == before.keys()
+        for k, a in before.items():
+            assert params[k].tobytes() == a.tobytes(), k
 
 
 class TestAdam:

@@ -13,14 +13,22 @@ a parameter that a refactor leaves unread is dead, however its callers
 fill it.
 
 Every ``NetConfig`` field is set by the CLI, too: a field that no production
-caller sets is an option only tests vary, and belongs in a constant."""
+caller sets is an option only tests vary, and belongs in a constant. And the
+benchmark's copy of the CLI's network builder builds the same networks."""
 import ast
+import importlib.util
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
+from quadndr.cli import ARCHES, _net_config
+from quadndr.config import load_config
 from quadndr.network import NetConfig
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "quadndr"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "quadndr"
 
 
 def _referenced(nodes) -> set[str]:
@@ -132,3 +140,28 @@ def test_cli_sets_every_net_config_field():
     assert keywords_passed(snippet, "build", "Net") == {"arch", None}
     passed = keywords_passed((SRC / "cli.py").read_text(), "_net_config", "NetConfig")
     assert sorted({f.name for f in fields(NetConfig)} - passed) == []
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, imported from its file as it is."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        # a dataclass looks its module up in sys.modules while it is built
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+@pytest.mark.parametrize("config", ["default", "criterion_6", "tiny_network"])
+def test_perfbench_builds_the_networks_the_cli_trains(config, arch):
+    workloads = _perfbench_workloads()
+    overrides = {
+        "default": (),
+        "criterion_6": workloads.CLAIM_OVERRIDES + ("runs=3", "seed=17"),
+        "tiny_network": ("conv_channels=" + ("3,4,4" if arch == "multi" else "6,8,8"),
+                         "dense_widths=16,8", "dropout=0.0"),
+    }[config]
+    cfg = load_config(overrides=list(overrides))
+    assert workloads.net_config(cfg, arch) == _net_config(cfg, arch)
