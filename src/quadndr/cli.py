@@ -109,7 +109,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     return dirs
 
 
-def _load_trajectories(cfg: ExperimentConfig) -> dict:
+def _load_trajectories(cfg: ExperimentConfig) -> tuple[dict, list, list]:
+    """Read and check every flight once, and split: (flights, train tags, test tags)."""
     if cfg.num_trajectories < 2:  # train and eval split the flights
         raise ValueError(f"num_trajectories must be >= 2 to split train and test flights,"
                          f" got {cfg.num_trajectories!r}")
@@ -123,8 +124,13 @@ def _load_trajectories(cfg: ExperimentConfig) -> dict:
         for path in (gt_path, imu_path):
             if not path.is_file():
                 raise ValueError(f"missing trajectory file {path}; run simulate first")
-        series[tag] = (read_gt_csv(gt_path), read_imu_csv(imu_path))
-    return series
+        gt, imu = read_gt_csv(gt_path), read_imu_csv(imu_path)
+        check_synchronized(imu, gt, str(tdir))
+        if len(gt) < cfg.window_size:
+            raise ValueError(f"{tdir}: {len(gt)} samples, fewer than one window of"
+                             f" window_size {cfg.window_size!r}")
+        series[tag] = (gt, imu)
+    return (series, *split_tags(list(series), cfg.test_fraction, cfg.seed))
 
 
 def _net_config(cfg: ExperimentConfig, arch: str) -> NetConfig:
@@ -145,16 +151,11 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     if cfg.runs < 1:
         raise ValueError(f"runs must be >= 1, got {cfg.runs!r}")
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr)
-    series = _load_trajectories(cfg)
+    series, train_tags, _ = _load_trajectories(cfg)
     spec = WindowSpec(cfg.window_size, cfg.stride)
-    sets = {tag: window_series(imu, gt, spec, tag) for tag, (gt, imu) in series.items()}
-    train_tags, _ = split_tags(list(series), cfg.test_fraction, cfg.seed)
-    train_set = concat_sets([s for tag, s in sets.items() if tag in train_tags])
-    if len(train_set) == 0:
-        longest = max(len(series[tag][0]) for tag in train_tags)
-        raise ValueError(f"no training windows: window_size {cfg.window_size!r} does not"
-                         f" fit in any training flight (the longest has {longest} samples)")
-    train_set, norm = normalize(train_set)
+    # every flight is windowed, test flights too: perfbench pins that call count
+    sets = {tag: window_series(imu, gt, spec) for tag, (gt, imu) in series.items()}
+    train_set, norm = normalize(concat_sets(s for tag, s in sets.items() if tag in train_tags))
     labels = train_set.labels
     if arch == "baseline":
         # the baseline regresses horizontal distance and altitude change
@@ -177,20 +178,20 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
 
 def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     """Score models on held-out trajectories; write report, CSVs and plot."""
-    series = _load_trajectories(cfg)
-    _, test_tags = split_tags(list(series), cfg.test_fraction, cfg.seed)
+    series, _, test_tags = _load_trajectories(cfg)
     eval_spec = WindowSpec(cfg.window_size, cfg.window_size)
     # (path, label, run, params, config, norm); run ranks a model among its label's
     table = []
-    for path in [*model_paths, *baseline_paths]:
+    for path, flag, out_dim in ([(p, "--models", 3) for p in model_paths]
+                                + [(p, "--baseline", 2) for p in baseline_paths]):
         params, net_cfg, norm = load_model(path)
         if net_cfg.window != cfg.window_size:
             raise ValueError(f"{path}: model window {net_cfg.window} does not match"
                              f" window_size {cfg.window_size}")
-        if net_cfg.out_dim not in (3, 2):
-            raise ValueError(f"{path}: model out_dim {net_cfg.out_dim} is neither 3 (xyz)"
-                             f" nor 2 (the baseline's distance, dz)")
-        label = "baseline" if net_cfg.out_dim == 2 else net_cfg.arch
+        if net_cfg.out_dim != out_dim:
+            raise ValueError(f"{path}: model out_dim {net_cfg.out_dim} does not fit {flag}; pass"
+                             f" xyz networks (3) with --models, baselines (2) with --baseline")
+        label = "baseline" if flag == "--baseline" else net_cfg.arch
         table.append((path, label, sum(row[1] == label for row in table), params, net_cfg, norm))
 
     per_method: dict[str, list[float]] = {}
@@ -198,9 +199,6 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     for tag in test_tags:
         gt, imu = series[tag]
         try:
-            check_synchronized(imu, gt)
-            if len(gt) < cfg.window_size:
-                raise ValueError(f"{len(gt)} samples, fewer than one window of {cfg.window_size}")
             _, ends = window_bounds(len(gt), eval_spec)
             init = initial_nav_state(gt)
             # run 0 of each method; pure INS mechanizes the noisy IMU

@@ -74,6 +74,8 @@ def rmse(gt_points, pred_points) -> EvalReport:
         raise ValueError("point sequences must be equal-length and non-empty")
     sq = (a - b) ** 2
     total = float(np.sqrt(np.mean(sq.sum(axis=1))))
+    if not np.isfinite(total):
+        raise ValueError(f"RMSE is {total}: the points are not finite or too far apart to square")
     per_axis = np.sqrt(sq.mean(axis=0))
     horizontal = float(np.sqrt(np.mean(sq[:, 0] + sq[:, 1])))
     return EvalReport(rmse=total, per_axis=per_axis, horizontal=horizontal,

@@ -126,11 +126,11 @@ def trained(tmp_path_factory):
     return out, cmd_train(cfg, "single")[0]
 
 
-def _eval_edited_model(edit):
+def _eval_edited_model(edit, flag="--models"):
     def case(tmp_path, out, model):
         bad = tmp_path / "bad.qpnet"
         bad.write_bytes(edit(model.read_bytes()))
-        return ["eval", *_sets(tiny_overrides(out)), "--models", str(bad)], bad
+        return ["eval", *_sets(tiny_overrides(out)), flag, str(bad)], bad
     return case
 
 
@@ -171,13 +171,22 @@ def _four_outputs(entries):
         entries[name] = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])
 
 
-def _overflowing_head_b(out_dim):
+def _baseline_head(entries):
+    # header out_dim=2, and the head blocks cut to two outputs, as a
+    # baseline's (distance, dz) are
+    _set_header(out_dim=2)(entries)
+    for name in ("head.w", "head.b"):
+        entries[name] = entries[name][:2]
+
+
+def _large_head_b(out_dim, value):
     # finite blocks (a baseline's when out_dim is 2) whose every prediction
-    # is about 1e308, so the chained reconstruction overflows
+    # is about ``value``: at 1e308 the chained reconstruction overflows, at
+    # 1e200 only the square of its distance from the ground truth does
     def edit(entries):
-        _set_header(out_dim=out_dim)(entries)
-        entries["head.w"] = entries["head.w"][:out_dim]
-        entries["head.b"] = np.full(out_dim, 1e308)
+        if out_dim == 2:
+            _baseline_head(entries)
+        entries["head.b"] = np.full(out_dim, value)
     return edit
 
 
@@ -290,9 +299,15 @@ MALFORMED_INPUTS = {
     "model_window_not_int": _eval_edited_model(_edit_entries(_set_header(window=20.0))),
     "model_out_dim_not_int": _eval_edited_model(_edit_entries(_set_header(out_dim=3.0))),
     "model_out_dim_four": _eval_edited_model(_edit_entries(_four_outputs)),
-    "model_reconstruction_overflows": _eval_edited_model(_edit_entries(_overflowing_head_b(3))),
+    "model_reconstruction_overflows": _eval_edited_model(_edit_entries(_large_head_b(3, 1e308))),
     "baseline_reconstruction_overflows": _eval_edited_model(
-        _edit_entries(_overflowing_head_b(2))),
+        _edit_entries(_large_head_b(2, 1e308)), "--baseline"),
+    "model_rmse_overflows": _eval_edited_model(_edit_entries(_large_head_b(3, 1e200))),
+    "baseline_rmse_overflows": _eval_edited_model(
+        _edit_entries(_large_head_b(2, 1e200)), "--baseline"),
+    "xyz_model_under_baseline_flag": lambda tmp_path, out, model: (
+        ["eval", *_sets(tiny_overrides(out)), "--baseline", str(model)], model),
+    "baseline_model_under_models_flag": _eval_edited_model(_edit_entries(_baseline_head)),
     "eval_model_window_differs": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out, window_size=10, stride=10)),
          "--models", str(model)], model),
@@ -301,6 +316,8 @@ MALFORMED_INPUTS = {
     "eval_flight_shorter_than_window": _edit_flight("eval", _cut_flight(10, 10)),
     "eval_flight_of_two_samples": _edit_flight("eval", _cut_flight(2, 2), models=False,
                                                window_size=2, stride=2),
+    "train_imu_shorter_than_gt": _edit_flight("train", _cut_flight(101, 60)),
+    "train_test_flight_shorter_than_window": _edit_flight("train", _cut_flight(10, 10)),
     "train_gt_nan_inside_window": _edit_flight("train", _nan_position(5)),
     "train_gt_nan_at_window_start": _edit_flight("train", _nan_position(10)),
     "train_gt_timestamp_step_overflows": _edit_flight("train", _overflowing_timestamps),

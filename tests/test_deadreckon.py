@@ -92,6 +92,11 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(np.zeros((3, 3)), np.zeros((2, 3)))
 
+    def test_rejects_a_square_that_overflows(self):
+        # finite points 1e200 apart: their squared distance is beyond float64
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="RMSE is inf"):
+            rmse(np.zeros((2, 3)), np.full((2, 3), 1e200))
+
 
 class TestImprovement:
     def test_reference_operating_point(self):

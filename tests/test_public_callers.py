@@ -14,7 +14,10 @@ fill it.
 
 Every ``NetConfig`` field is set by the CLI, too: a field that no production
 caller sets is an option only tests vary, and belongs in a constant. And the
-benchmark's copy of the CLI's network builder builds the same networks."""
+benchmark's copy of the CLI's network builder builds the same networks.
+
+The CLI reads, checks and splits flights in one function, so train and eval
+refuse the same flights and hold out the same ones."""
 import ast
 import importlib.util
 import sys
@@ -140,6 +143,33 @@ def test_cli_sets_every_net_config_field():
     assert keywords_passed(snippet, "build", "Net") == {"arch", None}
     passed = keywords_passed((SRC / "cli.py").read_text(), "_net_config", "NetConfig")
     assert sorted({f.name for f in fields(NetConfig)} - passed) == []
+
+
+def references_split(source: str, function: str) -> tuple[set[str], set[str]]:
+    """Names that top-level ``function`` of ``source`` refers to, and names
+    that the rest of ``source`` refers to; an import is not a reference."""
+    tree = ast.parse(source)
+    inside = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    return _referenced(inside), _referenced(node for node in tree.body if node not in inside)
+
+
+FLIGHT_LOADING = {"read_gt_csv", "read_imu_csv", "check_synchronized", "split_tags"}
+
+
+def test_cli_loads_flights_in_one_function():
+    snippet = ("from .windows import split_tags\n"
+               "def load(cfg):\n"
+               "    return split_tags(read(cfg))\n"
+               "def cmd(cfg):\n"
+               "    return windows.split_tags(load(cfg)), check\n"
+               "default = read\n")
+    inside, outside = references_split(snippet, "load")
+    assert inside == {"split_tags", "read", "cfg"}
+    assert outside == {"windows", "split_tags", "load", "cfg", "check", "read", "default"}
+    inside, outside = references_split((SRC / "cli.py").read_text(), "_load_trajectories")
+    assert FLIGHT_LOADING <= inside
+    assert sorted(FLIGHT_LOADING & outside) == []
 
 
 def _perfbench_workloads():
