@@ -146,13 +146,12 @@ def _net_config(cfg: ExperimentConfig, arch: str) -> NetConfig:
 
 def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     """Train ``runs`` independently seeded models and save them."""
-    if arch not in ARCHES:
-        raise ValueError(f"arch must be one of {ARCHES}")
     if cfg.runs < 1:
         raise ValueError(f"runs must be >= 1, got {cfg.runs!r}")
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr)
-    series, train_tags, _ = _load_trajectories(cfg)
     spec = WindowSpec(cfg.window_size, cfg.stride)
+    net_cfg = _net_config(cfg, arch)
+    series, train_tags, _ = _load_trajectories(cfg)  # after every setting is checked
     # every flight is windowed, test flights too: perfbench pins that call count
     sets = {tag: window_series(imu, gt, spec) for tag, (gt, imu) in series.items()}
     train_set, norm = normalize(concat_sets(s for tag, s in sets.items() if tag in train_tags))
@@ -160,7 +159,6 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     if arch == "baseline":
         # the baseline regresses horizontal distance and altitude change
         labels = np.column_stack([np.hypot(labels[:, 0], labels[:, 1]), labels[:, 2]])
-    net_cfg = _net_config(cfg, arch)
     out = Path(cfg.out_dir)
     paths = []
     for run in range(cfg.runs):
@@ -178,12 +176,13 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
 
 def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     """Score models on held-out trajectories; write report, CSVs and plot."""
-    series, _, test_tags = _load_trajectories(cfg)
     eval_spec = WindowSpec(cfg.window_size, cfg.window_size)
     # (path, label, run, params, config, norm); run ranks a model among its label's
     table = []
     for path, flag, out_dim in ([(p, "--models", 3) for p in model_paths]
                                 + [(p, "--baseline", 2) for p in baseline_paths]):
+        if Path(path).resolve() in {Path(row[0]).resolve() for row in table}:  # one file, one run
+            raise ValueError(f"{path}: model file given more than once")
         params, net_cfg, norm = load_model(path)
         if net_cfg.window != cfg.window_size:
             raise ValueError(f"{path}: model window {net_cfg.window} does not match"
@@ -193,6 +192,7 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
                              f" xyz networks (3) with --models, baselines (2) with --baseline")
         label = "baseline" if flag == "--baseline" else net_cfg.arch
         table.append((path, label, sum(row[1] == label for row in table), params, net_cfg, norm))
+    series, _, test_tags = _load_trajectories(cfg)  # after every setting and model is checked
 
     per_method: dict[str, list[float]] = {}
     report: dict = {"test_trajectories": ",".join(test_tags)}
@@ -262,9 +262,10 @@ def main(argv=None) -> int:
     p_train.add_argument("--arch", choices=ARCHES, default="single")
     p_eval = sub.add_parser("eval", help="evaluate models on held-out trajectories")
     add_common(p_eval)
-    p_eval.add_argument("--models", nargs="+", default=[], help="QuadPosNet model files")
-    p_eval.add_argument("--baseline", nargs="+", default=[],
-                        help="distance+heading baseline model files")
+    p_eval.add_argument("--models", action="extend", nargs="+", default=[],
+                        help="QuadPosNet model files (repeatable)")
+    p_eval.add_argument("--baseline", action="extend", nargs="+", default=[],
+                        help="distance+heading baseline model files (repeatable)")
     sub.add_parser("version", help="print the package version")
 
     args = parser.parse_args(argv)

@@ -56,9 +56,12 @@ class NetConfig:
         if not self.conv_channels:
             default = SINGLE_CHANNELS if self.arch == "single" else MULTI_CHANNELS
             object.__setattr__(self, "conv_channels", default)
-        for field in ("conv_channels", "dense_widths"):
+        # the paper's shape: conv layers, then dense layers, then the head
+        for field, least in (("conv_channels", 2), ("dense_widths", 1)):
             widths = tuple(getattr(self, field))
             object.__setattr__(self, field, widths)
+            if len(widths) < least:
+                raise ValueError(f"{field} must have {least} or more entries, got {widths!r}")
             for width in widths:
                 if type(width) is not int or width < 1:
                     raise ValueError(f"{field} entries must be ints >= 1,"
@@ -143,8 +146,8 @@ class _Workspace:
     gradient; then the columns of its input gradient overwrite the columns,
     and the padded input gradient the input.
 
-    The one exception is ``flat``, the flattened conv features. The dense
-    layer that reads it forms its weight gradient last, after the conv
+    The one exception is ``flat``, the flattened conv features. ``fc1``,
+    which reads it, forms its weight gradient last, after the conv
     backward pass, so ``flat`` stays intact and its gradient gets a region
     of its own in ``arena``."""
 
@@ -190,16 +193,15 @@ def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
     chans = cfg.conv_channels
     length, padded = batch * cfg.window, batch * (cfg.window + KERNEL - 1)
     return (len(cfg.branches) * sum(chans[:-1]) * padded,
-            max(chans[:-1], default=0) * KERNEL * length,
-            max(chans[1:], default=0) * length,
+            max(chans[:-1]) * KERNEL * length,
+            max(chans[1:]) * length,
             batch * cfg.feature_dim)
 
 
 def _arena_size(cfg: NetConfig, batch: int) -> int:
     """Floats in ``arena`` in a training step: the regions of one pass or, if larger,
-    the weight gradient of the layer reading ``flat``, formed there once they are dead."""
-    flat_out = (cfg.dense_widths + (cfg.out_dim,))[0]
-    return max(sum(_arena_floats(cfg, batch)), flat_out * cfg.feature_dim)
+    the weight gradient of ``fc1``, formed there once they are dead."""
+    return max(sum(_arena_floats(cfg, batch)), cfg.dense_widths[0] * cfg.feature_dim)
 
 
 def _arena_regions(ws, cfg: NetConfig, batch: int, count: int) -> list:
@@ -290,9 +292,6 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     conv_cache = []
     for bi, prefix in enumerate(cfg.branches):
         branch_x = x[:, bi * chans[0]:(bi + 1) * chans[0]]
-        if nconv == 0:
-            np.copyto(feats[:, bi], branch_x)
-            continue
         h = next(padded)
         np.copyto(h[:, :, pad:pad + L], branch_x.transpose(1, 0, 2))
         for i in range(nconv):
@@ -326,9 +325,9 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
 def _backward(params, cfg: NetConfig, cache, dout, ws):
     conv_cache, dense_cache, head_in = cache
     B = dout.shape[0]
-    # the dense layers from the head back; the last of them reads the flat features
+    # the dense layers from the head back to fc1, which reads the flat features
     dense = [("head", head_in, None, None), *reversed(dense_cache)]
-    flat = dense[-1][1]
+    flat = dense_cache[0][1]
     _, cols_free, z_free, dflat = _arena_regions(ws, cfg, B, 4)
     grads = {}
     for name, h_in, positive, mask in dense:
@@ -339,7 +338,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
                 dh *= mask
             dz = _leaky(positive, dh, ws.get(name + ".z", dh.shape))
         w = params[name + ".w"]
-        if h_in is flat:
+        if name == "fc1":
             # formed after the conv backward pass; the key keeps its place
             grads[name + ".w"] = None
             dh_out = dflat.reshape(flat.shape)
@@ -349,7 +348,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         grads[name + ".b"] = np.sum(dz, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
         dh = np.matmul(dz, w, out=dh_out)
 
-    flat_name, flat_dz = name, dz  # the loop ends at the layer that reads flat
+    fc1_dz = dz  # the loop ends at fc1
 
     chans = cfg.conv_channels
     nconv = len(chans) - 1
@@ -366,8 +365,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             if i > 0:  # the network's input needs no gradient
                 da = _conv_input_grad(dz, w, cols, xp)
     # all of arena is dead now
-    grads[flat_name + ".w"] = np.matmul(
-        flat_dz.T, flat, out=ws.get("arena", params[flat_name + ".w"].shape))
+    grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=ws.get("arena", params["fc1.w"].shape))
     return grads
 
 

@@ -268,6 +268,12 @@ def _nan_position(sample):
     return edit
 
 
+def _model_given_twice(tmp_path, out, model):
+    # the second time as another path to the same file
+    again = f"{model.parent}/../{model.parent.name}/{model.name}"
+    return ["eval", *_sets(tiny_overrides(out)), "--models", str(model), "--models", again], again
+
+
 def _undecodable_config(tmp_path, out, model):
     path = tmp_path / "exp.cfg"
     path.write_bytes(b"seed = 3\n\xff\n")
@@ -308,6 +314,7 @@ MALFORMED_INPUTS = {
     "xyz_model_under_baseline_flag": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out)), "--baseline", str(model)], model),
     "baseline_model_under_models_flag": _eval_edited_model(_edit_entries(_baseline_head)),
+    "model_given_twice": _model_given_twice,
     "eval_model_window_differs": lambda tmp_path, out, model: (
         ["eval", *_sets(tiny_overrides(out, window_size=10, stride=10)),
          "--models", str(model)], model),
@@ -494,7 +501,7 @@ KEY_NAMING_ERRORS = [
     ("train", "num_trajectories=1"), ("eval", "num_trajectories=1"),
     ("simulate", "accel_noise_std=-1"), ("simulate", "gyro_noise_std=-1"),
     ("simulate", "accel_noise_std=1e308"), ("simulate", "gyro_noise_std=1e308"),
-    ("train", "conv_channels=1,2"), ("eval", "window_size=10"),
+    ("train", "conv_channels=1,2"), ("train", "conv_channels=6"), ("eval", "window_size=10"),
     ("train", "window_size=200"), ("train", "window_size=0"), ("train", "stride=0"),
     ("train", "stride=30"), ("train", "test_fraction=1.5"), ("eval", "test_fraction=0"),
 ]
@@ -512,6 +519,52 @@ def test_bad_setting_error_names_key_and_value(command, setting, trained, tmp_pa
     # the value as a whole token: after "got ", after its key, or as key=value
     token = rf"\b(got |{key}[ =]){re.escape(repr(value))}(?![\w.])"
     assert key in err and re.search(token, err), err
+
+
+# with a flight missing, train and eval still report the setting or the model:
+# they check every setting, and eval every model file, before reading a flight
+@pytest.mark.parametrize("command, setting", [
+    ("train", "dropout=1.5"), ("train", "conv_channels=6"), ("train", "stride=30"),
+    ("eval", "window_size=10"),
+])
+def test_settings_and_models_are_checked_before_any_flight(command, setting, trained,
+                                                           tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    shutil.rmtree(exp / "traj_01")
+    argv = [command, *_sets(tiny_overrides(exp)), "--set", setting]
+    code, err = _run_main(argv + (["--models", str(trained[1])] if command == "eval" else []))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "traj_01" not in err, err
+    key, value = _parse_pair(setting)
+    assert key in err and repr(value) in err, err
+    if command == "eval":
+        assert err.startswith(f"error: {trained[1]}: model window"), err
+
+
+def test_unknown_architecture_is_refused_before_any_flight(tmp_path):
+    cfg = load_config(overrides=tiny_overrides(tmp_path / "none"))
+    with pytest.raises(ValueError, match="unknown architecture 'triple'"):
+        cmd_train(cfg, "triple")
+
+
+def test_repeated_model_flags_score_every_file(trained, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    cfg = load_config(overrides=tiny_overrides(exp, runs=2))
+    singles, baselines = cmd_train(cfg, "single"), cmd_train(cfg, "baseline")
+    reports = []
+    for flags in (["--models", *map(str, singles), "--baseline", *map(str, baselines)],
+                  ["--models", str(singles[0]), "--baseline", str(baselines[0]),
+                   "--models", str(singles[1]), "--baseline", str(baselines[1])]):
+        code, err = _run_main(["eval", *_sets(tiny_overrides(exp)), *flags])
+        assert code == 0, err
+        reports.append((exp / "report.txt").read_text())
+    assert reports[0] == reports[1]
+    for method in ("single", "baseline"):
+        for run in (0, 1):
+            assert f"{method}.run{run}." in reports[1]
 
 
 def test_failed_simulate_leaves_no_flight_directory(tmp_path):

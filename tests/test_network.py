@@ -47,8 +47,6 @@ TINY_SINGLE = NetConfig(arch="single", window=8, dropout=0.0,
                         conv_channels=(6, 4, 4), dense_widths=(6, 4))
 TINY_MULTI = NetConfig(arch="multi", window=8, dropout=0.0,
                        conv_channels=(3, 4, 4), dense_widths=(6, 4))
-DENSE_ONLY = NetConfig(arch="single", window=8, dropout=0.0,
-                       conv_channels=(6,), dense_widths=(6, 4))
 IDENTITY_NORM = NormStats(np.zeros(6), np.ones(6))
 
 
@@ -60,15 +58,6 @@ def conv1d(w, b, x, padding=0):
     y = _conv_forward(xp, w, np.asarray(b, dtype=float),
                       np.empty(xp.size * KERNEL), np.empty(w.shape[0] * xp.shape[2]))
     return y[:, 0]
-
-
-def dense_only(weights, bias):
-    """A network with no conv and no hidden layer: its head is one dense layer
-    over the six input channels of a length-1 window."""
-    cfg = NetConfig(arch="single", window=1, out_dim=len(bias),
-                    conv_channels=(6,), dense_widths=())
-    return {"head.w": np.asarray(weights, dtype=float),
-            "head.b": np.asarray(bias, dtype=float)}, cfg
 
 
 def zero_params(cfg, head_bias=None):
@@ -115,18 +104,6 @@ class TestConv1d:
         params["conv2.w"] = np.ones((4, 5, KERNEL))
         with pytest.raises(ValueError, match="'conv2.w'"):
             predict(params, TINY_SINGLE, np.ones((1, 6, 8)))
-
-
-class TestDense:
-    def test_example(self):
-        params, cfg = dense_only([[1.0, 2.0, 0, 0, 0, 0], [0.0, -1.0, 0, 0, 0, 0]], [0.5, 0.0])
-        x = np.array([3.0, 4.0, 0, 0, 0, 0]).reshape(1, 6, 1)
-        assert np.array_equal(predict(params, cfg, x)[0], [11.5, -4.0])
-
-    def test_rejects_length_mismatch(self):
-        params, cfg = dense_only(np.ones((2, 6)), np.zeros(2))
-        with pytest.raises(ValueError):
-            predict(params, cfg, np.ones((1, 6, 2)))
 
 
 class TestDropout:
@@ -193,7 +170,7 @@ class TestForward:
         singles = np.stack([predict(params, TINY_SINGLE, xi[None])[0] for xi in x])
         assert np.allclose(batched, singles, atol=1e-12)
 
-    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI, DENSE_ONLY])
+    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI])
     def test_empty_batch(self, cfg):
         out = predict(init_params(cfg, seed=0), cfg, np.empty((0, 6, 8)))
         assert out.shape == (0, cfg.out_dim)
@@ -241,8 +218,7 @@ class TestGradients:
         _, grads, _ = loss_and_gradients(params, TINY_SINGLE, x, targets)
         assert guarded_relative_error({k: grads[k] for k in fd}, fd) < 1e-4
 
-    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI, DENSE_ONLY],
-                             ids=["single", "multi", "dense_only"])
+    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI], ids=["single", "multi"])
     def test_all_gradients_match_finite_differences(self, cfg):
         params = init_params(cfg, seed=11)
         rng = np.random.default_rng(11)
@@ -501,9 +477,8 @@ def _net(arch, **kw):
 
 # every layout the workspace must handle: three conv layers of different
 # widths share the conv buffers, a later conv wider than the first sizes the
-# im2col and z regions, a one-sample window is all pad columns but one, a wide
-# fc1's weight gradient outgrows the conv regions and so sizes the arena, and
-# a net without conv layers copies its input straight into the dense features
+# im2col and z regions, a one-sample window is all pad columns but one, and a
+# wide fc1's weight gradient outgrows the conv regions and so sizes the arena
 BITWISE_NETS = {
     **{f"{arch}_k3": (_net(arch), 5) for arch in ("single", "multi")},
     "single_one_conv": (_net("single", conv_channels=(6, 4)), 5),
@@ -514,10 +489,6 @@ BITWISE_NETS = {
     "multi_window1": (replace(_net("multi"), window=1), 5),
     "single_wide_fc1": (_net("single", dense_widths=(200, 4)), 5),
     "multi_wide_fc1": (_net("multi", dense_widths=(200, 4)), 5),
-    "single_no_conv": (_net("single", conv_channels=(6,)), 5),
-    "multi_no_conv": (_net("multi", conv_channels=(3,)), 5),
-    "single_no_hidden": (_net("single", dense_widths=()), 5),
-    "multi_no_hidden": (_net("multi", dense_widths=()), 5),
     "single_batch1": (_net("single"), 1),
     "multi_batch1": (_net("multi"), 1),
 }
@@ -908,6 +879,24 @@ class TestNetConfigValidation:
     def test_rejects_wrong_input_channels(self):
         with pytest.raises(ValueError):
             NetConfig(arch="single", window=8, conv_channels=(3, 4))
+
+    # the paper's shape: at least one conv layer, then at least one hidden
+    # dense layer, then the head
+    @pytest.mark.parametrize("arch, field, value", [
+        ("single", "conv_channels", (6,)), ("multi", "conv_channels", (3,)),
+        ("single", "dense_widths", ()), ("multi", "dense_widths", ()),
+    ], ids=["single_no_conv", "multi_no_conv", "single_no_hidden", "multi_no_hidden"])
+    def test_rejects_network_without_conv_or_hidden_layer(self, arch, field, value):
+        with pytest.raises(ValueError, match=field) as exc:
+            NetConfig(arch=arch, window=8, **{field: value})
+        assert f"got {value!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("field, value", [("conv_channels", [6]), ("dense_widths", [])],
+                             ids=["no_conv", "no_hidden"])
+    def test_rejects_model_header_without_conv_or_hidden_layer(self, field, value, tmp_path):
+        path = _model_with_header(tmp_path, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {field} must have")):
+            load_model(path)
 
     # the kernel is the constant KERNEL: neither a config nor a model header
     # can set one, whatever its value

@@ -17,7 +17,8 @@ caller sets is an option only tests vary, and belongs in a constant. And the
 benchmark's copy of the CLI's network builder builds the same networks.
 
 The CLI reads, checks and splits flights in one function, so train and eval
-refuse the same flights and hold out the same ones."""
+refuse the same flights and hold out the same ones. And train and eval check
+every setting, and eval every model file, before that function reads a flight."""
 import ast
 import importlib.util
 import sys
@@ -170,6 +171,39 @@ def test_cli_loads_flights_in_one_function():
     inside, outside = references_split((SRC / "cli.py").read_text(), "_load_trajectories")
     assert FLIGHT_LOADING <= inside
     assert sorted(FLIGHT_LOADING & outside) == []
+
+
+def calls_around(source: str, function: str, pivot: str) -> tuple[list[str], list[str]]:
+    """Names of the calls in top-level ``function`` of ``source``, in source
+    order, before and after its first call to ``pivot``."""
+    tree = ast.parse(source)
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    calls = sorted((call.lineno, call.col_offset, getattr(call.func, "id", None)
+                    or getattr(call.func, "attr", None))
+                   for call in ast.walk(fn) if isinstance(call, ast.Call))
+    names = [name for _, _, name in calls]
+    at = names.index(pivot)
+    return names[:at], names[at + 1:]
+
+
+SETTINGS_AND_MODELS = {"TrainConfig", "WindowSpec", "_net_config", "load_model"}
+
+
+def test_cli_checks_settings_and_models_before_reading_flights():
+    snippet = ("def cmd(cfg):\n"
+               "    spec = WindowSpec(cfg.n, 1)\n"
+               "    data = _load(cfg)\n"
+               "    net = mod.NetConfig(spec)\n"
+               "    return [WindowSpec(2, 2) for _ in data], helper(x=load(cfg))\n")
+    assert calls_around(snippet, "cmd", "_load") == (
+        ["WindowSpec"], ["NetConfig", "WindowSpec", "helper", "load"])
+    source = (SRC / "cli.py").read_text()
+    for function, built in (("cmd_train", {"TrainConfig", "WindowSpec", "_net_config"}),
+                            ("cmd_eval", {"WindowSpec", "load_model"})):
+        before, after = calls_around(source, function, "_load_trajectories")
+        assert SETTINGS_AND_MODELS & set(before) == built, function
+        assert sorted(SETTINGS_AND_MODELS & set(after)) == [], function
 
 
 def _perfbench_workloads():
