@@ -81,9 +81,7 @@ def _traj_tags(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
-    """Write gt.csv, imu_clean.csv and imu_noisy.csv per trajectory."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Check every setting, then write gt.csv, imu_clean.csv and imu_noisy.csv per flight."""
     profile = _profile(cfg)
     try:
         gt = generate_periodic_trajectory(profile)
@@ -91,14 +89,20 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     except ValueError as exc:
         keys = ", ".join(f"{f.name}={getattr(profile, f.name)!r}" for f in fields(profile))
         raise ValueError(f"{exc} (trajectory profile: {keys})") from None
+    error_keys = ", ".join(f"{k}={getattr(cfg, k)!r}" for k in ERROR_MODEL_KEYS)
+    try:
+        models = [_error_model(cfg, i) for i in range(cfg.num_trajectories)]
+    except ValueError as exc:
+        raise ValueError(f"{exc} (IMU error model: {error_keys})") from None
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     dirs = []
-    for i, tag in enumerate(_traj_tags(cfg)):
+    for tag, model in zip(_traj_tags(cfg), models):
         # a flight that cannot be built leaves no directory behind
         try:
-            noisy = corrupt_imu(clean, _error_model(cfg, i))
+            noisy = corrupt_imu(clean, model)
         except ValueError as exc:
-            keys = ", ".join(f"{k}={getattr(cfg, k)!r}" for k in ERROR_MODEL_KEYS)
-            raise ValueError(f"{exc} (IMU error model: {keys})") from None
+            raise ValueError(f"{exc} (IMU error model: {error_keys})") from None
         tdir = out / tag
         tdir.mkdir(exist_ok=True)
         write_gt_csv(tdir / "gt.csv", gt)
@@ -110,10 +114,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _load_trajectories(cfg: ExperimentConfig) -> tuple[dict, list, list]:
-    """Read and check every flight once, and split: (flights, train tags, test tags)."""
+    """Split, then read and check every flight once: (flights, train tags, test tags)."""
     if cfg.num_trajectories < 2:  # train and eval split the flights
         raise ValueError(f"num_trajectories must be >= 2 to split train and test flights,"
                          f" got {cfg.num_trajectories!r}")
+    train_tags, test_tags = split_tags(_traj_tags(cfg), cfg.test_fraction, cfg.seed)
     out = Path(cfg.out_dir)
     series = {}
     for tag in _traj_tags(cfg):
@@ -130,7 +135,7 @@ def _load_trajectories(cfg: ExperimentConfig) -> tuple[dict, list, list]:
             raise ValueError(f"{tdir}: {len(gt)} samples, fewer than one window of"
                              f" window_size {cfg.window_size!r}")
         series[tag] = (gt, imu)
-    return (series, *split_tags(list(series), cfg.test_fraction, cfg.seed))
+    return series, train_tags, test_tags
 
 
 def _net_config(cfg: ExperimentConfig, arch: str) -> NetConfig:

@@ -143,8 +143,9 @@ class _Workspace:
     the previous layer's activation. ``arena`` holds the conv layers, laid
     out by ``_arena_floats`` and ``_arena_size``. The backward pass rebuilds
     a conv's columns from its input before it forms that conv's weight
-    gradient; then the columns of its input gradient overwrite the columns,
-    and the padded input gradient the input.
+    gradient, except for the last conv the forward pass ran, whose columns
+    are still in place; then the columns of its input gradient overwrite the
+    columns, and the padded input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. ``fc1``,
     which reads it, forms its weight gradient last, after the conv
@@ -273,8 +274,8 @@ def _as_windows(cfg: NetConfig, inputs) -> np.ndarray:
 
 def _forward(params, cfg: NetConfig, x, ws, rng=None):
     """Batched forward pass of ``_as_windows`` input ``x`` into ``ws`` (dropout on
-    when ``rng`` is given); returns predictions and the backward cache. Conv
-    activations are channel-major, (C, B, L)."""
+    when ``rng`` is given); returns predictions and the records of the conv and
+    of the dense layers, in the order they ran. Conv activations are (C, B, L)."""
     _check_blocks(params, param_shapes(cfg))
     B, L = x.shape[0], cfg.window
     pad = KERNEL // 2
@@ -298,7 +299,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
             name = f"{prefix}{i + 1}"
             z = _conv_forward(h, params[name + ".w"], params[name + ".b"], cols_free, z_free)
             positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
-            conv_cache.append((name, h, positive))
+            conv_cache.append((bi, i, name, h, positive))
             if i == nconv - 1:
                 act = feats[:, bi].transpose(1, 0, 2)
             else:
@@ -319,51 +320,45 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         h = a
     out = np.matmul(h, params["head.w"].T, out=ws.get("head.out", (B, cfg.out_dim)))
     out += params["head.b"]
-    return out, (conv_cache, dense_cache, h)
+    dense_cache.append(("head", h, None, None))
+    return out, (conv_cache, dense_cache)
 
 
 def _backward(params, cfg: NetConfig, cache, dout, ws):
-    conv_cache, dense_cache, head_in = cache
+    """Every block's gradient, in ``params`` order, from the forward records walked in reverse."""
+    conv_cache, dense_cache = cache
     B = dout.shape[0]
-    # the dense layers from the head back to fc1, which reads the flat features
-    dense = [("head", head_in, None, None), *reversed(dense_cache)]
-    flat = dense_cache[0][1]
+    flat = dense_cache[0][1]  # fc1's input
     _, cols_free, z_free, dflat = _arena_regions(ws, cfg, B, 4)
-    grads = {}
-    for name, h_in, positive, mask in dense:
-        if positive is None:
-            dz = dout
-        else:
+    grads = dict.fromkeys(params)
+    dz = dout
+    for name, h_in, positive, mask in reversed(dense_cache):
+        if positive is not None:  # every layer but the head
             if mask is not None:
                 dh *= mask
             dz = _leaky(positive, dh, ws.get(name + ".z", dh.shape))
         w = params[name + ".w"]
-        if name == "fc1":
-            # formed after the conv backward pass; the key keeps its place
-            grads[name + ".w"] = None
+        if name == "fc1":  # its weight gradient is formed after the conv backward pass
             dh_out = dflat.reshape(flat.shape)
         else:
             grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
             dh_out = h_in
         grads[name + ".b"] = np.sum(dz, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
         dh = np.matmul(dz, w, out=dh_out)
-
     fc1_dz = dz  # the loop ends at fc1
 
-    chans = cfg.conv_channels
-    nconv = len(chans) - 1
-    dfeats = dh.reshape(B, len(cfg.branches), chans[-1], cfg.window)
-    for bi in range(len(cfg.branches)):
-        da = dfeats[:, bi].transpose(1, 0, 2)
-        for i in reversed(range(nconv)):
-            name, xp, positive = conv_cache[bi * nconv + i]
-            w = params[name + ".w"]
-            dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
-            # the forward pass kept the conv's input, not its columns
-            cols = _im2col(xp, cols_free)
-            grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
-            if i > 0:  # the network's input needs no gradient
-                da = _conv_input_grad(dz, w, cols, xp)
+    nconv, length = len(cfg.conv_channels) - 1, B * cfg.window
+    dfeats = dh.reshape(B, len(cfg.branches), cfg.conv_channels[-1], cfg.window)
+    for n, (bi, i, name, xp, positive) in enumerate(reversed(conv_cache)):
+        if i == nconv - 1:  # the branch's last conv, which wrote its features
+            da = dfeats[:, bi].transpose(1, 0, 2)
+        w = params[name + ".w"]
+        dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
+        # the forward pass kept each conv's input; the last conv's columns are still in place
+        cols = _im2col(xp, cols_free) if n else cols_free[:w[0].size * length].reshape(-1, length)
+        grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
+        if i > 0:  # the network's input needs no gradient
+            da = _conv_input_grad(dz, w, cols, xp)
     # all of arena is dead now
     grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=ws.get("arena", params["fc1.w"].shape))
     return grads

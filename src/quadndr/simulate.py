@@ -45,10 +45,10 @@ class TrajectoryProfile:
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude!r}")
         for name in ("p2p_distance", "total_span", "speed", "sample_rate"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ def _forward(params, cfg: NetConfig, x, rng=None):
 
 def _backward(params, cfg: NetConfig, cache, dout):
     conv_cache, dense_cache, head_in, flat, flat_dims = cache
-    grads = {}
+    grads = dict.fromkeys(params)
     grads["head.w"] = dout.T @ head_in
     grads["head.b"] = dout.sum(axis=0)
     dh = dout @ params["head.w"]

@@ -504,6 +504,7 @@ KEY_NAMING_ERRORS = [
     ("train", "conv_channels=1,2"), ("train", "conv_channels=6"), ("eval", "window_size=10"),
     ("train", "window_size=200"), ("train", "window_size=0"), ("train", "stride=0"),
     ("train", "stride=30"), ("train", "test_fraction=1.5"), ("eval", "test_fraction=0"),
+    ("simulate", "speed=-1"), ("simulate", "amplitude=-1"), ("simulate", "sample_rate=0"),
 ]
 
 
@@ -525,7 +526,7 @@ def test_bad_setting_error_names_key_and_value(command, setting, trained, tmp_pa
 # they check every setting, and eval every model file, before reading a flight
 @pytest.mark.parametrize("command, setting", [
     ("train", "dropout=1.5"), ("train", "conv_channels=6"), ("train", "stride=30"),
-    ("eval", "window_size=10"),
+    ("train", "test_fraction=1.5"), ("eval", "window_size=10"), ("eval", "test_fraction=0"),
 ])
 def test_settings_and_models_are_checked_before_any_flight(command, setting, trained,
                                                            tmp_path):
@@ -539,7 +540,7 @@ def test_settings_and_models_are_checked_before_any_flight(command, setting, tra
     assert "traj_01" not in err, err
     key, value = _parse_pair(setting)
     assert key in err and repr(value) in err, err
-    if command == "eval":
+    if key == "window_size":
         assert err.startswith(f"error: {trained[1]}: model window"), err
 
 
@@ -576,6 +577,15 @@ def test_failed_simulate_leaves_no_flight_directory(tmp_path):
     code, err = _run_main(["train", *_sets(tiny_overrides(exp))])
     assert code == 1
     assert err == f"error: missing trajectory directory {exp / 'traj_00'}; run simulate first\n"
+
+
+@pytest.mark.parametrize("setting", ["speed=-1", "sample_rate=0", "amplitude=-1",
+                                     "accel_noise_std=-1"])
+def test_refused_simulate_makes_no_directory(setting, tmp_path):
+    out = tmp_path / "newout" / "deep"
+    code, err = _run_main(["simulate", *_sets(tiny_overrides(out)), "--set", setting])
+    assert code == 1 and setting.partition("=")[0] in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["gt.csv", "imu_noisy.csv"])

@@ -22,6 +22,7 @@ from oracles import (
     out_of_place_adam,
     scalar_adam_reference,
 )
+from quadndr import network
 from quadndr.network import (
     AdamState,
     NetConfig,
@@ -228,6 +229,15 @@ class TestGradients:
         fd = finite_difference_grads(params, cfg, x, targets)
         assert set(grads) == set(fd)
         assert guarded_relative_error(grads, fd) < 1e-4
+
+    @pytest.mark.parametrize("cfg", [TINY_SINGLE, TINY_MULTI], ids=["single", "multi"])
+    def test_gradients_come_in_parameter_order(self, cfg):
+        rng = np.random.default_rng(5)
+        x, targets = rng.normal(size=(3, 6, 8)), rng.normal(size=(3, 3))
+        params = init_params(cfg, seed=5)
+        for order in (params, dict(reversed(params.items()))):
+            _, grads, _ = loss_and_gradients(order, cfg, x, targets)
+            assert list(grads) == list(order)
 
 
 def _short_head_b(params):
@@ -584,6 +594,28 @@ class TestWorkspace:
             bound = 8 * floats + bools
             # each buffer counts once, however many views of it the pass took
             assert sum(buf.nbytes for buf in ws._bufs.values()) <= bound, width
+
+    @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_backward_rebuilds_the_columns_of_every_conv_but_the_last(self, arch, monkeypatch):
+        # the forward pass builds every conv's columns; the backward pass finds
+        # the last conv's where the forward pass left them
+        cfg = _net(arch, dropout=0.5)
+        convs = (len(cfg.conv_channels) - 1) * len(cfg.branches)
+        im2col, calls = network._im2col, []
+
+        def counted(*args):
+            calls.append(1)
+            return im2col(*args)
+
+        monkeypatch.setattr(network, "_im2col", counted)
+        params, x, y = _bitwise_case(cfg, 5, seed=4)
+        for ws in (None, _Workspace()):
+            calls.clear()
+            loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
+            assert len(calls) == 2 * convs - 1
+        calls.clear()
+        predict(params, cfg, x)
+        assert len(calls) == convs
 
     def test_calls_without_workspace_do_not_alias(self):
         params, x, y = _bitwise_case(TINY_MULTI, 4, seed=10)

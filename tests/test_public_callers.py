@@ -18,7 +18,9 @@ benchmark's copy of the CLI's network builder builds the same networks.
 
 The CLI reads, checks and splits flights in one function, so train and eval
 refuse the same flights and hold out the same ones. And train and eval check
-every setting, and eval every model file, before that function reads a flight."""
+every setting, and eval every model file, before that function reads a flight;
+that function splits the flights before it reads one, and simulate builds every
+flight's settings before it makes a directory."""
 import ast
 import importlib.util
 import sys
@@ -204,6 +206,25 @@ def test_cli_checks_settings_and_models_before_reading_flights():
         before, after = calls_around(source, function, "_load_trajectories")
         assert SETTINGS_AND_MODELS & set(before) == built, function
         assert sorted(SETTINGS_AND_MODELS & set(after)) == [], function
+
+
+def test_cli_splits_before_reading_and_checks_before_writing():
+    snippet = ("def load(cfg):\n"
+               "    tags = split_tags(names(cfg))\n"
+               "    out.mkdir()\n"
+               "    return [read_gt_csv(t) for t in tags], split_tags(tags)\n")
+    assert calls_around(snippet, "load", "split_tags") == (
+        [], ["names", "mkdir", "read_gt_csv", "split_tags"])
+    assert calls_around(snippet, "load", "mkdir") == (
+        ["split_tags", "names"], ["read_gt_csv", "split_tags"])
+    source = (SRC / "cli.py").read_text()
+    for function, pivot, earlier, later in (
+            ("_load_trajectories", "split_tags", set(), {"read_gt_csv", "read_imu_csv"}),
+            ("cmd_simulate", "mkdir",
+             {"_profile", "generate_periodic_trajectory", "_error_model"}, set())):
+        before, after = calls_around(source, function, pivot)
+        assert earlier <= set(before) and not earlier & set(after), function
+        assert later <= set(after) and not later & set(before), function
 
 
 def _perfbench_workloads():
