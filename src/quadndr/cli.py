@@ -81,7 +81,7 @@ def _traj_tags(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
-    """Check every setting, then write gt.csv, imu_clean.csv and imu_noisy.csv per flight."""
+    """Build every flight, then write gt.csv, imu_clean.csv and imu_noisy.csv per flight."""
     profile = _profile(cfg)
     try:
         gt = generate_periodic_trajectory(profile)
@@ -89,26 +89,19 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     except ValueError as exc:
         keys = ", ".join(f"{f.name}={getattr(profile, f.name)!r}" for f in fields(profile))
         raise ValueError(f"{exc} (trajectory profile: {keys})") from None
-    error_keys = ", ".join(f"{k}={getattr(cfg, k)!r}" for k in ERROR_MODEL_KEYS)
     try:
-        models = [_error_model(cfg, i) for i in range(cfg.num_trajectories)]
+        noisy = [corrupt_imu(clean, _error_model(cfg, i)) for i in range(cfg.num_trajectories)]
     except ValueError as exc:
-        raise ValueError(f"{exc} (IMU error model: {error_keys})") from None
+        keys = ", ".join(f"{k}={getattr(cfg, k)!r}" for k in ERROR_MODEL_KEYS)
+        raise ValueError(f"{exc} (IMU error model: {keys})") from None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dirs = []
-    for tag, model in zip(_traj_tags(cfg), models):
-        # a flight that cannot be built leaves no directory behind
-        try:
-            noisy = corrupt_imu(clean, model)
-        except ValueError as exc:
-            raise ValueError(f"{exc} (IMU error model: {error_keys})") from None
-        tdir = out / tag
+    dirs = [out / tag for tag in _traj_tags(cfg)]
+    for tdir, imu in zip(dirs, noisy):
         tdir.mkdir(exist_ok=True)
         write_gt_csv(tdir / "gt.csv", gt)
         write_imu_csv(tdir / "imu_clean.csv", clean)
-        write_imu_csv(tdir / "imu_noisy.csv", noisy)
-        dirs.append(tdir)
+        write_imu_csv(tdir / "imu_noisy.csv", imu)
     print(f"simulated {len(dirs)} trajectories in {out}")
     return dirs
 

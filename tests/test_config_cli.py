@@ -579,8 +579,19 @@ def test_failed_simulate_leaves_no_flight_directory(tmp_path):
     assert err == f"error: missing trajectory directory {exp / 'traj_00'}; run simulate first\n"
 
 
+def test_failed_resimulate_leaves_the_earlier_flights(tmp_path):
+    # seed 4 draws finite noise for the first two flights and overflows on the third
+    exp = tmp_path / "exp"
+    assert main(["simulate", *_sets(tiny_overrides(exp, seed=4))]) == 0
+    before = tree_digest(exp)
+    code, err = _run_main(["simulate", *_sets(tiny_overrides(exp, seed=4)),
+                           "--set", "accel_noise_std=6e307"])
+    assert code == 1 and "accel_noise_std" in err, err
+    assert tree_digest(exp) == before
+
+
 @pytest.mark.parametrize("setting", ["speed=-1", "sample_rate=0", "amplitude=-1",
-                                     "accel_noise_std=-1"])
+                                     "accel_noise_std=-1", "accel_noise_std=1e308"])
 def test_refused_simulate_makes_no_directory(setting, tmp_path):
     out = tmp_path / "newout" / "deep"
     code, err = _run_main(["simulate", *_sets(tiny_overrides(out)), "--set", setting])

@@ -221,7 +221,8 @@ def test_cli_splits_before_reading_and_checks_before_writing():
     for function, pivot, earlier, later in (
             ("_load_trajectories", "split_tags", set(), {"read_gt_csv", "read_imu_csv"}),
             ("cmd_simulate", "mkdir",
-             {"_profile", "generate_periodic_trajectory", "_error_model"}, set())):
+             {"_profile", "generate_periodic_trajectory", "inverse_mechanize", "_error_model",
+              "corrupt_imu"}, {"write_gt_csv", "write_imu_csv"})):
         before, after = calls_around(source, function, pivot)
         assert earlier <= set(before) and not earlier & set(after), function
         assert later <= set(after) and not later & set(before), function
