@@ -38,6 +38,7 @@ from .network import (
 )
 from .plotsvg import write_xz_svg
 from .simulate import (
+    MIN_SAMPLES,
     ImuErrorModel,
     TrajectoryProfile,
     corrupt_imu,
@@ -127,6 +128,8 @@ def _load_trajectories(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         if len(gt) < cfg.window_size:
             raise ValueError(f"{tdir}: {len(gt)} samples, fewer than one window of"
                              f" window_size {cfg.window_size!r}")
+        if len(gt) < MIN_SAMPLES:  # initial_nav_state's bound: train refuses what eval would
+            raise ValueError(f"{tdir}: {len(gt)} samples, need at least {MIN_SAMPLES}")
         series[tag] = (gt, imu)
     return series, train_tags, test_tags
 

@@ -26,14 +26,14 @@ DEFAULT_GRAVITY.flags.writeable = False
 _DCM_TOL = 1e-6
 
 
-def _as_dcm(T, name: str = "T") -> np.ndarray:
+def _as_dcm(T) -> np.ndarray:
     a = np.asarray(T, dtype=float)
     if a.shape != (3, 3):
-        raise ValueError(f"{name} must have shape (3, 3), got {a.shape}")
+        raise ValueError(f"T must have shape (3, 3), got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("T must be finite")
     if np.max(np.abs(a.T @ a - np.eye(3))) > _DCM_TOL:
-        raise ValueError(f"{name} is not orthonormal")
+        raise ValueError("T is not orthonormal")
     return a
 
 

@@ -138,14 +138,14 @@ class _Workspace:
 
     Buffers are shared by one rule: in the backward pass each buffer holds
     the gradient of what it held in the forward pass, once nothing reads
-    that any more. ``fcN.z`` holds a dense layer's pre-activation and then
-    its gradient, and a dense layer's input gradient overwrites its input,
-    the previous layer's activation. ``arena`` holds the conv layers, laid
-    out by ``_arena_floats`` and ``_arena_size``. The backward pass rebuilds
-    a conv's columns from its input before it forms that conv's weight
-    gradient, except for the last conv the forward pass ran, whose columns
-    are still in place; then the columns of its input gradient overwrite the
-    columns, and the padded input gradient the input.
+    that any more. ``fcN.z`` holds a dense layer's pre-activation, then its
+    gradient; ``fcN.act`` its activation, scaled in place by dropout, the
+    next layer's input in training and inference alike, then that input's
+    gradient. ``arena`` holds the conv layers, laid out by ``_arena_floats``
+    and ``_arena_size``. The backward pass rebuilds a conv's columns from
+    its input for its weight gradient, except the columns of the last conv
+    the forward pass ran, still in place; then the input gradient's columns
+    overwrite the columns, and the padded input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. ``fc1``,
     which reads it, forms its weight gradient last, after the conv
@@ -173,16 +173,16 @@ def _leaky(positive, x, out):
 
 
 def _dropout(a, rate: float, rng, ws, name):
-    """Inverted dropout: with an ``rng`` (training), zero with probability
-    ``rate`` and rescale survivors; without one, identity. Returns the output
-    and the mask (None when inactive) that the backward pass applies to the
-    gradient, both in buffers of ``ws`` named after ``name``."""
+    """Inverted dropout in place: with an ``rng`` (training), zero ``a`` with
+    probability ``rate`` and rescale survivors. Returns the mask, in buffer
+    ``name + ".mask"`` of ``ws``, for the gradient; None when inactive."""
     if rng is None or rate == 0.0:
-        return a, None
+        return None
     mask = rng.random(a.shape, out=ws.get(name + ".mask", a.shape))
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
-    return np.multiply(a, mask, out=ws.get(name + ".out", a.shape)), mask
+    a *= mask
+    return mask
 
 
 def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
@@ -315,8 +315,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         z += params[name + ".b"]
         positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
         a = _leaky(positive, z, ws.get(name + ".act", z.shape))
-        a, mask = _dropout(a, cfg.dropout, rng, ws, name)
-        dense_cache.append((name, h, positive, mask))
+        dense_cache.append((name, h, positive, _dropout(a, cfg.dropout, rng, ws, name)))
         h = a
     out = np.matmul(h, params["head.w"].T, out=ws.get("head.out", (B, cfg.out_dim)))
     out += params["head.b"]

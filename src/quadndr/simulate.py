@@ -25,6 +25,7 @@ from .ins import (
 
 GT_CSV_HEADER = "t,px,py,pz,roll,pitch,yaw"
 IMU_CSV_HEADER = "t,fx,fy,fz,wx,wy,wz"
+MIN_SAMPLES = 3  # a flight's fewest: its accelerations are second differences
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,11 @@ def inverse_mechanize(gt: GroundTruthSeries) -> ImuSeries:
 
     Specific force is T^T (a_n - DEFAULT_GRAVITY) with a_n from finite
     differences of the positions; angular rate is the log map of consecutive
-    attitude increments divided by dt. Needs at least 3 samples.
+    attitude increments divided by dt. Needs at least MIN_SAMPLES samples.
     """
     n = len(gt)
-    if n < 3:
-        raise ValueError("inverse mechanization needs at least 3 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"inverse mechanization needs at least {MIN_SAMPLES} samples")
     dt = float(gt.timestamps[1] - gt.timestamps[0])
     a_n = _accelerations(gt.positions, dt)
     dcms = [euler_to_dcm(*att) for att in gt.attitudes]
@@ -157,8 +158,8 @@ def initial_nav_state(gt: GroundTruthSeries) -> NavState:
     makes mechanizing the inverse-mechanized stream reproduce the ground
     truth to rounding error on constant-attitude trajectories.
     """
-    if len(gt) < 3:
-        raise ValueError("need at least 3 samples")
+    if len(gt) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     dt = float(gt.timestamps[1] - gt.timestamps[0])
     a0 = _accelerations(gt.positions[:3], dt)[0]
     v0 = (gt.positions[1] - gt.positions[0]) / dt - a0 * dt

@@ -323,6 +323,8 @@ MALFORMED_INPUTS = {
     "eval_flight_shorter_than_window": _edit_flight("eval", _cut_flight(10, 10)),
     "eval_flight_of_two_samples": _edit_flight("eval", _cut_flight(2, 2), models=False,
                                                window_size=2, stride=2),
+    "train_flight_of_two_samples": _edit_flight("train", _cut_flight(2, 2),
+                                                window_size=2, stride=2),
     "train_imu_shorter_than_gt": _edit_flight("train", _cut_flight(101, 60)),
     "train_test_flight_shorter_than_window": _edit_flight("train", _cut_flight(10, 10)),
     "train_gt_nan_inside_window": _edit_flight("train", _nan_position(5)),

@@ -108,27 +108,29 @@ class TestConv1d:
 
 
 class TestDropout:
-    def test_inference_is_identity(self):
+    @pytest.mark.parametrize("rate, rng", [(0.5, None), (0.0, np.random.default_rng(0))])
+    def test_inactive_returns_none_and_leaves_the_input(self, rate, rng):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(_dropout(x, 0.5, None, _Workspace(), "d")[0], x)
+        assert _dropout(x, rate, rng, _Workspace(), "d") is None
+        assert np.array_equal(x, np.arange(12.0).reshape(3, 4))
 
-    def test_zero_rate_is_identity(self):
-        x = np.arange(12.0).reshape(3, 4)
-        rng = np.random.default_rng(0)
-        assert np.array_equal(_dropout(x, 0.0, rng, _Workspace(), "d")[0], x)
+    def test_scales_the_input_by_the_returned_mask(self):
+        x = np.random.default_rng(4).normal(size=(4, 100))
+        y = x.copy()
+        mask = _dropout(y, 0.3, np.random.default_rng(5), _Workspace(), "d")
+        assert y.tobytes() == (x * mask).tobytes()
 
     def test_seed_deterministic(self):
-        x = np.ones((4, 100))
-        a, _ = _dropout(x, 0.3, np.random.default_rng(5), _Workspace(), "d")
-        b, _ = _dropout(x, 0.3, np.random.default_rng(5), _Workspace(), "d")
+        a = _dropout(np.ones((4, 100)), 0.3, np.random.default_rng(5), _Workspace(), "d")
+        b = _dropout(np.ones((4, 100)), 0.3, np.random.default_rng(5), _Workspace(), "d")
         assert np.array_equal(a, b)
 
     def test_survivors_are_rescaled(self):
-        x = np.ones((4, 1000))
-        y, _ = _dropout(x, 0.25, np.random.default_rng(1), _Workspace(), "d")
+        y = np.ones((4, 1000))
+        _dropout(y, 0.25, np.random.default_rng(1), _Workspace(), "d")
         kept = y[y != 0.0]
         assert np.allclose(kept, 1.0 / 0.75)
-        assert 0.6 < kept.size / x.size < 0.9
+        assert 0.6 < kept.size / y.size < 0.9
 
 
 class TestForward:
@@ -553,6 +555,8 @@ class TestWorkspace:
             want = fresh_loss_and_gradients(params, cfg, x, y, rng=ref_rng)
             got = loss_and_gradients(params, cfg, x, y, rng=rng, workspace=ws)
             _assert_same_bytes(got, want)
+            # dropout scales each dense activation in place: no second output buffer
+            assert [n for n in ws._bufs if n.endswith(".out")] == ["head.out"]
 
     @pytest.mark.parametrize("arch", ["single", "multi"])
     def test_training_and_inference_passes_share_a_workspace(self, arch):
@@ -587,7 +591,7 @@ class TestWorkspace:
             fc1_w = params["fc1.w"].size
             floats = (sum(p.size for p in params.values()) - fc1_w     # other gradients
                       + max(conv_layers, fc1_w)                         # then fc1.w's grad
-                      + 4 * sum(B * w for w in cfg.dense_widths)        # z, act, dropout
+                      + 3 * sum(B * w for w in cfg.dense_widths)        # z, act, mask
                       + B * cfg.out_dim                                 # predictions
                       + flat)                                           # flat
             bools = sum(cout * B * L for _, cout in convs) + sum(B * w for w in cfg.dense_widths)

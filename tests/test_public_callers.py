@@ -12,6 +12,10 @@ Every parameter of every function in the package is read by its body, too:
 a parameter that a refactor leaves unread is dead, however its callers
 fill it.
 
+Every parameter with a default is passed explicitly by some call in the
+package, the benchmark or the tests, too: a default that no call overrides
+is a constant in the parameter list.
+
 Every ``NetConfig`` field is set by the CLI, too: a field that no production
 caller sets is an option only tests vary, and belongs in a constant. And the
 benchmark's copy of the CLI's network builder builds the same networks.
@@ -128,6 +132,65 @@ def test_every_parameter_is_read():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
     assert unread_parameters([p.read_text() for p in modules]) == []
+
+
+def _defaulted(fn) -> list[tuple[str, int | None]]:
+    """Each parameter of ``fn`` with a default, and the position a call passes
+    it at (None when keyword-only); a method's ``self`` or ``cls`` takes none."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _passes(call, name: str, at) -> bool:
+    """Whether ``call`` passes parameter ``name`` by keyword, in a ``**``
+    expansion or, unless ``at`` is None, at position ``at``."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or at is not None and len(call.args) > at)
+
+
+def unpassed_defaults(definitions: list[str], callers: list[str]) -> list[str]:
+    """``function.parameter`` for every parameter with a default, of a function
+    of ``definitions``, that no call in ``callers`` to that function's name
+    (or to an attribute of that name) passes."""
+    calls = {}
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                calls.setdefault(name, []).append(call)
+    unpassed = []
+    for source in definitions:
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unpassed += [f"{fn.name}.{name}" for name, at in _defaulted(fn)
+                             if not any(_passes(c, name, at) for c in calls.get(fn.name, ()))]
+    return unpassed
+
+
+def test_every_default_is_passed_by_some_caller():
+    definitions = (
+        "def positional(a, b=1, c=2): return a, b, c\n"
+        "def keyword(a, *, key=None, other=0): return a, key, other\n"
+        "def expanded(a, b=1): return a, b\n"
+        "def never(a=0): return a\n"
+        "class C:\n"
+        "    def method(self, x, y=0): return x, y\n")
+    callers = (
+        "positional(0, 1)\n"
+        "mod.keyword(0, key=1)\n"
+        "expanded(0, **opts)\n"
+        "obj.method(1, 2)\n"
+        "table = [never]\n")
+    assert unpassed_defaults([definitions], [callers]) == [
+        "positional.c", "keyword.other", "never.a"]
+    files = sorted(p for tree in ("src", "perfbench", "tests") for p in (ROOT / tree).rglob("*.py"))
+    assert len(files) > 15
+    assert unpassed_defaults([p.read_text() for p in sorted(SRC.glob("*.py"))],
+                             [p.read_text() for p in files]) == []
 
 
 def keywords_passed(source: str, function: str, callee: str) -> set[str]:
