@@ -38,7 +38,6 @@ from .network import (
 )
 from .plotsvg import write_xz_svg
 from .simulate import (
-    MIN_SAMPLES,
     ImuErrorModel,
     TrajectoryProfile,
     corrupt_imu,
@@ -108,7 +107,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _load_trajectories(cfg: ExperimentConfig) -> tuple[dict, list, list]:
-    """Split, then read and check every flight once: (flights, train tags, test tags)."""
+    """Split, then read and check every flight once: (flights, train tags, test
+    tags). A flight is its (gt, imu, initial navigation state)."""
     if cfg.num_trajectories < 2:  # train and eval split the flights
         raise ValueError(f"num_trajectories must be >= 2 to split train and test flights,"
                          f" got {cfg.num_trajectories!r}")
@@ -128,9 +128,11 @@ def _load_trajectories(cfg: ExperimentConfig) -> tuple[dict, list, list]:
         if len(gt) < cfg.window_size:
             raise ValueError(f"{tdir}: {len(gt)} samples, fewer than one window of"
                              f" window_size {cfg.window_size!r}")
-        if len(gt) < MIN_SAMPLES:  # initial_nav_state's bound: train refuses what eval would
-            raise ValueError(f"{tdir}: {len(gt)} samples, need at least {MIN_SAMPLES}")
-        series[tag] = (gt, imu)
+        try:  # every flight, so train refuses what eval would
+            init = initial_nav_state(gt)
+        except ValueError as exc:
+            raise ValueError(f"{tdir}: {exc}") from None
+        series[tag] = (gt, imu, init)
     return series, train_tags, test_tags
 
 
@@ -154,7 +156,7 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     net_cfg = _net_config(cfg, arch)
     series, train_tags, _ = _load_trajectories(cfg)  # after every setting is checked
     # every flight is windowed, test flights too: perfbench pins that call count
-    sets = {tag: window_series(imu, gt, spec) for tag, (gt, imu) in series.items()}
+    sets = {tag: window_series(imu, gt, spec) for tag, (gt, imu, _) in series.items()}
     train_set, norm = normalize(concat_sets(s for tag, s in sets.items() if tag in train_tags))
     labels = train_set.labels
     if arch == "baseline":
@@ -198,10 +200,9 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     per_method: dict[str, list[float]] = {}
     report: dict = {"test_trajectories": ",".join(test_tags)}
     for tag in test_tags:
-        gt, imu = series[tag]
+        gt, imu, init = series[tag]
         try:
             _, ends = window_bounds(len(gt), eval_spec)
-            init = initial_nav_state(gt)
             # run 0 of each method; pure INS mechanizes the noisy IMU
             points = {"gt": gt_window_end_positions(gt, eval_spec),
                       "ins": mechanize_series(init, imu).p[ends]}

@@ -145,7 +145,7 @@ class _Workspace:
     and ``_arena_size``. The backward pass rebuilds a conv's columns from
     its input for its weight gradient, except the columns of the last conv
     the forward pass ran, still in place; then the input gradient's columns
-    overwrite the columns, and the padded input gradient the input.
+    overwrite the columns, and the input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. ``fc1``,
     which reads it, forms its weight gradient last, after the conv
@@ -187,13 +187,12 @@ def _dropout(a, rate: float, rng, ws, name):
 
 def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
     """Floats in each region of buffer ``arena`` in one pass, in order: every
-    conv's zero-padded (in, B, Lp) input (its gradient in the backward pass);
-    then, sized for the largest conv, one conv's (in*KERNEL, B*window) im2col
+    conv's (in, B, window) input (its gradient in the backward pass); then,
+    sized for the largest conv, one conv's (in*KERNEL, B*window) im2col
     columns and its pre-activation (their gradients in the backward pass);
     last, the gradient of ``flat``."""
-    chans = cfg.conv_channels
-    length, padded = batch * cfg.window, batch * (cfg.window + KERNEL - 1)
-    return (len(cfg.branches) * sum(chans[:-1]) * padded,
+    chans, length = cfg.conv_channels, batch * cfg.window
+    return (len(cfg.branches) * sum(chans[:-1]) * length,
             max(chans[:-1]) * KERNEL * length,
             max(chans[1:]) * length,
             batch * cfg.feature_dim)
@@ -211,33 +210,43 @@ def _arena_regions(ws, cfg: NetConfig, batch: int, count: int) -> list:
     return np.split(ws.get("arena", (sum(sizes),)), np.cumsum(sizes[:-1]))
 
 
-def _im2col(xp, free):
-    """The (in*KERNEL, B*Lout) im2col columns of a zero-padded channel-major
-    (in, B, Lp) input, at the start of the flat buffer ``free``."""
-    cin, B, lp = xp.shape
-    lout = lp - KERNEL + 1
-    cols = free[:cin * KERNEL * B * lout].reshape(cin, KERNEL, B, lout)
-    win = np.lib.stride_tricks.sliding_window_view(xp, KERNEL, axis=2)
-    np.copyto(cols, win.transpose(0, 3, 1, 2))
-    return cols.reshape(cin * KERNEL, B * lout)
+def _taps(length: int):
+    """Per tap k, the output samples that read an input sample through it and
+    the input samples they read: output j reads input j + k - KERNEL // 2 of a
+    length-``length`` input zero-padded by KERNEL // 2 per side."""
+    for k in range(KERNEL):
+        shift = k - KERNEL // 2
+        lo, hi = max(-shift, 0), length - max(shift, 0)
+        yield k, slice(lo, hi), slice(lo + shift, hi + shift)
 
 
-def _conv_forward(xp, w, b, cols_free, z_free):
-    """Cross-correlate a zero-padded channel-major (in, B, Lp) input with
-    (out, in, KERNEL) weights; returns the (out, B, Lp - KERNEL + 1)
-    pre-activation at the start of the flat buffer ``z_free``. Its im2col
-    columns go to the start of ``cols_free``."""
-    cout, B = w.shape[0], xp.shape[1]
-    cols = _im2col(xp, cols_free)
+def _im2col(x, free):
+    """The (in*KERNEL, B*L) im2col columns of a channel-major (in, B, L)
+    input, at the start of the flat buffer ``free``."""
+    cin, B, length = x.shape
+    cols = free[:cin * KERNEL * B * length].reshape(cin, KERNEL, B, length)
+    for k, out, inp in _taps(length):
+        np.copyto(cols[:, k, :, out], x[:, :, inp])
+        cols[:, k, :, :out.start] = 0.0
+        cols[:, k, :, out.stop:] = 0.0
+    return cols.reshape(cin * KERNEL, B * length)
+
+
+def _conv_forward(x, w, b, cols_free, z_free):
+    """Cross-correlate a channel-major (in, B, L) input with (out, in, KERNEL)
+    weights; returns the (out, B, L) pre-activation at the start of the flat
+    buffer ``z_free``. Its im2col columns go to the start of ``cols_free``."""
+    cout = w.shape[0]
+    cols = _im2col(x, cols_free)
     z = z_free[:cout * cols.shape[1]].reshape(cout, cols.shape[1])
     np.matmul(w.reshape(cout, cols.shape[0]), cols, out=z)
-    z = z.reshape(cout, B, xp.shape[2] - KERNEL + 1)
+    z = z.reshape(cout, *x.shape[1:])
     z += b[:, None, None]
     return z
 
 
 def _conv_param_grads(dz, cols, w, ws, name):
-    """Weight and bias gradients of one conv from its (out, B, Lout)
+    """Weight and bias gradients of one conv from its (out, B, L)
     pre-activation gradient."""
     cout = w.shape[0]
     dz2 = dz.reshape(cout, -1)
@@ -246,18 +255,17 @@ def _conv_param_grads(dz, cols, w, ws, name):
     return dw.reshape(w.shape), db
 
 
-def _conv_input_grad(dz, w, cols, xp):
-    """The (in, B, Lout) input gradient of one length-preserving conv, padded
-    in ``xp``, the layer's (in, B, Lout + KERNEL - 1) padded input; its
-    columns overwrite ``cols``, the layer's im2col columns. Both are dead
+def _conv_input_grad(dz, w, cols, x):
+    """The (in, B, L) input gradient of one conv, in ``x``, the layer's input;
+    its columns overwrite ``cols``, the layer's im2col columns. Both are dead
     once its weight gradient is formed."""
-    cout, B, lout = dz.shape
-    dcols = np.matmul(w.reshape(cout, cols.shape[0]).T, dz.reshape(cout, B * lout), out=cols)
-    dcols = dcols.reshape(xp.shape[0], KERNEL, B, lout)
-    xp.fill(0.0)
-    for k in range(KERNEL):
-        xp[:, :, k:k + lout] += dcols[:, k]
-    return xp[:, :, KERNEL // 2:KERNEL // 2 + lout]
+    cout, B, length = dz.shape
+    dcols = np.matmul(w.reshape(cout, cols.shape[0]).T, dz.reshape(cout, B * length), out=cols)
+    dcols = dcols.reshape(x.shape[0], KERNEL, B, length)
+    x.fill(0.0)
+    for k, out, inp in _taps(length):
+        x[:, :, inp] += dcols[:, k, :, out]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +286,26 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     of the dense layers, in the order they ran. Conv activations are (C, B, L)."""
     _check_blocks(params, param_shapes(cfg))
     B, L = x.shape[0], cfg.window
-    pad = KERNEL // 2
     chans = cfg.conv_channels
     nconv = len(chans) - 1
     # per branch, the last conv output; flattened it is the dense input
     feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
     inputs, cols_free, z_free = _arena_regions(ws, cfg, B, 3)
-    # every conv's padded input, stacked on the channel axis, handed out in turn
-    xp = inputs.reshape(len(cfg.branches) * sum(chans[:-1]), B, L + 2 * pad)
-    xp[:, :, :pad] = 0.0
-    xp[:, :, pad + L:] = 0.0
-    padded = iter(np.split(xp, np.cumsum(chans[:-1] * len(cfg.branches))[:-1]))
+    # every conv's input, stacked on the channel axis, handed out in turn
+    inputs = inputs.reshape(len(cfg.branches) * sum(chans[:-1]), B, L)
+    inputs = iter(np.split(inputs, np.cumsum(chans[:-1] * len(cfg.branches))[:-1]))
 
     conv_cache = []
     for bi, prefix in enumerate(cfg.branches):
-        branch_x = x[:, bi * chans[0]:(bi + 1) * chans[0]]
-        h = next(padded)
-        np.copyto(h[:, :, pad:pad + L], branch_x.transpose(1, 0, 2))
+        h = next(inputs)
+        np.copyto(h, x[:, bi * chans[0]:(bi + 1) * chans[0]].transpose(1, 0, 2))
         for i in range(nconv):
             name = f"{prefix}{i + 1}"
             z = _conv_forward(h, params[name + ".w"], params[name + ".b"], cols_free, z_free)
             positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
             conv_cache.append((bi, i, name, h, positive))
-            if i == nconv - 1:
-                act = feats[:, bi].transpose(1, 0, 2)
-            else:
-                h = next(padded)
-                act = h[:, :, pad:pad + L]
-            _leaky(positive, z, act)
+            h = feats[:, bi].transpose(1, 0, 2) if i == nconv - 1 else next(inputs)
+            _leaky(positive, z, h)
 
     dense_cache = []
     h = feats.reshape(B, cfg.feature_dim)
@@ -348,16 +348,16 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
 
     nconv, length = len(cfg.conv_channels) - 1, B * cfg.window
     dfeats = dh.reshape(B, len(cfg.branches), cfg.conv_channels[-1], cfg.window)
-    for n, (bi, i, name, xp, positive) in enumerate(reversed(conv_cache)):
+    for n, (bi, i, name, h_in, positive) in enumerate(reversed(conv_cache)):
         if i == nconv - 1:  # the branch's last conv, which wrote its features
             da = dfeats[:, bi].transpose(1, 0, 2)
         w = params[name + ".w"]
         dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
         # the forward pass kept each conv's input; the last conv's columns are still in place
-        cols = _im2col(xp, cols_free) if n else cols_free[:w[0].size * length].reshape(-1, length)
+        cols = _im2col(h_in, cols_free) if n else cols_free[:w[0].size * length].reshape(-1, length)
         grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
         if i > 0:  # the network's input needs no gradient
-            da = _conv_input_grad(dz, w, cols, xp)
+            da = _conv_input_grad(dz, w, cols, h_in)
     # all of arena is dead now
     grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=ws.get("arena", params["fc1.w"].shape))
     return grads

@@ -255,17 +255,25 @@ def _overflowing_timestamps(flight):
     return flight / "gt.csv"
 
 
-def _nan_position(sample):
-    # tiny_overrides windows 20 samples with stride 10
+def _gt_value(sample, column, value):
+    # tiny_overrides windows 20 samples with stride 10; gt.csv's columns are
+    # t, x, y, z, roll, pitch, yaw
     def edit(flight):
         path = flight / "gt.csv"
         lines = path.read_text().splitlines(keepends=True)
         values = lines[1 + sample].split(",")
-        values[1] = "nan"
+        values[column] = value
         lines[1 + sample] = ",".join(values)
         path.write_text("".join(lines))
         return path
     return edit
+
+
+def _pitched_past_vertical(flight):
+    # the first sample's pitch leaves no initial navigation state, a fault
+    # of the flight rather than of one row
+    _gt_value(0, 5, "2.0")(flight)
+    return flight
 
 
 def _model_given_twice(tmp_path, out, model):
@@ -327,8 +335,9 @@ MALFORMED_INPUTS = {
                                                 window_size=2, stride=2),
     "train_imu_shorter_than_gt": _edit_flight("train", _cut_flight(101, 60)),
     "train_test_flight_shorter_than_window": _edit_flight("train", _cut_flight(10, 10)),
-    "train_gt_nan_inside_window": _edit_flight("train", _nan_position(5)),
-    "train_gt_nan_at_window_start": _edit_flight("train", _nan_position(10)),
+    "train_gt_nan_inside_window": _edit_flight("train", _gt_value(5, 1, "nan")),
+    "train_gt_nan_at_window_start": _edit_flight("train", _gt_value(10, 1, "nan")),
+    "train_flight_pitched_past_vertical": _edit_flight("train", _pitched_past_vertical),
     "train_gt_timestamp_step_overflows": _edit_flight("train", _overflowing_timestamps),
 }
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _im2col as oracle_im2col,
     finite_difference_grads,
     fresh_loss_and_gradients,
     guarded_relative_error,
@@ -52,13 +53,14 @@ IDENTITY_NORM = NormStats(np.zeros(6), np.ones(6))
 
 
 def conv1d(w, b, x, padding=0):
-    """One (in_channels, L) input through the batched conv, which takes a
-    zero-padded channel-major (in_channels, B, L + 2*padding) input."""
-    xp = np.pad(np.asarray(x, dtype=float), ((0, 0), (padding, padding)))[:, None]
+    """One (in_channels, L) input through the batched conv, which zero-pads
+    its channel-major (in_channels, B, L) input by KERNEL // 2 per side;
+    ``padding=0`` keeps only the outputs that read no padding."""
+    x = np.asarray(x, dtype=float)[:, None]
     w = np.asarray(w, dtype=float)
-    y = _conv_forward(xp, w, np.asarray(b, dtype=float),
-                      np.empty(xp.size * KERNEL), np.empty(w.shape[0] * xp.shape[2]))
-    return y[:, 0]
+    y = _conv_forward(x, w, np.asarray(b, dtype=float),
+                      np.empty(x.size * KERNEL), np.empty(w.shape[0] * x.shape[2]))[:, 0]
+    return y if padding else y[:, KERNEL // 2:y.shape[1] - KERNEL // 2]
 
 
 def zero_params(cfg, head_bias=None):
@@ -99,6 +101,14 @@ class TestConv1d:
                    np.random.default_rng(0).normal(size=(3, 5)), padding=1)
         assert np.array_equal(y[0], np.full(5, 1.5))
         assert np.array_equal(y[1], np.full(5, -0.5))
+
+    def test_im2col_zero_pads_each_window_of_an_unpadded_input(self):
+        # every window holds other values, so a column that reads past a
+        # window's edge into its neighbour differs; NaN shows a cell left unset
+        x = np.random.default_rng(3).normal(size=(4, 3, 5))  # (in, B, L)
+        cols = network._im2col(x, np.full(x.size * KERNEL, np.nan))
+        want, _ = oracle_im2col(x.transpose(1, 0, 2), KERNEL, KERNEL // 2)
+        assert cols.tobytes() == want.tobytes()
 
     def test_rejects_channel_mismatch(self):
         params = init_params(TINY_SINGLE, seed=0)
@@ -489,8 +499,9 @@ def _net(arch, **kw):
 
 # every layout the workspace must handle: three conv layers of different
 # widths share the conv buffers, a later conv wider than the first sizes the
-# im2col and z regions, a one-sample window is all pad columns but one, and a
-# wide fc1's weight gradient outgrows the conv regions and so sizes the arena
+# im2col and z regions, a one-sample window reads padding in every tap but
+# one, and a wide fc1's weight gradient outgrows the conv regions and so
+# sizes the arena
 BITWISE_NETS = {
     **{f"{arch}_k3": (_net(arch), 5) for arch in ("single", "multi")},
     "single_one_conv": (_net("single", conv_channels=(6, 4)), 5),
@@ -584,11 +595,12 @@ class TestWorkspace:
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
             convs = list(zip(chans[:-1], chans[1:])) * len(cfg.branches)
             flat = B * cfg.feature_dim
-            conv_layers = (sum(cin * B * (L + k - 1) for cin, _ in convs)  # padded inputs
+            conv_layers = (sum(cin * B * L for cin, _ in convs)            # inputs
                            + max(cin * k * B * L for cin, _ in convs)      # one conv's im2col
                            + max(cout * B * L for _, cout in convs)        # its z
                            + flat)                                         # flat's grad
             fc1_w = params["fc1.w"].size
+            assert ws._bufs["arena"].size == max(conv_layers, fc1_w), width
             floats = (sum(p.size for p in params.values()) - fc1_w     # other gradients
                       + max(conv_layers, fc1_w)                         # then fc1.w's grad
                       + 3 * sum(B * w for w in cfg.dense_widths)        # z, act, mask
@@ -668,8 +680,9 @@ class TestWorkspace:
         assert peak <= 3.3 * sum(p.nbytes for p in params.values())
 
     def test_predict_holds_one_conv_of_im2col_columns_at_a_time(self):
-        # six convs at kernel 3: every conv's padded input is about a third of
-        # all of their im2col columns together
+        # six convs at kernel 3: every conv's input is exactly a third of
+        # that conv's im2col columns, so all inputs and one conv's columns
+        # take less than all the columns together
         cfg = NetConfig(arch="single", window=64, conv_channels=(6,) + (16,) * 6,
                         dense_widths=(8,))
         params = init_params(cfg, seed=0)

@@ -24,7 +24,10 @@ The CLI reads, checks and splits flights in one function, so train and eval
 refuse the same flights and hold out the same ones. And train and eval check
 every setting, and eval every model file, before that function reads a flight;
 that function splits the flights before it reads one, and simulate builds every
-flight's settings before it makes a directory."""
+flight's settings before it makes a directory.
+
+One helper knows that a conv zero-pads its input: no other code in the
+package computes ``KERNEL // 2`` or ``KERNEL - 1``."""
 import ast
 import importlib.util
 import sys
@@ -289,6 +292,63 @@ def test_cli_splits_before_reading_and_checks_before_writing():
         before, after = calls_around(source, function, pivot)
         assert earlier <= set(before) and not earlier & set(after), function
         assert later <= set(after) and not later & set(before), function
+
+
+def _signed_terms(node, sign=1):
+    """The terms of an additive chain with their signs: ``a + b - c`` gives
+    (1, a), (1, b) and (-1, c), and ``-a`` gives (-1, a)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        yield from _signed_terms(node.left, sign)
+        yield from _signed_terms(node.right, -sign if isinstance(node.op, ast.Sub) else sign)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        yield from _signed_terms(node.operand, -sign)
+    else:
+        yield sign, node
+
+
+def _is_kernel_offset(node) -> bool:
+    """Whether ``node`` is ``KERNEL // 2`` or an additive chain that holds
+    ``KERNEL - 1`` or ``1 - KERNEL`` among its terms."""
+    def kernel(n):
+        return getattr(n, "id", None) == "KERNEL" or getattr(n, "attr", None) == "KERNEL"
+
+    def constant(n, value):
+        return isinstance(n, ast.Constant) and n.value == value
+
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.FloorDiv):
+        return kernel(node.left) and constant(node.right, 2)
+    terms = list(_signed_terms(node))
+    return any(kernel(k) and constant(c, 1) and sk == -sc for sk, k in terms for sc, c in terms)
+
+
+def kernel_offsets(source: str) -> list[str]:
+    """Top-level definitions of ``source`` (``line N`` for other statements)
+    whose code computes ``KERNEL // 2`` or ``KERNEL - 1``."""
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if any(_is_kernel_offset(sub) for sub in ast.walk(node))]
+
+
+def test_one_helper_knows_the_conv_padding():
+    snippet = ("KERNEL = 3  # KERNEL // 2 in a comment is no code\n"
+               "def _taps(n):\n"
+               "    return KERNEL // 2, n - KERNEL + 1\n"
+               "def pad(x):\n"
+               "    return x[:, KERNEL // 2:]\n"
+               "def size(cfg):\n"
+               "    return 2 * (cfg.window + KERNEL - 1)\n"
+               "def out_length(lp):\n"
+               "    return lp - net.KERNEL + 1, lp + (-KERNEL + 1)\n"
+               "def other(n):\n"
+               "    return n + KERNEL + 1, KERNEL // 3, (KERNEL - 2) * n, n // 2 - 1, -KERNEL - 1\n"
+               "class Net:\n"
+               "    def half(self):\n"
+               "        return (KERNEL - 1) * 2\n"
+               "HALF = KERNEL // 2\n")
+    assert kernel_offsets(snippet) == ["_taps", "pad", "size", "out_length", "Net", "line 15"]
+    found = {p.name: kernel_offsets(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_taps"]}
 
 
 def _perfbench_workloads():
