@@ -19,7 +19,7 @@ def _triple(text: str) -> tuple:
 
 
 def _int_tuple(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+    return tuple(int(v) for v in text.split(",")) if text else ()
 
 
 @dataclass(frozen=True)

@@ -132,20 +132,19 @@ class _Workspace:
     """Named flat buffers, grown on demand. ``get`` hands out a contiguous
     prefix of one in the requested shape, so a training step writes into
     memory that earlier steps already touched. A view stays valid until the
-    next ``get`` of its name; a buffer that is sliced further, ``arena``, is
-    sized for the whole pass before the views are taken, because a grown
-    buffer leaves the views of its old memory holding that memory alive.
+    next ``get`` of its name.
 
     Buffers are shared by one rule: in the backward pass each buffer holds
     the gradient of what it held in the forward pass, once nothing reads
     that any more. ``fcN.z`` holds a dense layer's pre-activation, then its
     gradient; ``fcN.act`` its activation, scaled in place by dropout, the
     next layer's input in training and inference alike, then that input's
-    gradient. ``arena`` holds the conv layers, laid out by ``_arena_floats``
-    and ``_arena_size``. The backward pass rebuilds a conv's columns from
-    its input for its weight gradient, except the columns of the last conv
-    the forward pass ran, still in place; then the input gradient's columns
-    overwrite the columns, and the input gradient the input.
+    gradient. ``arena`` holds the conv layers, laid out by ``_arena``, the
+    one place that sizes it, so no pass regrows it under its own views. The
+    backward pass rebuilds a conv's columns from its input for its weight
+    gradient, except the columns of the last conv the forward pass ran,
+    still in place; then the input gradient's columns overwrite the
+    columns, and the input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. ``fc1``,
     which reads it, forms its weight gradient last, after the conv
@@ -185,29 +184,24 @@ def _dropout(a, rate: float, rng, ws, name):
     return mask
 
 
-def _arena_floats(cfg: NetConfig, batch: int) -> tuple:
-    """Floats in each region of buffer ``arena`` in one pass, in order: every
-    conv's (in, B, window) input (its gradient in the backward pass); then,
-    sized for the largest conv, one conv's (in*KERNEL, B*window) im2col
-    columns and its pre-activation (their gradients in the backward pass);
-    last, the gradient of ``flat``."""
+def _arena(ws, cfg: NetConfig, batch: int) -> tuple:
+    """Views into buffer ``arena``, the conv layers' memory, which is always
+    taken at a training step's size, so no pass regrows it under its views:
+    every conv's (in, B, window) input, in the order the forward pass runs
+    them; then, sized for the largest conv, flat regions for one conv's
+    (in*KERNEL, B*window) im2col columns and its pre-activation; the
+    (B, feature_dim) gradient of ``flat``; last, ``fc1.w``'s gradient over
+    the start of the buffer, for when the rest is dead. The backward pass
+    writes each region's gradient over what the forward pass left there."""
     chans, length = cfg.conv_channels, batch * cfg.window
-    return (len(cfg.branches) * sum(chans[:-1]) * length,
-            max(chans[:-1]) * KERNEL * length,
-            max(chans[1:]) * length,
-            batch * cfg.feature_dim)
-
-
-def _arena_size(cfg: NetConfig, batch: int) -> int:
-    """Floats in ``arena`` in a training step: the regions of one pass or, if larger,
-    the weight gradient of ``fc1``, formed there once they are dead."""
-    return max(sum(_arena_floats(cfg, batch)), cfg.dense_widths[0] * cfg.feature_dim)
-
-
-def _arena_regions(ws, cfg: NetConfig, batch: int, count: int) -> list:
-    """The first ``count`` regions of ``arena``, as flat views."""
-    sizes = _arena_floats(cfg, batch)[:count]
-    return np.split(ws.get("arena", (sum(sizes),)), np.cumsum(sizes[:-1]))
+    cins = chans[:-1] * len(cfg.branches)
+    sizes = [cin * length for cin in cins] + [max(chans[:-1]) * KERNEL * length,
+                                              max(chans[1:]) * length, batch * cfg.feature_dim]
+    fc1_w = (cfg.dense_widths[0], cfg.feature_dim)
+    buf = ws.get("arena", (max(sum(sizes), math.prod(fc1_w)),))
+    *inputs, cols_free, z_free, dflat = np.split(buf[:sum(sizes)], np.cumsum(sizes[:-1]))
+    return ([x.reshape(cin, batch, cfg.window) for x, cin in zip(inputs, cins)], cols_free,
+            z_free, dflat.reshape(batch, cfg.feature_dim), buf[:math.prod(fc1_w)].reshape(fc1_w))
 
 
 def _taps(length: int):
@@ -290,10 +284,8 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     nconv = len(chans) - 1
     # per branch, the last conv output; flattened it is the dense input
     feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
-    inputs, cols_free, z_free = _arena_regions(ws, cfg, B, 3)
-    # every conv's input, stacked on the channel axis, handed out in turn
-    inputs = inputs.reshape(len(cfg.branches) * sum(chans[:-1]), B, L)
-    inputs = iter(np.split(inputs, np.cumsum(chans[:-1] * len(cfg.branches))[:-1]))
+    inputs, cols_free, z_free, _, _ = _arena(ws, cfg, B)
+    inputs = iter(inputs)  # every conv's input, handed out in turn
 
     conv_cache = []
     for bi, prefix in enumerate(cfg.branches):
@@ -328,7 +320,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     conv_cache, dense_cache = cache
     B = dout.shape[0]
     flat = dense_cache[0][1]  # fc1's input
-    _, cols_free, z_free, dflat = _arena_regions(ws, cfg, B, 4)
+    _, cols_free, z_free, dflat, dfc1_w = _arena(ws, cfg, B)
     grads = dict.fromkeys(params)
     dz = dout
     for name, h_in, positive, mask in reversed(dense_cache):
@@ -338,7 +330,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             dz = _leaky(positive, dh, ws.get(name + ".z", dh.shape))
         w = params[name + ".w"]
         if name == "fc1":  # its weight gradient is formed after the conv backward pass
-            dh_out = dflat.reshape(flat.shape)
+            dh_out = dflat
         else:
             grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
             dh_out = h_in
@@ -358,8 +350,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
         if i > 0:  # the network's input needs no gradient
             da = _conv_input_grad(dz, w, cols, h_in)
-    # all of arena is dead now
-    grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=ws.get("arena", params["fc1.w"].shape))
+    grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=dfc1_w)  # the rest of arena is dead now
     return grads
 
 
@@ -387,9 +378,7 @@ def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
     workspace's buffers, so the returned gradients and predictions are views,
     valid until the workspace's next use."""
     ws = _Workspace() if workspace is None else workspace
-    x = _as_windows(cfg, inputs)
-    ws.get("arena", (_arena_size(cfg, x.shape[0]),))  # before any view of it (see _Workspace)
-    out, cache = _forward(params, cfg, x, ws, rng=rng)
+    out, cache = _forward(params, cfg, _as_windows(cfg, inputs), ws, rng=rng)
     loss = mse_loss(out, targets)
     dout = 2.0 * (out - targets) / out.shape[0]
     grads = _backward(params, cfg, cache, dout, ws)

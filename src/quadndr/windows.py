@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ins import ImuSeries
-from .simulate import GroundTruthSeries
+from .simulate import IMU_CSV_HEADER, GroundTruthSeries
 
 STD_FLOOR = 1e-8
 
@@ -129,11 +129,17 @@ def split_tags(tags, test_fraction: float, seed: int) -> tuple[list, list]:
 
 
 def normalize(sset: SampleSet) -> tuple[SampleSet, NormStats]:
-    """Per-channel standardization; returns the statistics for reuse."""
+    """Per-channel standardization; returns the statistics for reuse. A
+    channel whose mean or std is not finite raises ValueError naming it."""
     if len(sset) == 0:
         raise ValueError("cannot normalize an empty sample set")
     mean = sset.inputs.mean(axis=(0, 2))
-    std = np.maximum(sset.inputs.std(axis=(0, 2)), STD_FLOOR)
+    std = sset.inputs.std(axis=(0, 2))
+    for channel, m, s in zip(IMU_CSV_HEADER.split(",")[1:], mean, std):
+        if not (np.isfinite(m) and np.isfinite(s)):
+            raise ValueError(f"cannot normalize input channel {channel}:"
+                             f" mean {m:g}, std {s:g}")
+    std = np.maximum(std, STD_FLOOR)
     stats = NormStats(mean=mean, std=std)
     normed = SampleSet(inputs=normalize_inputs(sset.inputs, stats), labels=sset.labels.copy())
     return normed, stats

@@ -75,17 +75,11 @@ class TestConfigParsing:
         assert _profile(ExperimentConfig()) == TrajectoryProfile()
 
     def test_default_text_parses_back(self):
-        # an empty default stands for "the architecture's own"; only
-        # conv_channels needs one, since the architectures differ
-        empty = set()
+        # conv_channels' empty default, "the architecture's own", too
         for f in fields(ExperimentConfig):
-            if f.default == ():
-                empty.add(f.name)
-                continue
             text = (",".join(str(v) for v in f.default) if isinstance(f.default, tuple)
                     else str(f.default))
             assert _parse_pair(f"{f.name} = {text}") == (f.name, f.default)
-        assert empty == {"conv_channels"}
 
     def test_parsable_keys_are_the_fields(self):
         assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
@@ -354,7 +348,7 @@ def test_malformed_input_exits_1_without_traceback(case, trained, tmp_path, caps
 
 
 @pytest.mark.parametrize("setting, in_file", [
-    ("dense_widths=", False), ("seed=abc", False), ("accel_bias=1,2", False),
+    ("dense_widths=16,,8", False), ("seed=abc", False), ("accel_bias=1,2", False),
     ("lr = fast", True),
 ])
 def test_bad_config_value_names_the_key(setting, in_file, tmp_path, capsys):
@@ -512,7 +506,8 @@ KEY_NAMING_ERRORS = [
     ("train", "num_trajectories=1"), ("eval", "num_trajectories=1"),
     ("simulate", "accel_noise_std=-1"), ("simulate", "gyro_noise_std=-1"),
     ("simulate", "accel_noise_std=1e308"), ("simulate", "gyro_noise_std=1e308"),
-    ("train", "conv_channels=1,2"), ("train", "conv_channels=6"), ("eval", "window_size=10"),
+    ("train", "conv_channels=1,2"), ("train", "conv_channels=6"), ("train", "dense_widths="),
+    ("eval", "window_size=10"),
     ("train", "window_size=200"), ("train", "window_size=0"), ("train", "stride=0"),
     ("train", "stride=30"), ("train", "test_fraction=1.5"), ("eval", "test_fraction=0"),
     ("simulate", "speed=-1"), ("simulate", "amplitude=-1"), ("simulate", "sample_rate=0"),
@@ -599,6 +594,18 @@ def test_failed_resimulate_leaves_the_earlier_flights(tmp_path):
                            "--set", "accel_noise_std=6e307"])
     assert code == 1 and "accel_noise_std" in err, err
     assert tree_digest(exp) == before
+
+
+def test_train_refuses_inputs_it_cannot_normalize(tmp_path):
+    # accelerometer noise of std 1e200 overflows those channels' std; a model
+    # saved with it would be refused by eval, so train refuses to make one
+    exp = tmp_path / "exp"
+    argv = _sets(tiny_overrides(exp, accel_noise_std=1e200))
+    assert main(["simulate", *argv]) == 0
+    code, err = _run_main(["train", *argv])
+    assert code == 1
+    assert err.startswith("error: cannot normalize input channel fx:") and err.count("\n") == 1, err
+    assert list(exp.glob("*.qpnet")) == []
 
 
 @pytest.mark.parametrize("setting", ["speed=-1", "sample_rate=0", "amplitude=-1",

@@ -612,6 +612,21 @@ class TestWorkspace:
             assert sum(buf.nbytes for buf in ws._bufs.values()) <= bound, width
 
     @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_forward_takes_the_arena_at_a_training_steps_size(self, arch):
+        # a wide fc1's weight gradient outgrows the conv layers' memory; a
+        # forward-only pass still takes the buffer the training step needs
+        for width in (12, 200):
+            cfg = _net(arch, dropout=0.5, dense_widths=(width, 4))
+            params, x, y = _bitwise_case(cfg, 7, seed=2)
+            step_ws, ws = _Workspace(), _Workspace()
+            loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=step_ws)
+            network._forward(params, cfg, x, ws)
+            arena = ws._bufs["arena"]
+            loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
+            assert ws._bufs["arena"] is arena, width
+            assert arena.size == step_ws._bufs["arena"].size, width
+
+    @pytest.mark.parametrize("arch", ["single", "multi"])
     def test_backward_rebuilds_the_columns_of_every_conv_but_the_last(self, arch, monkeypatch):
         # the forward pass builds every conv's columns; the backward pass finds
         # the last conv's where the forward pass left them

@@ -27,7 +27,9 @@ that function splits the flights before it reads one, and simulate builds every
 flight's settings before it makes a directory.
 
 One helper knows that a conv zero-pads its input: no other code in the
-package computes ``KERNEL // 2`` or ``KERNEL - 1``."""
+package computes ``KERNEL // 2`` or ``KERNEL - 1``. And one function lays
+out the conv layers' buffer: no other code in the package passes the name
+``"arena"`` to a call, so no caller sizes it and no pass regrows it."""
 import ast
 import importlib.util
 import sys
@@ -349,6 +351,33 @@ def test_one_helper_knows_the_conv_padding():
     assert kernel_offsets(snippet) == ["_taps", "pad", "size", "out_length", "Net", "line 15"]
     found = {p.name: kernel_offsets(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_taps"]}
+
+
+def arena_takers(source: str) -> list[str]:
+    """Top-level definitions of ``source`` (``line N`` for other statements)
+    with a call that passes the constant ``"arena"``."""
+    def passes_arena(call):
+        return any(isinstance(arg, ast.Constant) and arg.value == "arena"
+                   for arg in [*call.args, *(kw.value for kw in call.keywords)])
+
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if any(isinstance(sub, ast.Call) and passes_arena(sub) for sub in ast.walk(node))]
+
+
+def test_one_function_takes_the_arena():
+    snippet = ("def _arena(ws):\n"
+               "    return ws.get('arena', (4,))\n"
+               "def forward(ws):\n"
+               "    return ws.get(name='arena')\n"
+               "def named(ws):\n"
+               "    return ws.get('arena ' + 'x'), ws.get('flat'), 'arena'\n"
+               "class Workspace:\n"
+               "    def grow(self):\n"
+               "        return self.get('arena', ())\n"
+               "BUF = take('arena')\n")
+    assert arena_takers(snippet) == ["_arena", "forward", "Workspace", "line 10"]
+    found = {p.name: arena_takers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_arena"]}
 
 
 def _perfbench_workloads():

@@ -181,6 +181,16 @@ class TestNormalization:
         assert np.allclose(per_channel.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(per_channel.std(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("channel, name, value", [(0, "fx", 1e200), (5, "wz", np.inf)])
+    def test_non_finite_statistics_name_the_channel(self, channel, name, value):
+        rng = np.random.default_rng(2)
+        inputs = rng.normal(size=(8, 6, 10))
+        inputs[::2, channel] = value
+        inputs[1::2, channel] = -value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"^cannot normalize input channel {name}:"):
+                normalize(SampleSet(inputs, rng.normal(size=(8, 3))))
+
     def test_apply_stats_reuses_training_statistics(self):
         rng = np.random.default_rng(1)
         stats = NormStats(mean=rng.normal(size=6), std=np.abs(rng.normal(size=6)) + 0.5)
