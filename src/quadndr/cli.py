@@ -240,6 +240,8 @@ def cmd_eval(cfg: ExperimentConfig, model_paths, baseline_paths) -> dict:
     write_report(out / "report.txt", report)
     for name, pts in curves.items():
         write_trajectory_csv(out / f"eval_{name}_traj.csv", times, pts)
+    for name in set(ARCHES) - curves.keys():  # left by an earlier eval; not this report
+        (out / f"eval_{name}_traj.csv").unlink(missing_ok=True)
     write_xz_svg(out / "eval_xz.svg", curves,
                  title="ground truth vs reconstructed trajectories")
     for key, value in report.items():

@@ -12,10 +12,14 @@ Everything is plain numpy with handwritten backpropagation and Adam.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import queue
+import threading
 import zipfile
 from dataclasses import asdict, dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -142,14 +146,17 @@ class _Workspace:
     gradient. ``arena`` holds the conv layers, laid out by ``_arena``, the
     one place that sizes it, so no pass regrows it under its own views. The
     backward pass rebuilds a conv's columns from its input for its weight
-    gradient, except the columns of the last conv the forward pass ran,
-    still in place; then the input gradient's columns overwrite the
-    columns, and the input gradient the input.
+    gradient, except the columns of the last conv that ran in the columns'
+    region, still in place; then the input gradient's columns overwrite
+    the columns, and the input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. ``fc1``,
     which reads it, forms its weight gradient last, after the conv
     backward pass, so ``flat`` stays intact and its gradient gets a region
-    of its own in ``arena``."""
+    of its own in ``arena``.
+
+    Every buffer is taken on the caller's thread before a pass hands a
+    branch to the worker thread (``_both``), which only writes into views."""
 
     def __init__(self):
         self._bufs = {}
@@ -188,20 +195,31 @@ def _arena(ws, cfg: NetConfig, batch: int) -> tuple:
     """Views into buffer ``arena``, the conv layers' memory, which is always
     taken at a training step's size, so no pass regrows it under its views:
     every conv's (in, B, window) input, in the order the forward pass runs
-    them; then, sized for the largest conv, flat regions for one conv's
-    (in*KERNEL, B*window) im2col columns and its pre-activation; the
-    (B, feature_dim) gradient of ``flat``; last, ``fc1.w``'s gradient over
+    them; the (B, feature_dim) gradient of ``flat``; then, sized for the
+    largest conv, a pair of flat regions for one conv's (in*KERNEL, B*window)
+    im2col columns and its pre-activation; last, ``fc1.w``'s gradient over
     the start of the buffer, for when the rest is dead. The backward pass
-    writes each region's gradient over what the forward pass left there."""
+    writes each region's gradient over what the forward pass left there.
+
+    Where the buffer has room for it, as when ``fc1.w``'s gradient sets its
+    size, each branch gets a pair of its own, so the branches can run at
+    once; otherwise they share one pair in turn. Returns each branch's conv
+    inputs and its pair, the gradient of ``flat`` and ``fc1.w``'s gradient."""
     chans, length = cfg.conv_channels, batch * cfg.window
-    cins = chans[:-1] * len(cfg.branches)
-    sizes = [cin * length for cin in cins] + [max(chans[:-1]) * KERNEL * length,
-                                              max(chans[1:]) * length, batch * cfg.feature_dim]
+    nbranch = len(cfg.branches)
+    sizes = [cin * length for cin in chans[:-1]] * nbranch + [batch * cfg.feature_dim]
+    pair = [max(chans[:-1]) * KERNEL * length, max(chans[1:]) * length]
     fc1_w = (cfg.dense_widths[0], cfg.feature_dim)
-    buf = ws.get("arena", (max(sum(sizes), math.prod(fc1_w)),))
-    *inputs, cols_free, z_free, dflat = np.split(buf[:sum(sizes)], np.cumsum(sizes[:-1]))
-    return ([x.reshape(cin, batch, cfg.window) for x, cin in zip(inputs, cins)], cols_free,
-            z_free, dflat.reshape(batch, cfg.feature_dim), buf[:math.prod(fc1_w)].reshape(fc1_w))
+    total = max(sum(sizes) + sum(pair), math.prod(fc1_w))
+    npairs = nbranch if sum(sizes) + nbranch * sum(pair) <= total else 1
+    sizes += pair * npairs
+    buf = ws.get("arena", (total,))
+    views = iter(np.split(buf[:sum(sizes)], np.cumsum(sizes[:-1])))
+    inputs = [[next(views).reshape(cin, batch, cfg.window) for cin in chans[:-1]]
+              for _ in cfg.branches]
+    dflat = next(views).reshape(batch, cfg.feature_dim)
+    pairs = [(next(views), next(views)) for _ in range(npairs)]
+    return inputs, pairs * (nbranch // npairs), dflat, buf[:math.prod(fc1_w)].reshape(fc1_w)
 
 
 def _taps(length: int):
@@ -239,14 +257,12 @@ def _conv_forward(x, w, b, cols_free, z_free):
     return z
 
 
-def _conv_param_grads(dz, cols, w, ws, name):
-    """Weight and bias gradients of one conv from its (out, B, L)
-    pre-activation gradient."""
-    cout = w.shape[0]
-    dz2 = dz.reshape(cout, -1)
-    dw = np.matmul(dz2, cols.T, out=ws.get(f"grad {name}.w", (cout, cols.shape[0])))
-    db = np.sum(dz2, axis=1, out=ws.get(f"grad {name}.b", (cout,)))
-    return dw.reshape(w.shape), db
+def _conv_param_grads(dz, cols, dw, db):
+    """Weight and bias gradients of one conv, into ``dw`` and ``db``, from its
+    (out, B, L) pre-activation gradient."""
+    dz2 = dz.reshape(dw.shape[0], -1)
+    np.matmul(dz2, cols.T, out=dw.reshape(dw.shape[0], -1))
+    np.sum(dz2, axis=1, out=db)
 
 
 def _conv_input_grad(dz, w, cols, x):
@@ -274,30 +290,129 @@ def _as_windows(cfg: NetConfig, inputs) -> np.ndarray:
     return x
 
 
+_jobs = queue.SimpleQueue()  # the jobs that wait for the worker thread
+_worker_lock = threading.Lock()
+_worker = None  # the one worker thread, started by the first _both
+
+
+class _Job:
+    """One task for the worker thread, and its outcome once ``done`` is set."""
+
+    def __init__(self, task):
+        self.task, self.done, self.result, self.error = task, threading.Event(), None, None
+
+
+def _serve():
+    """The worker thread: runs each queued job and reports its outcome."""
+    while True:
+        job = _jobs.get()
+        try:
+            job.result = job.task()
+        except BaseException as exc:  # re-raised on the caller's thread
+            job.error = exc
+        job.done.set()
+        del job  # its task holds the caller's buffers: keep none of them alive
+
+
+def _both(first, second):
+    """Run two independent tasks at once: ``first`` on the worker thread,
+    ``second`` on this one. Returns both results once both have ended; if
+    either raised, raises the first task's exception, else the second's."""
+    global _worker
+    job = _Job(first)
+    with _worker_lock:
+        if _worker is None or not _worker.is_alive():  # not started yet, or lost in a fork
+            _worker = threading.Thread(target=_serve, name="quadndr worker", daemon=True)
+            _worker.start()
+    _jobs.put(job)
+    try:
+        second_result = second()
+    finally:
+        job.done.wait()  # the worker writes into the caller's buffers until then
+        if job.error is not None:
+            raise job.error
+    return job.result, second_result
+
+
+@cache
+def _blas_threads() -> int:
+    """How many threads the OpenBLAS that numpy loaded runs a GEMM on, as
+    when first asked; 0 where there is none to ask (another BLAS, or a
+    system without /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1])
+        lib = ctypes.CDLL(path)
+    except (OSError, StopIteration):
+        return 0
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            return getattr(lib, symbol)()
+    return 0
+
+
+def _by_branch(tasks, pairs):
+    """Run one task per branch: both at once when each of two branches has
+    its own arena pair and BLAS runs a GEMM on one thread, else one after
+    another in the order given. A threaded BLAS keeps every core busy in a
+    GEMM already, so a second GEMM beside it only slows both down."""
+    if pairs[0] is pairs[-1] or _blas_threads() != 1:
+        for task in tasks:
+            task()
+    else:
+        _both(*tasks)
+
+
+def _branch_forward(params, records, x, out, cols_free, z_free):
+    """One branch's conv stack: ``x`` through the convs of ``records``, each a
+    (name, input, ``z > 0`` mask) triple whose input and mask it writes; the
+    last conv's activation goes to ``out``."""
+    np.copyto(records[0][1], x)
+    for (name, h, positive), h_out in zip(records, [h for _, h, _ in records[1:]] + [out]):
+        z = _conv_forward(h, params[name + ".w"], params[name + ".b"], cols_free, z_free)
+        _leaky(np.greater(z, 0, out=positive), z, h_out)
+
+
+def _branch_backward(params, records, da, grads, kept, cols_free, z_free):
+    """One branch's conv stack backward from ``da``, the gradient of its last
+    activation: walks its ``records`` in reverse, writing each conv's weight
+    and bias gradients into the buffers in ``grads``. ``kept``: the last
+    conv's im2col columns are still in ``cols_free``."""
+    length = da.shape[1] * da.shape[2]
+    for i, (name, h_in, positive) in reversed(list(enumerate(records))):
+        w = params[name + ".w"]
+        dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
+        if kept and i == len(records) - 1:
+            cols = cols_free[:w[0].size * length].reshape(-1, length)
+        else:
+            cols = _im2col(h_in, cols_free)
+        _conv_param_grads(dz, cols, grads[name + ".w"], grads[name + ".b"])
+        if i > 0:  # the network's input needs no gradient
+            da = _conv_input_grad(dz, w, cols, h_in)
+
+
 def _forward(params, cfg: NetConfig, x, ws, rng=None):
     """Batched forward pass of ``_as_windows`` input ``x`` into ``ws`` (dropout on
-    when ``rng`` is given); returns predictions and the records of the conv and
-    of the dense layers, in the order they ran. Conv activations are (C, B, L)."""
+    when ``rng`` is given); returns predictions and the records of the conv
+    layers, per branch, and of the dense layers, in the order they ran. Conv
+    activations are (C, B, L)."""
     _check_blocks(params, param_shapes(cfg))
     B, L = x.shape[0], cfg.window
     chans = cfg.conv_channels
-    nconv = len(chans) - 1
     # per branch, the last conv output; flattened it is the dense input
     feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
-    inputs, cols_free, z_free, _, _ = _arena(ws, cfg, B)
-    inputs = iter(inputs)  # every conv's input, handed out in turn
-
-    conv_cache = []
+    inputs, pairs, _, _ = _arena(ws, cfg, B)
+    conv_cache, tasks = [], []
     for bi, prefix in enumerate(cfg.branches):
-        h = next(inputs)
-        np.copyto(h, x[:, bi * chans[0]:(bi + 1) * chans[0]].transpose(1, 0, 2))
-        for i in range(nconv):
-            name = f"{prefix}{i + 1}"
-            z = _conv_forward(h, params[name + ".w"], params[name + ".b"], cols_free, z_free)
-            positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
-            conv_cache.append((bi, i, name, h, positive))
-            h = feats[:, bi].transpose(1, 0, 2) if i == nconv - 1 else next(inputs)
-            _leaky(positive, z, h)
+        names = [f"{prefix}{i + 1}" for i in range(len(chans) - 1)]
+        records = [(name, h, ws.get(name + ".pos", (cout, B, L), bool))
+                   for name, h, cout in zip(names, inputs[bi], chans[1:])]
+        conv_cache.append(records)
+        tasks.append(partial(_branch_forward, params, records,
+                             x[:, bi * chans[0]:(bi + 1) * chans[0]].transpose(1, 0, 2),
+                             feats[:, bi].transpose(1, 0, 2), *pairs[bi]))
+    _by_branch(tasks, pairs)
 
     dense_cache = []
     h = feats.reshape(B, cfg.feature_dim)
@@ -320,7 +435,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
     conv_cache, dense_cache = cache
     B = dout.shape[0]
     flat = dense_cache[0][1]  # fc1's input
-    _, cols_free, z_free, dflat, dfc1_w = _arena(ws, cfg, B)
+    _, pairs, dflat, dfc1_w = _arena(ws, cfg, B)
     grads = dict.fromkeys(params)
     dz = dout
     for name, h_in, positive, mask in reversed(dense_cache):
@@ -338,18 +453,17 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         dh = np.matmul(dz, w, out=dh_out)
     fc1_dz = dz  # the loop ends at fc1
 
-    nconv, length = len(cfg.conv_channels) - 1, B * cfg.window
+    for records in conv_cache:
+        for name, _, _ in records:
+            for block in (name + ".w", name + ".b"):
+                grads[block] = ws.get("grad " + block, params[block].shape)
     dfeats = dh.reshape(B, len(cfg.branches), cfg.conv_channels[-1], cfg.window)
-    for n, (bi, i, name, h_in, positive) in enumerate(reversed(conv_cache)):
-        if i == nconv - 1:  # the branch's last conv, which wrote its features
-            da = dfeats[:, bi].transpose(1, 0, 2)
-        w = params[name + ".w"]
-        dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
-        # the forward pass kept each conv's input; the last conv's columns are still in place
-        cols = _im2col(h_in, cols_free) if n else cols_free[:w[0].size * length].reshape(-1, length)
-        grads[name + ".w"], grads[name + ".b"] = _conv_param_grads(dz, cols, w, ws, name)
-        if i > 0:  # the network's input needs no gradient
-            da = _conv_input_grad(dz, w, cols, h_in)
+    # a branch finds its last conv's columns in its pair unless a later branch used it;
+    # branches that share a pair run in reverse, so the last runs first
+    tasks = [partial(_branch_backward, params, records, dfeats[:, bi].transpose(1, 0, 2), grads,
+                     all(pairs[bi] is not later for later in pairs[bi + 1:]), *pairs[bi])
+             for bi, records in enumerate(conv_cache)]
+    _by_branch(tasks[::-1], pairs[::-1])
     grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=dfc1_w)  # the rest of arena is dead now
     return grads
 
@@ -404,8 +518,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict, lr: float = 1e-3) -> "AdamState":
-        zeros = {k: np.zeros_like(p) for k, p in params.items()}
-        return cls(m=zeros, v={k: z.copy() for k, z in zeros.items()}, t=0, lr=lr)
+        return cls(m={k: np.zeros(np.shape(p)) for k, p in params.items()},
+                   v={k: np.zeros(np.shape(p)) for k, p in params.items()}, t=0, lr=lr)
 
 
 # elements per chunk of one Adam pass: six chunk-sized arrays fit in L2 cache
@@ -418,14 +532,17 @@ _ADAM_GRAD_MAX = 2.0 ** 511
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
     """One Adam update in place: overwrites ``params[k]``, ``state.m[k]`` and
     ``state.v[k]``, advances ``state.t`` and returns the same two objects.
+    ``grads[k]`` is scratch: it is overwritten too.
 
     Before any array changes, every gradient block is checked finite and
-    within _ADAM_GRAD_MAX in magnitude, so TrainingDiverged leaves params and
-    state as they were. The operation order is the textbook one,
+    within _ADAM_GRAD_MAX in magnitude, so TrainingDiverged leaves params,
+    grads and state as they were. The operation order is the textbook one,
     ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
     ``p - (lr*m_hat)/(sqrt(v_hat)+eps)``, so results are bitwise those of the
-    out-of-place form. Each block is walked in chunks of _ADAM_CHUNK elements,
-    so the scratch is two chunk-sized arrays whatever the block size."""
+    out-of-place form. The first half of the elements, in block order, is
+    updated on this thread and the second on the worker thread (``_both``),
+    each in chunks of _ADAM_CHUNK elements, so the scratch is two
+    chunk-sized arrays whatever the block size."""
     for k, g in grads.items():
         # a sum of squares within the bound's square bounds every entry; only a
         # block past it (or whose sum overflows) pays for the elementwise check
@@ -434,18 +551,35 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
                     or np.all(np.abs(g) <= _ADAM_GRAD_MAX)):
                 raise TrainingDiverged(f"gradient in block {k!r} is non-finite or"
                                        f" above {_ADAM_GRAD_MAX:.3g} in magnitude")
+    halves, start, cut = ([], []), 0, sum(p.size for p in params.values()) // 2
+    for k, p in params.items():
+        split = min(max(cut - start, 0), p.size)
+        for half, span in zip(halves, ((0, split), (split, p.size))):
+            if span[0] < span[1]:
+                # nditer hands out views of contiguous blocks and buffers any other layout
+                chunks = np.nditer([p, grads[k], state.m[k], state.v[k]],
+                                   flags=["external_loop", "buffered", "ranged"],
+                                   op_flags=[["readwrite"]] * 4, buffersize=_ADAM_CHUNK)
+                chunks.iterrange = span
+                half.append(chunks)
+        start += p.size
     state.t += 1
+    scratch = np.empty((2, _ADAM_CHUNK))
+    _both(partial(_adam_chunks, halves[1], scratch[1], state),
+          partial(_adam_chunks, halves[0], scratch[0], state))
+    return params, state
+
+
+def _adam_chunks(iterators, scratch, state: AdamState) -> None:
+    """Adam's update of the (param, grad, m, v) chunks of ``iterators``, with
+    ``scratch`` and each gradient chunk, dead once ``v`` has read it, as the
+    two temporaries."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
-    scratch = np.empty((2, _ADAM_CHUNK))
-    for k, p in params.items():
-        # nditer hands out views of contiguous blocks and buffers any other layout
-        with np.nditer([p, grads[k], state.m[k], state.v[k]],
-                       flags=["external_loop", "buffered", "zerosize_ok"],
-                       op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
-                       buffersize=_ADAM_CHUNK) as chunks:
-            for p_c, g, m, v in chunks:
-                step, denom = scratch[:, :g.size]
+    for chunks in iterators:
+        with chunks:
+            for p, g, m, v in chunks:
+                step = scratch[:g.size]
                 np.multiply(1.0 - b1, g, out=step)
                 m *= b1
                 m += step
@@ -455,12 +589,11 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
                 v += step
                 np.divide(m, c1, out=step)
                 step *= state.lr
-                np.divide(v, c2, out=denom)
+                denom = np.divide(v, c2, out=g)
                 np.sqrt(denom, out=denom)
                 denom += ADAM_EPS
                 step /= denom
-                p_c -= step
-    return params, state
+                p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,28 @@ def test_repeated_model_flags_score_every_file(trained, tmp_path):
             assert f"{method}.run{run}." in reports[1]
 
 
+def test_eval_removes_the_curves_of_methods_it_did_not_score(trained, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    cfg = load_config(overrides=tiny_overrides(exp))
+    single, baseline = cmd_train(cfg, "single")[0], cmd_train(cfg, "baseline")[0]
+    code, err = _run_main(["eval", *_sets(tiny_overrides(exp)), "--models", str(single),
+                           "--baseline", str(baseline)])
+    assert code == 0, err
+    assert (exp / "eval_baseline_traj.csv").is_file()
+    # a refused eval leaves every file as it was
+    before = tree_digest(exp)
+    code, err = _run_main(["eval", *_sets(tiny_overrides(exp, window_size=10)),
+                           "--models", str(single)])
+    assert code == 1, err
+    assert tree_digest(exp) == before
+    code, err = _run_main(["eval", *_sets(tiny_overrides(exp)), "--models", str(single)])
+    assert code == 0, err
+    assert sorted(p.name for p in exp.glob("eval_*_traj.csv")) == [
+        "eval_gt_traj.csv", "eval_ins_traj.csv", "eval_single_traj.csv"]
+    assert "baseline" not in (exp / "report.txt").read_text()
+
+
 def test_failed_simulate_leaves_no_flight_directory(tmp_path):
     exp = tmp_path / "exp"
     code, err = _run_main(["simulate", *_sets(tiny_overrides(exp)),

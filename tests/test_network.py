@@ -1,12 +1,19 @@
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
+import weakref
 import zipfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -364,9 +371,10 @@ class TestInPlaceAdam:
         for _ in range(200):
             grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-6.0, 3.0)
                      for k, s in shapes.items()}
+            # adam_step takes the gradients as scratch, so the reference reads them first
+            ref_params, ref_state = out_of_place_adam(ref_params, grads, ref_state)
             stepped, same_state = adam_step(params, grads, state)
             assert stepped is params and same_state is state
-            ref_params, ref_state = out_of_place_adam(ref_params, grads, ref_state)
             _assert_bit_equal((params, state.m, state.v),
                               (ref_params, ref_state.m, ref_state.v))
             assert state.t == ref_state.t
@@ -451,7 +459,7 @@ class TestInPlaceAdam:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(3):
-                adam_step(params, grads, state)
+                adam_step(params, {k: g.copy() for k, g in grads.items()}, state)
                 ref_params, ref_state = out_of_place_adam(ref_params, grads, ref_state)
         _assert_bit_equal((params, state.m, state.v), (ref_params, ref_state.m, ref_state.v))
         assert state.t == ref_state.t == 3
@@ -626,12 +634,17 @@ class TestWorkspace:
             assert ws._bufs["arena"] is arena, width
             assert arena.size == step_ws._bufs["arena"].size, width
 
+    @pytest.mark.parametrize("width, kept", [(6, 1), (200, 2)], ids=["shared", "own_pairs"])
     @pytest.mark.parametrize("arch", ["single", "multi"])
-    def test_backward_rebuilds_the_columns_of_every_conv_but_the_last(self, arch, monkeypatch):
+    def test_backward_rebuilds_the_columns_of_every_conv_but_the_last(self, arch, width, kept,
+                                                                      monkeypatch):
         # the forward pass builds every conv's columns; the backward pass finds
-        # the last conv's where the forward pass left them
-        cfg = _net(arch, dropout=0.5)
+        # the last conv's where the forward pass left them: once per network
+        # when the branches share one columns region, once per branch when a
+        # wide fc1 leaves the arena room for a region per branch
+        cfg = _net(arch, dropout=0.5, dense_widths=(width, 4))
         convs = (len(cfg.conv_channels) - 1) * len(cfg.branches)
+        kept = min(kept, len(cfg.branches))
         im2col, calls = network._im2col, []
 
         def counted(*args):
@@ -643,7 +656,7 @@ class TestWorkspace:
         for ws in (None, _Workspace()):
             calls.clear()
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
-            assert len(calls) == 2 * convs - 1
+            assert len(calls) == 2 * convs - kept
         calls.clear()
         predict(params, cfg, x)
         assert len(calls) == convs
@@ -711,6 +724,185 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < im2col
+
+
+def _inline(first, second):
+    return first(), second()
+
+
+class TestWorker:
+    # a wide fc1 leaves the arena room for a columns region per branch, so
+    # multi's two conv stacks run at once, given a one-thread BLAS
+    MULTI = _net("multi", dropout=0.5, dense_widths=(200, 4))
+
+    @pytest.fixture(autouse=True)
+    def one_thread_blas(self, monkeypatch):
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+
+    def _data(self):
+        rng = np.random.default_rng(21)
+        return rng.normal(size=(40, 6, 8)), rng.normal(size=(40, 3))
+
+    def _train(self, monkeypatch, both):
+        """Two epochs of MULTI with ``both`` as the worker helper; returns the
+        params, the Adam state, the loss history, predictions and the helper calls."""
+        states, calls = [], []
+        adam = network.adam_step
+
+        def recording_adam(params, grads, state):
+            states.append(state)
+            return adam(params, grads, state)
+
+        def counted(first, second):
+            calls.append(threading.get_ident())
+            return both(first, second)
+
+        monkeypatch.setattr(network, "adam_step", recording_adam)
+        monkeypatch.setattr(network, "_both", counted)
+        x, y = self._data()
+        params, history = train(init_params(self.MULTI, seed=5), self.MULTI, x, y,
+                                TrainConfig(epochs=2, batch_size=16, seed=3))
+        return params, states[-1], history, predict(params, self.MULTI, x), calls
+
+    @pytest.mark.parametrize("blas_threads, per_step", [(1, 3), (2, 1), (0, 1)])
+    def test_training_with_the_worker_is_byte_equal_to_inline(self, blas_threads, per_step,
+                                                               monkeypatch):
+        # per step, Adam's halves; with a one-thread BLAS also the forward and
+        # backward conv stacks, which a threaded or an unknown BLAS runs in turn
+        monkeypatch.setattr(network, "_blas_threads", lambda: blas_threads)
+        params, state, history, out, calls = self._train(monkeypatch, network._both)
+        ref_params, ref_state, ref_history, ref_out, _ = self._train(monkeypatch, _inline)
+        assert len(calls) == per_step * 3 * 2  # 3 batches, 2 epochs
+        for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
+            assert got.keys() == want.keys()
+            for k in want:
+                assert got[k].tobytes() == want[k].tobytes(), k
+        assert state.t == ref_state.t == 6
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        assert out.tobytes() == ref_out.tobytes()
+
+    def test_error_in_the_workers_branch_reaches_the_caller(self, monkeypatch):
+        x, y = self._data()
+        tcfg = TrainConfig(epochs=1, batch_size=16, seed=3)
+        ref, ref_history = train(init_params(self.MULTI, seed=5), self.MULTI, x, y, tcfg)
+        branch, raised = network._branch_forward, []
+
+        def failing(params, records, *args):
+            if records[0][0] == "acc1":  # the first branch, which goes to the worker
+                raised.append((threading.get_ident(), ValueError("acc branch failed")))
+                raise raised[-1][1]
+            return branch(params, records, *args)
+
+        monkeypatch.setattr(network, "_branch_forward", failing)
+        with pytest.raises(ValueError) as info:
+            train(init_params(self.MULTI, seed=5), self.MULTI, x, y, tcfg)
+        assert [err for _, err in raised] == [info.value]
+        assert raised[0][0] != threading.get_ident()
+        monkeypatch.setattr(network, "_branch_forward", branch)
+        params, history = train(init_params(self.MULTI, seed=5), self.MULTI, x, y, tcfg)
+        assert history == ref_history
+        _assert_bit_equal((params,), (ref,))
+
+    @pytest.mark.parametrize("fails", [["first"], ["second"], ["first", "second"]])
+    def test_both_waits_for_both_tasks_and_raises_the_first_error(self, fails):
+        ran = []
+
+        def task(name):
+            def run():
+                if name == "first":
+                    time.sleep(0.05)  # the second task ends first
+                ran.append((name, threading.get_ident()))
+                if name in fails:
+                    raise KeyError(name)
+                return name
+            return run
+
+        with pytest.raises(KeyError, match=fails[0]):
+            network._both(task("first"), task("second"))
+        assert sorted(name for name, _ in ran) == ["first", "second"]
+        assert dict(ran)["second"] == threading.get_ident() != dict(ran)["first"]
+        assert network._both(task("third"), lambda: 4) == ("third", 4)
+
+    def test_worker_keeps_nothing_of_a_finished_task(self):
+        # a task's closure holds the caller's buffers; once _both returns, the
+        # worker must not keep them alive until its next task
+        buffers = np.empty(1000)
+        ref = weakref.ref(buffers)
+        network._both(partial(buffers.fill, 0.0), lambda: None)
+        del buffers
+        deadline = time.monotonic() + 5.0
+        while ref() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ref() is None
+
+    def test_worker_never_holds_the_interpreter_at_exit(self):
+        # one job ran, one raised and one is still running when the main thread ends
+        code = ("import time\n"
+                "from quadndr import network\n"
+                "network._both(lambda: 1, lambda: 2)\n"
+                "try:\n"
+                "    network._both(lambda: 1 / 0, lambda: 2)\n"
+                "except ZeroDivisionError:\n"
+                "    pass\n"
+                "network._jobs.put(network._Job(lambda: time.sleep(60)))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(network.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30)
+        assert done.returncode == 0
+
+    def test_diverged_split_adam_changes_nothing(self):
+        # the check runs before either half starts: a bad entry in the half
+        # the worker updates stops the step before this thread's half changes
+        rng = np.random.default_rng(18)
+        params = {"a.w": rng.normal(size=(3, 7001)), "b.b": rng.normal(size=5)}
+        state = AdamState.for_params(params)
+        adam_step(params, {k: rng.normal(size=p.shape) for k, p in params.items()}, state)
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        grads["a.w"][-1, -1] = np.inf
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v, grads)]
+        with pytest.raises(TrainingDiverged, match="'a.w'"):
+            adam_step(params, grads, state)
+        _assert_bit_equal((params, state.m, state.v, grads), before)
+        assert state.t == 1
+
+    @pytest.mark.parametrize("width, threads", [(200, 2), (6, 1)], ids=["own_pairs", "shared"])
+    def test_every_buffer_is_taken_on_the_callers_thread(self, width, threads, monkeypatch):
+        # branches that share one arena pair run in turn on the caller's thread
+        get, conv = _Workspace.get, network._conv_forward
+        gets, convs = [], []
+
+        def recording_get(self, *args, **kwargs):
+            gets.append(threading.get_ident())
+            return get(self, *args, **kwargs)
+
+        def recording_conv(*args):
+            convs.append(threading.get_ident())
+            return conv(*args)
+
+        monkeypatch.setattr(_Workspace, "get", recording_get)
+        monkeypatch.setattr(network, "_conv_forward", recording_conv)
+        cfg = replace(self.MULTI, dense_widths=(width, 4))
+        params, x, y = _bitwise_case(cfg, 7, seed=8)
+        ws = _Workspace()
+        for _ in range(2):
+            loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
+        predict(params, cfg, x)
+        assert gets and set(gets) == {threading.get_ident()}
+        assert threading.get_ident() in convs and len(set(convs)) == threads
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists()
+                    or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
+                    ["blas"]["name"], reason="the count is asked of OpenBLAS through /proc")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_threads_are_those_openblas_runs(threads):
+    if int(threads) > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS runs no more threads than the process has cores")
+    code = "from quadndr import network\nprint(network._blas_threads())\n"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(network.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.stdout == threads + "\n", done.stderr
 
 
 class TestTrain:

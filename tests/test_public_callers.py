@@ -29,7 +29,11 @@ flight's settings before it makes a directory.
 One helper knows that a conv zero-pads its input: no other code in the
 package computes ``KERNEL // 2`` or ``KERNEL - 1``. And one function lays
 out the conv layers' buffer: no other code in the package passes the name
-``"arena"`` to a call, so no caller sizes it and no pass regrows it."""
+``"arena"`` to a call, so no caller sizes it and no pass regrows it.
+
+One helper, ``network._both``, starts a thread: no other code in the package
+makes a thread, a process or a pool, so every task that runs beside the
+caller goes through it and gets its error back to the caller."""
 import ast
 import importlib.util
 import sys
@@ -378,6 +382,42 @@ def test_one_function_takes_the_arena():
     assert arena_takers(snippet) == ["_arena", "forward", "Workspace", "line 10"]
     found = {p.name: arena_takers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_arena"]}
+
+
+# what makes a thread or a process, by the name it is called by
+THREAD_MAKERS = {"Thread", "Timer", "start_new_thread", "start_new", "ThreadPoolExecutor",
+                 "ProcessPoolExecutor", "ThreadPool", "Pool", "Process", "fork"}
+
+
+def thread_makers(source: str) -> list[str]:
+    """Top-level definitions of ``source`` (``line N`` for other statements)
+    with a call to one of THREAD_MAKERS."""
+    def makes_thread(call):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        return name in THREAD_MAKERS
+
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if any(isinstance(sub, ast.Call) and makes_thread(sub) for sub in ast.walk(node))]
+
+
+def test_one_helper_starts_a_thread():
+    snippet = ("import threading\n"
+               "def _both(a, b):\n"
+               "    threading.Thread(target=a).start()\n"
+               "def pool(f):\n"
+               "    with ThreadPoolExecutor(2) as ex:\n"
+               "        return ex.map(f, [])\n"
+               "def timer():\n"
+               "    return threading.Timer(1.0, print), 'Thread'\n"
+               "class Runner:\n"
+               "    def go(self):\n"
+               "        return _thread.start_new_thread(print, ())\n"
+               "def not_one(t):\n"
+               "    return t.join(), threading.get_ident(), Threads()\n"
+               "WORKER = multiprocessing.Process(target=print)\n")
+    assert thread_makers(snippet) == ["_both", "pool", "timer", "Runner", "line 14"]
+    found = {p.name: thread_makers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_both"]}
 
 
 def _perfbench_workloads():
