@@ -9,6 +9,7 @@ a fixed config and seed. ``main`` returns 0 on success, 1 after printing
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -174,6 +175,10 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
         write_csv(out / f"{arch}_run{run}_loss.csv", "epoch,loss", enumerate(history))
         print(f"{arch} run {run}: final train loss {history[-1]:.6g} ({model_path})")
         paths.append(model_path)
+    for path in out.glob(f"{arch}_run*"):  # left by an earlier train with more runs
+        run = re.fullmatch(rf"{arch}_run(0|[1-9][0-9]*)(\.qpnet|_loss\.csv)", path.name)
+        if run and int(run[1]) >= cfg.runs:
+            path.unlink(missing_ok=True)
     return paths
 
 

@@ -8,7 +8,11 @@ inverted dropout, then a linear head):
 - multi: two independent six-convolution stacks over the 3-channel
   accelerometer and gyroscope windows, concatenated before the dense tail
 
-Everything is plain numpy with handwritten backpropagation and Adam.
+Everything is plain numpy with handwritten backpropagation and Adam. When
+BLAS runs a GEMM on one thread, a step uses a second thread of its own
+(``_both``) for independent halves of its work: the column halves of each
+large GEMM (``_matmul``), multi's two conv stacks and Adam's two halves.
+The bits do not depend on the second thread.
 """
 from __future__ import annotations
 
@@ -156,7 +160,8 @@ class _Workspace:
     of its own in ``arena``.
 
     Every buffer is taken on the caller's thread before a pass hands a
-    branch to the worker thread (``_both``), which only writes into views."""
+    branch or a GEMM's column half to the worker thread (``_both``), which
+    only writes into views."""
 
     def __init__(self):
         self._bufs = {}
@@ -251,7 +256,7 @@ def _conv_forward(x, w, b, cols_free, z_free):
     cout = w.shape[0]
     cols = _im2col(x, cols_free)
     z = z_free[:cout * cols.shape[1]].reshape(cout, cols.shape[1])
-    np.matmul(w.reshape(cout, cols.shape[0]), cols, out=z)
+    _matmul(w.reshape(cout, cols.shape[0]), cols, z)
     z = z.reshape(cout, *x.shape[1:])
     z += b[:, None, None]
     return z
@@ -261,7 +266,7 @@ def _conv_param_grads(dz, cols, dw, db):
     """Weight and bias gradients of one conv, into ``dw`` and ``db``, from its
     (out, B, L) pre-activation gradient."""
     dz2 = dz.reshape(dw.shape[0], -1)
-    np.matmul(dz2, cols.T, out=dw.reshape(dw.shape[0], -1))
+    _matmul(dz2, cols.T, dw.reshape(dw.shape[0], -1))
     np.sum(dz2, axis=1, out=db)
 
 
@@ -270,7 +275,7 @@ def _conv_input_grad(dz, w, cols, x):
     its columns overwrite ``cols``, the layer's im2col columns. Both are dead
     once its weight gradient is formed."""
     cout, B, length = dz.shape
-    dcols = np.matmul(w.reshape(cout, cols.shape[0]).T, dz.reshape(cout, B * length), out=cols)
+    dcols = _matmul(w.reshape(cout, cols.shape[0]).T, dz.reshape(cout, B * length), cols)
     dcols = dcols.reshape(x.shape[0], KERNEL, B, length)
     x.fill(0.0)
     for k, out, inp in _taps(length):
@@ -291,7 +296,7 @@ def _as_windows(cfg: NetConfig, inputs) -> np.ndarray:
 
 
 _jobs = queue.SimpleQueue()  # the jobs that wait for the worker thread
-_worker_lock = threading.Lock()
+_running = threading.Lock()  # held while a _both runs its two tasks at once
 _worker = None  # the one worker thread, started by the first _both
 
 
@@ -301,36 +306,49 @@ class _Job:
     def __init__(self, task):
         self.task, self.done, self.result, self.error = task, threading.Event(), None, None
 
+    def run(self):
+        try:
+            self.result = self.task()
+        except BaseException as exc:  # re-raised on the caller's thread
+            self.error = exc
+        self.done.set()
+
 
 def _serve():
     """The worker thread: runs each queued job and reports its outcome."""
     while True:
         job = _jobs.get()
-        try:
-            job.result = job.task()
-        except BaseException as exc:  # re-raised on the caller's thread
-            job.error = exc
-        job.done.set()
+        job.run()
         del job  # its task holds the caller's buffers: keep none of them alive
 
 
 def _both(first, second):
     """Run two independent tasks at once: ``first`` on the worker thread,
-    ``second`` on this one. Returns both results once both have ended; if
-    either raised, raises the first task's exception, else the second's."""
+    ``second`` on this one. A ``_both`` called while another one runs, from
+    one of its tasks or from another thread, runs ``first`` and then
+    ``second`` on this thread, so the worker never waits on itself. Returns
+    both results once both have ended; if either raised, raises the first
+    task's exception, else the second's."""
     global _worker
     job = _Job(first)
-    with _worker_lock:
-        if _worker is None or not _worker.is_alive():  # not started yet, or lost in a fork
-            _worker = threading.Thread(target=_serve, name="quadndr worker", daemon=True)
-            _worker.start()
-    _jobs.put(job)
+    at_once = _running.acquire(blocking=False)
     try:
-        second_result = second()
+        if at_once:
+            if _worker is None or not _worker.is_alive():  # not started yet, or lost in a fork
+                _worker = threading.Thread(target=_serve, name="quadndr worker", daemon=True)
+                _worker.start()
+            _jobs.put(job)
+        else:
+            job.run()
+        try:
+            second_result = second()
+        finally:
+            job.done.wait()  # the worker writes into the caller's buffers until then
+            if job.error is not None:
+                raise job.error
     finally:
-        job.done.wait()  # the worker writes into the caller's buffers until then
-        if job.error is not None:
-            raise job.error
+        if at_once:
+            _running.release()
     return job.result, second_result
 
 
@@ -356,12 +374,38 @@ def _by_branch(tasks, pairs):
     """Run one task per branch: both at once when each of two branches has
     its own arena pair and BLAS runs a GEMM on one thread, else one after
     another in the order given. A threaded BLAS keeps every core busy in a
-    GEMM already, so a second GEMM beside it only slows both down."""
+    GEMM already, so a second GEMM beside it only slows both down. Branches
+    that run at once keep their GEMMs whole (``_matmul``); branches in turn
+    split theirs."""
     if pairs[0] is pairs[-1] or _blas_threads() != 1:
         for task in tasks:
             task()
     else:
         _both(*tasks)
+
+
+# the fewest multiply-adds of a GEMM half: a smaller half may take another
+# OpenBLAS kernel than the whole GEMM, with other bits
+_SPLIT_MIN = 2 ** 21
+
+
+def _matmul(a, b, out):
+    """``out = a @ b`` for 2-D operands: every GEMM of this module runs here.
+
+    With a one-thread BLAS and no ``_both`` running, ``out``'s n columns
+    are split at ``cut = (n // 16) * 8`` into two GEMMs run at once by
+    ``_both``, when n is a multiple of 8 and each half has at least
+    _SPLIT_MIN multiply-adds; otherwise it is one call. Every split the
+    rule makes gave the bits of one call on OpenBLAS's SkylakeX kernel;
+    splits outside it did not always."""
+    (m, k), n = a.shape, out.shape[1]
+    cut = (n // 16) * 8
+    if (_blas_threads() != 1 or _running.locked() or n % 8
+            or m * k * min(cut, n - cut) < _SPLIT_MIN):
+        return np.matmul(a, b, out=out)
+    _both(partial(np.matmul, a, b[:, cut:], out=out[:, cut:]),
+          partial(np.matmul, a, b[:, :cut], out=out[:, :cut]))
+    return out
 
 
 def _branch_forward(params, records, x, out, cols_free, z_free):
@@ -418,13 +462,13 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     h = feats.reshape(B, cfg.feature_dim)
     for i, width in enumerate(cfg.dense_widths):
         name = f"fc{i + 1}"
-        z = np.matmul(h, params[name + ".w"].T, out=ws.get(name + ".z", (B, width)))
+        z = _matmul(h, params[name + ".w"].T, ws.get(name + ".z", (B, width)))
         z += params[name + ".b"]
         positive = np.greater(z, 0, out=ws.get(name + ".pos", z.shape, bool))
         a = _leaky(positive, z, ws.get(name + ".act", z.shape))
         dense_cache.append((name, h, positive, _dropout(a, cfg.dropout, rng, ws, name)))
         h = a
-    out = np.matmul(h, params["head.w"].T, out=ws.get("head.out", (B, cfg.out_dim)))
+    out = _matmul(h, params["head.w"].T, ws.get("head.out", (B, cfg.out_dim)))
     out += params["head.b"]
     dense_cache.append(("head", h, None, None))
     return out, (conv_cache, dense_cache)
@@ -447,10 +491,10 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
         if name == "fc1":  # its weight gradient is formed after the conv backward pass
             dh_out = dflat
         else:
-            grads[name + ".w"] = np.matmul(dz.T, h_in, out=ws.get(f"grad {name}.w", w.shape))
+            grads[name + ".w"] = _matmul(dz.T, h_in, ws.get(f"grad {name}.w", w.shape))
             dh_out = h_in
         grads[name + ".b"] = np.sum(dz, axis=0, out=ws.get(f"grad {name}.b", w.shape[:1]))
-        dh = np.matmul(dz, w, out=dh_out)
+        dh = _matmul(dz, w, dh_out)
     fc1_dz = dz  # the loop ends at fc1
 
     for records in conv_cache:
@@ -464,7 +508,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
                      all(pairs[bi] is not later for later in pairs[bi + 1:]), *pairs[bi])
              for bi, records in enumerate(conv_cache)]
     _by_branch(tasks[::-1], pairs[::-1])
-    grads["fc1.w"] = np.matmul(fc1_dz.T, flat, out=dfc1_w)  # the rest of arena is dead now
+    grads["fc1.w"] = _matmul(fc1_dz.T, flat, dfc1_w)  # the rest of arena is dead now
     return grads
 
 

@@ -596,6 +596,31 @@ def test_eval_removes_the_curves_of_methods_it_did_not_score(trained, tmp_path):
     assert "baseline" not in (exp / "report.txt").read_text()
 
 
+def test_train_removes_the_models_of_runs_it_did_not_make(trained, tmp_path):
+    exp = tmp_path / "exp"
+    shutil.copytree(trained[0], exp)
+    code, err = _run_main(["train", *_sets(tiny_overrides(exp, runs=2)), "--arch", "baseline"])
+    assert code == 0, err
+    # names train does not write stay, as do another architecture's runs and the flights
+    others = ["baseline_run01.qpnet", "baseline_run1.qpnet.bak", "baseline_run1_loss.csv.txt"]
+    for name in others:
+        (exp / name).write_text("kept")
+    kept = sorted(p.name for p in exp.rglob("*") if not p.name.startswith("baseline_run"))
+    # a refused and a diverged train remove nothing
+    before = tree_digest(exp)
+    for setting, want in (("stride=0", 1), ("lr=1e308", 2)):
+        code, err = _run_main(["train", *_sets(tiny_overrides(exp, runs=1)), "--arch",
+                               "baseline", "--set", setting])
+        assert code == want, err
+        assert tree_digest(exp) == before, setting
+    assert (exp / "baseline_run1.qpnet").is_file() and (exp / "baseline_run1_loss.csv").is_file()
+    code, err = _run_main(["train", *_sets(tiny_overrides(exp, runs=1)), "--arch", "baseline"])
+    assert code == 0, err
+    assert sorted(p.name for p in exp.glob("baseline_run*")) == sorted(
+        ["baseline_run0.qpnet", "baseline_run0_loss.csv", *others])
+    assert sorted(p.name for p in exp.rglob("*") if not p.name.startswith("baseline_run")) == kept
+
+
 def test_failed_simulate_leaves_no_flight_directory(tmp_path):
     exp = tmp_path / "exp"
     code, err = _run_main(["simulate", *_sets(tiny_overrides(exp)),

@@ -730,21 +730,86 @@ def _inline(first, second):
     return first(), second()
 
 
+def _splits(m, k, n):
+    """Whether network._matmul's rule splits an (m, k) @ (k, n) GEMM that
+    runs outside any _both, given a one-thread BLAS."""
+    cut = (n // 16) * 8
+    return n % 8 == 0 and m * k * min(cut, n - cut) >= 2 ** 21
+
+
+def _gemms(cfg, batch, backward, convs=True):
+    """(m, k, n) of every GEMM of one forward pass of ``batch`` windows, and
+    with ``backward`` of its backward pass; ``convs=False`` leaves out the
+    conv layers' GEMMs."""
+    chans, cols = cfg.conv_channels, batch * cfg.window
+    layers = list(enumerate(zip(chans[:-1], chans[1:]))) * len(cfg.branches) if convs else []
+    shapes = [(cout, cin * KERNEL, cols) for _, (cin, cout) in layers]
+    dims = (cfg.feature_dim,) + cfg.dense_widths + (cfg.out_dim,)
+    shapes += [(batch, din, dout) for din, dout in zip(dims[:-1], dims[1:])]
+    if backward:
+        shapes += [(cout, cols, cin * KERNEL) for _, (cin, cout) in layers]  # weight gradients
+        shapes += [(cin * KERNEL, cout, cols) for i, (cin, cout) in layers if i > 0]  # input
+        shapes += [g for din, dout in zip(dims[:-1], dims[1:])
+                   for g in ((dout, batch, din), (batch, dout, din))]
+    return shapes
+
+
+def _subprocess_env(**variables):
+    """The environment of a Python subprocess that imports quadndr and the
+    test modules, with ``variables`` set."""
+    paths = [str(Path(network.__file__).parents[1]), str(Path(__file__).parent)]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **variables}
+
+
+def _nested_both():
+    """Each task of a _both calls _both twice, the second time with both
+    inner tasks failing. Returns, per outer task, its thread, the inner
+    tasks' names and threads in the order they ran, the first inner result
+    and the inner error; this thread; and the threads of a _both after."""
+    def outer():
+        ran = []
+
+        def task(name, fails=False):
+            def run():
+                ran.append((name, threading.get_ident()))
+                if fails:
+                    raise KeyError(name)
+                return name
+            return run
+
+        result = network._both(task("a"), task("b"))
+        try:
+            network._both(task("c", fails=True), task("d", fails=True))
+        except KeyError as exc:
+            error = exc.args[0]
+        return threading.get_ident(), ran, result, error
+
+    return (network._both(outer, outer), threading.get_ident(),
+            network._both(threading.get_ident, threading.get_ident))
+
+
 class TestWorker:
     # a wide fc1 leaves the arena room for a columns region per branch, so
-    # multi's two conv stacks run at once, given a one-thread BLAS
-    MULTI = _net("multi", dropout=0.5, dense_widths=(200, 4))
+    # multi's two conv stacks run at once, given a one-thread BLAS; longer
+    # windows make GEMMs large enough to be split, the conv GEMMs too
+    NETS = {"multi": _net("multi", dropout=0.5, dense_widths=(200, 4)),
+            "single_long": NetConfig(arch="single", window=128, dropout=0.5,
+                                     conv_channels=(6, 32, 32), dense_widths=(200, 4)),
+            "multi_long": NetConfig(arch="multi", window=128, dropout=0.5,
+                                    conv_channels=(3, 32, 32), dense_widths=(200, 4))}
+    MULTI = NETS["multi"]
 
     @pytest.fixture(autouse=True)
     def one_thread_blas(self, monkeypatch):
         monkeypatch.setattr(network, "_blas_threads", lambda: 1)
 
-    def _data(self):
+    def _data(self, cfg=MULTI):
         rng = np.random.default_rng(21)
-        return rng.normal(size=(40, 6, 8)), rng.normal(size=(40, 3))
+        return rng.normal(size=(40, 6, cfg.window)), rng.normal(size=(40, 3))
 
-    def _train(self, monkeypatch, both):
-        """Two epochs of MULTI with ``both`` as the worker helper; returns the
+    def _train(self, monkeypatch, both, cfg=MULTI):
+        """Two epochs of ``cfg`` in batches of 16, 16 and 8 with ``both`` as
+        the worker helper, then a predict of all 40 windows; returns the
         params, the Adam state, the loss history, predictions and the helper calls."""
         states, calls = [], []
         adam = network.adam_step
@@ -759,20 +824,41 @@ class TestWorker:
 
         monkeypatch.setattr(network, "adam_step", recording_adam)
         monkeypatch.setattr(network, "_both", counted)
-        x, y = self._data()
-        params, history = train(init_params(self.MULTI, seed=5), self.MULTI, x, y,
+        x, y = self._data(cfg)
+        params, history = train(init_params(cfg, seed=5), cfg, x, y,
                                 TrainConfig(epochs=2, batch_size=16, seed=3))
-        return params, states[-1], history, predict(params, self.MULTI, x), calls
+        return params, states[-1], history, predict(params, cfg, x), calls
 
-    @pytest.mark.parametrize("blas_threads, per_step", [(1, 3), (2, 1), (0, 1)])
-    def test_training_with_the_worker_is_byte_equal_to_inline(self, blas_threads, per_step,
+    @staticmethod
+    def _pass_calls(cfg, batch, backward):
+        """The _both calls of one pass at a one-thread BLAS: the conv stacks
+        where each branch has its own arena pair, and one per GEMM the split
+        rule takes outside the stacks that run at once."""
+        _, pairs, _, _ = network._arena(_Workspace(), cfg, batch)
+        at_once = pairs[0] is not pairs[-1]
+        return (at_once * (1 + backward)
+                + sum(_splits(*g) for g in _gemms(cfg, batch, backward, convs=not at_once)))
+
+    def _expected_calls(self, cfg, blas_threads):
+        """The _both calls of ``_train``: Adam's halves per step, and with a
+        one-thread BLAS those of each training step and of the predict."""
+        if blas_threads != 1:
+            return 3 * 2  # 3 batches, 2 epochs
+        return (sum(steps * (1 + self._pass_calls(cfg, batch, True))
+                    for batch, steps in ((16, 4), (8, 2)))
+                + self._pass_calls(cfg, 40, False))
+
+    @pytest.mark.parametrize("blas_threads", [1, 2, 0])
+    @pytest.mark.parametrize("net", sorted(NETS))
+    def test_training_with_the_worker_is_byte_equal_to_inline(self, net, blas_threads,
                                                                monkeypatch):
-        # per step, Adam's halves; with a one-thread BLAS also the forward and
-        # backward conv stacks, which a threaded or an unknown BLAS runs in turn
+        # a threaded or an unknown BLAS runs the conv stacks in turn and every
+        # GEMM whole; the inline helper runs the same halves in turn
+        cfg = self.NETS[net]
         monkeypatch.setattr(network, "_blas_threads", lambda: blas_threads)
-        params, state, history, out, calls = self._train(monkeypatch, network._both)
-        ref_params, ref_state, ref_history, ref_out, _ = self._train(monkeypatch, _inline)
-        assert len(calls) == per_step * 3 * 2  # 3 batches, 2 epochs
+        params, state, history, out, calls = self._train(monkeypatch, network._both, cfg)
+        ref_params, ref_state, ref_history, ref_out, _ = self._train(monkeypatch, _inline, cfg)
+        assert len(calls) == self._expected_calls(cfg, blas_threads)
         for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
             assert got.keys() == want.keys()
             for k in want:
@@ -823,6 +909,37 @@ class TestWorker:
         assert dict(ran)["second"] == threading.get_ident() != dict(ran)["first"]
         assert network._both(task("third"), lambda: 4) == ("third", 4)
 
+    def test_both_inside_a_task_runs_in_turn_on_the_calling_thread(self):
+        # in a fresh process, so that a worker waiting on itself stops only it
+        code = "import json, test_network\nprint(json.dumps(test_network._nested_both()))\n"
+        done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outer, caller, after = json.loads(done.stdout)
+        assert outer[1][0] == caller != outer[0][0]  # the worker's task, then the caller's
+        for thread, ran, result, error in outer:
+            assert ran == [[name, thread] for name in "abcd"]
+            assert result == ["a", "b"] and error == "c"
+        assert after[0] != caller == after[1]  # the next _both runs at once again
+
+    def test_no_gemm_is_split_inside_conv_stacks_that_run_at_once(self, monkeypatch):
+        cfg = self.NETS["multi_long"]
+        both, calls = network._both, []
+
+        def recording(first, second):
+            calls.append((getattr(first, "func", None) is np.matmul, network._running.locked()))
+            return both(first, second)
+
+        monkeypatch.setattr(network, "_both", recording)
+        params, x, y = _bitwise_case(cfg, 16, seed=1)
+        loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0))
+        # some of the stacks' GEMMs are large enough for the rule, but run whole
+        dense = sum(_splits(*g) for g in _gemms(cfg, 16, True, convs=False))
+        assert sum(_splits(*g) for g in _gemms(cfg, 16, True)) > dense
+        assert calls.count((False, False)) == 2  # the stacks, forward and backward
+        assert calls.count((True, False)) == dense
+        assert len(calls) == 2 + dense
+
     def test_worker_keeps_nothing_of_a_finished_task(self):
         # a task's closure holds the caller's buffers; once _both returns, the
         # worker must not keep them alive until its next task
@@ -845,8 +962,7 @@ class TestWorker:
                 "except ZeroDivisionError:\n"
                 "    pass\n"
                 "network._jobs.put(network._Job(lambda: time.sleep(60)))\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(network.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30)
+        done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), timeout=30)
         assert done.returncode == 0
 
     def test_diverged_split_adam_changes_nothing(self):
@@ -890,17 +1006,114 @@ class TestWorker:
         assert threading.get_ident() in convs and len(set(convs)) == threads
 
 
-@pytest.mark.skipif(not Path("/proc/self/maps").exists()
-                    or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
-                    ["blas"]["name"], reason="the count is asked of OpenBLAS through /proc")
+needs_openblas = pytest.mark.skipif(
+    not Path("/proc/self/maps").exists()
+    or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+    reason="the thread count is asked of OpenBLAS through /proc")
+
+
+def _extent(shape, strides):
+    """The float64 elements an array of ``shape`` and byte ``strides`` spans."""
+    return 1 + sum((n - 1) * step // 8 for n, step in zip(shape, strides))
+
+
+def _split_gemms():
+    """One training step and one predict of each GEMM_CASES entry, with
+    every GEMM recorded as passed; then each recorded GEMM again, on random
+    operands of its shapes and strides, through network._matmul and as one
+    np.matmul. Returns the count recorded and, per GEMM that the rule split,
+    its (m, k, n) and whether the two results have the same bytes. It
+    swaps network._matmul and network._both while it runs, so a test runs
+    it in a process of its own."""
+    matmul, both, passed, split = network._matmul, network._both, [], []
+
+    def recording(a, b, out):
+        passed.append(tuple((x.shape, x.strides) for x in (a, b, out)))
+        return matmul(a, b, out)
+
+    network._matmul = recording
+    for cfg, batch, predicted in GEMM_CASES:
+        params, x, y = _bitwise_case(cfg, max(batch, predicted), seed=batch)
+        loss_and_gradients(params, cfg, x[:batch], y[:batch], rng=np.random.default_rng(0))
+        predict(params, cfg, x[:predicted])
+    network._matmul = matmul
+    network._both = lambda first, second: split.append(1) or both(first, second)
+    layouts = dict.fromkeys(passed)
+    values = np.random.default_rng(0).normal(
+        size=1 + max(_extent(*op) for layout in layouts for op in layout))
+    halves = []
+    for layout in layouts:
+        a, b = (np.lib.stride_tricks.as_strided(values[i:], *op)
+                for i, op in enumerate(layout[:2]))
+        out, whole = (np.lib.stride_tricks.as_strided(np.empty(_extent(*layout[2])), *layout[2])
+                      for _ in range(2))
+        split.clear()
+        matmul(a, b, out)
+        if split:
+            np.matmul(a, b, out=whole)
+            halves.append((*a.shape, out.shape[1], out.tobytes() == whole.tobytes()))
+    network._both = both
+    return len(passed), halves
+
+
+# one training step and one predict of: the default config at both of its
+# batch sizes; the criterion-6 config of each architecture and of the
+# baseline, at both batch sizes and its eval flights' 20 windows; and the
+# tests' nets
+GEMM_CASES = [
+    *((NetConfig(arch=arch, window=100), batch, batch)
+      for arch in ("single", "multi") for batch in (64, 53)),
+    *((NetConfig(arch=arch, window=25, dropout=0.1, out_dim=out_dim), batch, 20)
+      for arch, out_dim in (("single", 3), ("multi", 3), ("single", 2)) for batch in (64, 32)),
+    *((cfg, 16, 40) for cfg in TestWorker.NETS.values()),
+    (TINY_SINGLE, 5, 5), (TINY_MULTI, 5, 5),
+    (NetConfig(arch="single", window=20, dropout=0.0, conv_channels=(6, 8, 8),
+               dense_widths=(16, 8)), 32, 4),
+]
+
+
+class TestSplitGemm:
+    @needs_openblas
+    def test_every_gemm_the_rule_splits_has_the_bits_of_one_call(self):
+        # at one BLAS thread, where the rule splits, in a process of its own
+        code = "import json, test_network\nprint(json.dumps(test_network._split_gemms()))\n"
+        done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
+                              text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1"))
+        assert done.returncode == 0, done.stderr
+        count, halves = json.loads(done.stdout)
+        assert count == sum(len(_gemms(cfg, batch, True)) + len(_gemms(cfg, predicted, False))
+                            for cfg, batch, predicted in GEMM_CASES)
+        assert len(halves) > 50
+        assert [64, 25600, 512, True] in halves  # the default fc1's forward GEMM
+        assert [gemm for gemm in halves if not gemm[-1]] == []
+
+    @pytest.mark.parametrize("m, k, n, whole", [
+        (64, 18, 925, True),     # split at 456 columns, it changed bits
+        (256, 768, 259, True),   # as did this one
+        (64, 6400, 18, True),    # the default first conv's weight gradient
+        (256, 768, 256, False),
+        (64, 18, 3632, True),    # halves of 1816 columns: just under 2 ** 21 multiply-adds
+        (64, 18, 3648, False),
+    ])
+    def test_rule_keeps_known_bad_shapes_whole(self, m, k, n, whole, monkeypatch):
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        both, calls = network._both, []
+        monkeypatch.setattr(network, "_both", lambda *tasks: calls.append(1) or both(*tasks))
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(n, k)).T
+        out = network._matmul(a, b, np.empty((m, n)))
+        assert len(calls) == (not whole)
+        assert out.tobytes() == np.matmul(a, b).tobytes()
+
+
+@needs_openblas
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_blas_threads_are_those_openblas_runs(threads):
     if int(threads) > len(os.sched_getaffinity(0)):
         pytest.skip("OpenBLAS runs no more threads than the process has cores")
     code = "from quadndr import network\nprint(network._blas_threads())\n"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": str(Path(network.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
                           capture_output=True, text=True)
     assert done.stdout == threads + "\n", done.stderr
 

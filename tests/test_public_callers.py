@@ -384,6 +384,45 @@ def test_one_function_takes_the_arena():
     assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_arena"]}
 
 
+# what computes a matrix product, by the name it is reached by
+GEMM_MAKERS = {"matmul", "dot", "tensordot", "einsum", "inner"}
+
+
+def gemm_users(source: str) -> list[str]:
+    """Top-level definitions of ``source`` (``line N`` for other statements)
+    that use the ``@`` operator or name one of GEMM_MAKERS."""
+    def is_gemm(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.alias):  # an import of one
+            return node.name.rsplit(".", 1)[-1] in GEMM_MAKERS
+        return getattr(node, "id", getattr(node, "attr", None)) in GEMM_MAKERS
+
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if any(is_gemm(sub) for sub in ast.walk(node))]
+
+
+def test_one_helper_runs_every_gemm():
+    snippet = ("import numpy as np\n"
+               "from numpy import dot as product\n"
+               "def _matmul(a, b, out):\n"
+               "    return np.matmul(a, b, out=out)\n"
+               "def forward(w, x):\n"
+               "    return w @ x\n"
+               "def grad(g, h):\n"
+               "    g @= h\n"
+               "def tail(h, w, z):\n"
+               "    return partial(np.matmul, h, w, out=z), 'matmul', np.vdot(h, h)\n"
+               "class Net:\n"
+               "    def head(self, h):\n"
+               "        return h.dot(self.w)\n"
+               "PRODUCT = np.einsum('ij,jk', A, B)\n")
+    assert gemm_users(snippet) == ["line 2", "_matmul", "forward", "grad", "tail", "Net",
+                                   "line 14"]
+    found = {p.name: gemm_users(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert found["network.py"] == ["_matmul"]
+
+
 # what makes a thread or a process, by the name it is called by
 THREAD_MAKERS = {"Thread", "Timer", "start_new_thread", "start_new", "ThreadPoolExecutor",
                  "ProcessPoolExecutor", "ThreadPool", "Pool", "Process", "fork"}
