@@ -150,9 +150,9 @@ class _Workspace:
     gradient. ``arena`` holds the conv layers, laid out by ``_arena``, the
     one place that sizes it, so no pass regrows it under its own views. The
     backward pass rebuilds a conv's columns from its input for its weight
-    gradient, except the columns of the last conv that ran in the columns'
-    region, still in place; then the input gradient's columns overwrite
-    the columns, and the input gradient the input.
+    gradient, except those of each branch's last conv, still in place in
+    the branch's own columns region; then the input gradient's columns
+    overwrite the columns, and the input gradient the input.
 
     The one exception is ``flat``, the flattened conv features. ``fc1``,
     which reads it, forms its weight gradient last, after the conv
@@ -200,31 +200,25 @@ def _arena(ws, cfg: NetConfig, batch: int) -> tuple:
     """Views into buffer ``arena``, the conv layers' memory, which is always
     taken at a training step's size, so no pass regrows it under its views:
     every conv's (in, B, window) input, in the order the forward pass runs
-    them; the (B, feature_dim) gradient of ``flat``; then, sized for the
-    largest conv, a pair of flat regions for one conv's (in*KERNEL, B*window)
-    im2col columns and its pre-activation; last, ``fc1.w``'s gradient over
-    the start of the buffer, for when the rest is dead. The backward pass
-    writes each region's gradient over what the forward pass left there.
-
-    Where the buffer has room for it, as when ``fc1.w``'s gradient sets its
-    size, each branch gets a pair of its own, so the branches can run at
-    once; otherwise they share one pair in turn. Returns each branch's conv
-    inputs and its pair, the gradient of ``flat`` and ``fc1.w``'s gradient."""
+    them; the (B, feature_dim) gradient of ``flat``; then, per branch and
+    sized for the largest conv, a pair of flat regions for one conv's
+    (in*KERNEL, B*window) im2col columns and its pre-activation; last,
+    ``fc1.w``'s gradient over the start of the buffer, for when the rest is
+    dead. The backward pass writes each region's gradient over what the
+    forward pass left there. Returns each branch's conv inputs and its pair,
+    the gradient of ``flat`` and ``fc1.w``'s gradient."""
     chans, length = cfg.conv_channels, batch * cfg.window
-    nbranch = len(cfg.branches)
-    sizes = [cin * length for cin in chans[:-1]] * nbranch + [batch * cfg.feature_dim]
     pair = [max(chans[:-1]) * KERNEL * length, max(chans[1:]) * length]
+    sizes = ([cin * length for cin in chans[:-1]] * len(cfg.branches)
+             + [batch * cfg.feature_dim] + pair * len(cfg.branches))
     fc1_w = (cfg.dense_widths[0], cfg.feature_dim)
-    total = max(sum(sizes) + sum(pair), math.prod(fc1_w))
-    npairs = nbranch if sum(sizes) + nbranch * sum(pair) <= total else 1
-    sizes += pair * npairs
-    buf = ws.get("arena", (total,))
+    buf = ws.get("arena", (max(sum(sizes), math.prod(fc1_w)),))
     views = iter(np.split(buf[:sum(sizes)], np.cumsum(sizes[:-1])))
     inputs = [[next(views).reshape(cin, batch, cfg.window) for cin in chans[:-1]]
               for _ in cfg.branches]
     dflat = next(views).reshape(batch, cfg.feature_dim)
-    pairs = [(next(views), next(views)) for _ in range(npairs)]
-    return inputs, pairs * (nbranch // npairs), dflat, buf[:math.prod(fc1_w)].reshape(fc1_w)
+    pairs = [(next(views), next(views)) for _ in cfg.branches]
+    return inputs, pairs, dflat, buf[:math.prod(fc1_w)].reshape(fc1_w)
 
 
 def _taps(length: int):
@@ -370,18 +364,16 @@ def _blas_threads() -> int:
     return 0
 
 
-def _by_branch(tasks, pairs):
-    """Run one task per branch: both at once when each of two branches has
-    its own arena pair and BLAS runs a GEMM on one thread, else one after
-    another in the order given. A threaded BLAS keeps every core busy in a
-    GEMM already, so a second GEMM beside it only slows both down. Branches
-    that run at once keep their GEMMs whole (``_matmul``); branches in turn
-    split theirs."""
-    if pairs[0] is pairs[-1] or _blas_threads() != 1:
+def _by_branch(tasks):
+    """Run one task per branch: two at once when BLAS runs a GEMM on one
+    thread, else one after another. A threaded BLAS keeps every core busy in
+    a GEMM already, so a second GEMM beside it only slows both down.
+    Branches that run at once keep their GEMMs whole (``_matmul``)."""
+    if len(tasks) == 2 and _blas_threads() == 1:
+        _both(*tasks)
+    else:
         for task in tasks:
             task()
-    else:
-        _both(*tasks)
 
 
 # the fewest multiply-adds of a GEMM half: a smaller half may take another
@@ -418,16 +410,16 @@ def _branch_forward(params, records, x, out, cols_free, z_free):
         _leaky(np.greater(z, 0, out=positive), z, h_out)
 
 
-def _branch_backward(params, records, da, grads, kept, cols_free, z_free):
+def _branch_backward(params, records, da, grads, cols_free, z_free):
     """One branch's conv stack backward from ``da``, the gradient of its last
     activation: walks its ``records`` in reverse, writing each conv's weight
-    and bias gradients into the buffers in ``grads``. ``kept``: the last
-    conv's im2col columns are still in ``cols_free``."""
+    and bias gradients into the buffers in ``grads``. The last conv's im2col
+    columns are still in ``cols_free``, where its forward pass left them."""
     length = da.shape[1] * da.shape[2]
     for i, (name, h_in, positive) in reversed(list(enumerate(records))):
         w = params[name + ".w"]
         dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
-        if kept and i == len(records) - 1:
+        if i == len(records) - 1:
             cols = cols_free[:w[0].size * length].reshape(-1, length)
         else:
             cols = _im2col(h_in, cols_free)
@@ -456,7 +448,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         tasks.append(partial(_branch_forward, params, records,
                              x[:, bi * chans[0]:(bi + 1) * chans[0]].transpose(1, 0, 2),
                              feats[:, bi].transpose(1, 0, 2), *pairs[bi]))
-    _by_branch(tasks, pairs)
+    _by_branch(tasks)
 
     dense_cache = []
     h = feats.reshape(B, cfg.feature_dim)
@@ -502,19 +494,24 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             for block in (name + ".w", name + ".b"):
                 grads[block] = ws.get("grad " + block, params[block].shape)
     dfeats = dh.reshape(B, len(cfg.branches), cfg.conv_channels[-1], cfg.window)
-    # a branch finds its last conv's columns in its pair unless a later branch used it;
-    # branches that share a pair run in reverse, so the last runs first
-    tasks = [partial(_branch_backward, params, records, dfeats[:, bi].transpose(1, 0, 2), grads,
-                     all(pairs[bi] is not later for later in pairs[bi + 1:]), *pairs[bi])
-             for bi, records in enumerate(conv_cache)]
-    _by_branch(tasks[::-1], pairs[::-1])
+    _by_branch([partial(_branch_backward, params, records, dfeats[:, bi].transpose(1, 0, 2),
+                        grads, *pairs[bi]) for bi, records in enumerate(conv_cache)])
     grads["fc1.w"] = _matmul(fc1_dz.T, flat, dfc1_w)  # the rest of arena is dead now
     return grads
 
 
+# the most windows of one inference pass: the default training batch, whose
+# conv layers fit inside fc1.w's gradient at the default widths
+_CHUNK = 64
+
+
 def predict(params, cfg: NetConfig, inputs) -> np.ndarray:
-    """Batched inference on (M, 6, n) windows."""
-    out, _ = _forward(params, cfg, _as_windows(cfg, inputs), _Workspace())
+    """Batched inference on (M, 6, n) windows, in passes of at most _CHUNK
+    windows through one workspace, so its memory does not grow with M."""
+    x = _as_windows(cfg, inputs)
+    ws, out = _Workspace(), np.empty((len(x), cfg.out_dim))
+    for lo in range(0, max(len(x), 1), _CHUNK):  # zero windows make one pass, which checks params
+        out[lo:lo + _CHUNK] = _forward(params, cfg, x[lo:lo + _CHUNK], ws)[0]
     return out
 
 
@@ -578,15 +575,21 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     ``state.v[k]``, advances ``state.t`` and returns the same two objects.
     ``grads[k]`` is scratch: it is overwritten too.
 
-    Before any array changes, every gradient block is checked finite and
-    within _ADAM_GRAD_MAX in magnitude, so TrainingDiverged leaves params,
-    grads and state as they were. The operation order is the textbook one,
+    Before any array changes, a ``grads`` that names other blocks than
+    ``params`` raises ValueError naming one, and every gradient block is
+    checked finite and within _ADAM_GRAD_MAX in magnitude, so
+    TrainingDiverged leaves params, grads and state as they were. The
+    operation order is the textbook one,
     ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
     ``p - (lr*m_hat)/(sqrt(v_hat)+eps)``, so results are bitwise those of the
     out-of-place form. The first half of the elements, in block order, is
     updated on this thread and the second on the worker thread (``_both``),
     each in chunks of _ADAM_CHUNK elements, so the scratch is two
     chunk-sized arrays whatever the block size."""
+    odd = sorted(grads.keys() ^ params.keys())
+    if odd:
+        raise ValueError(f"gradient block {odd[0]!r} is "
+                         + ("missing" if odd[0] in params else "not a parameter block"))
     for k, g in grads.items():
         # a sum of squares within the bound's square bounds every entry; only a
         # block past it (or whose sum overflows) pays for the elementwise check
@@ -671,9 +674,10 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
 
     The last partial batch is kept. Every ``adam_step`` updates the arrays
     of ``params`` in place; before any changes, a read-only block raises
-    ValueError naming it, as do labels whose row count is not that of
-    ``inputs`` and (in the first forward pass) a missing, extra or misshapen
-    block. Returns the same ``params`` dict and the per-epoch mean loss history.
+    ValueError naming it, as do labels of a shape other than (M,
+    cfg.out_dim) for M input windows and (in the first forward pass) a
+    missing, extra or misshapen block. Returns the same ``params`` dict and
+    the per-epoch mean loss history.
     """
     for k, p in params.items():
         if isinstance(p, np.ndarray) and not p.flags.writeable:
@@ -683,9 +687,9 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
     m = inputs.shape[0]
     if m == 0:
         raise ValueError("training set is empty")
-    if labels.shape[:1] != (m,):
-        raise ValueError(f"{len(labels) if labels.ndim else 0} label rows"
-                         f" for {m} input windows")
+    if labels.shape != (m, cfg.out_dim):
+        raise ValueError(f"labels of shape {labels.shape} for {m} input windows,"
+                         f" expected shape {(m, cfg.out_dim)}")
     rng = np.random.default_rng(tcfg.seed)
     state = AdamState.for_params(params, lr=tcfg.lr)
     workspace = _Workspace()

@@ -225,6 +225,16 @@ def test_criterion_9_determinism(tmp_path):
     _report(9, f"{len(digests[0])} output files identical across reruns")
 
 
+# criterion 6's config, out_dir aside; tools/claim_digests.py runs the same
+CLAIM_OVERRIDES = [
+    "sample_rate=25.0", "window_size=25", "stride=12",
+    "num_trajectories=6", "test_fraction=0.34",
+    "accel_noise_std=0.05", "gyro_noise_std=0.002",
+    "accel_bias=0.08,-0.05,0.06", "gyro_bias=0.004,-0.003,0.03",
+    "epochs=10", "runs=3", "dropout=0.1", "seed=17",
+]
+
+
 def test_criterion_6_qualitative_claim(tmp_path):
     """On held-out noisy synthetic data (sinusoidal profile, accelerometer /
     gyroscope bias plus white noise, 3 training runs averaged), both direct
@@ -234,15 +244,7 @@ def test_criterion_6_qualitative_claim(tmp_path):
     The dataset is scaled to a single-core desktop CPU: 25 Hz sampling,
     25-sample windows, 6 trajectories, 10 epochs per run."""
     t0 = time.perf_counter()
-    overrides = [
-        "sample_rate=25.0", "window_size=25", "stride=12",
-        "num_trajectories=6", "test_fraction=0.34",
-        "accel_noise_std=0.05", "gyro_noise_std=0.002",
-        "accel_bias=0.08,-0.05,0.06", "gyro_bias=0.004,-0.003,0.03",
-        "epochs=10", "runs=3", "dropout=0.1", "seed=17",
-        f"out_dir={tmp_path / 'claim'}",
-    ]
-    cfg = load_config(overrides=overrides)
+    cfg = load_config(overrides=CLAIM_OVERRIDES + [f"out_dir={tmp_path / 'claim'}"])
     cmd_simulate(cfg)
     single_models = cmd_train(cfg, "single")
     multi_models = cmd_train(cfg, "multi")

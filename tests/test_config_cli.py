@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_acceptance
 from quadndr.cli import _profile, cmd_eval, cmd_simulate, cmd_train, main
 from quadndr.config import _PARSERS, ExperimentConfig, _parse_pair, load_config, parse_config_text
 from quadndr.simulate import TrajectoryProfile
@@ -775,3 +777,12 @@ class TestPipeline:
             paths = cmd_train(cfg, "single")
             blobs.append(paths[0].read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_claim_digests_runs_the_criterion_6_config():
+    # the tool shows that a change keeps criterion 6's outputs byte for byte
+    path = Path(__file__).resolve().parents[1] / "tools" / "claim_digests.py"
+    spec = importlib.util.spec_from_file_location("claim_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.CLAIM_OVERRIDES == test_acceptance.CLAIM_OVERRIDES

@@ -393,6 +393,24 @@ class TestInPlaceAdam:
         _assert_bit_equal((params, state.m, state.v), before)
         assert state.t == t_before
 
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_gradients_unlike_the_params_change_nothing(self, edit):
+        rng = np.random.default_rng(4)
+        params = {"a.w": rng.normal(size=(3, 4)), "b.b": rng.normal(size=5)}
+        state = AdamState.for_params(params)
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        if edit == "missing":
+            block = "b.b"
+            del grads[block]
+        else:
+            block = "c.w"
+            grads[block] = rng.normal(size=2)
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v, grads)]
+        with pytest.raises(ValueError, match=f"gradient block '{block}'"):
+            adam_step(params, grads, state)
+        _assert_bit_equal((params, state.m, state.v, grads), before)
+        assert state.t == 0
+
     def test_train_updates_callers_arrays_in_place(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(32, 6, 8))
@@ -603,9 +621,10 @@ class TestWorkspace:
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
             convs = list(zip(chans[:-1], chans[1:])) * len(cfg.branches)
             flat = B * cfg.feature_dim
+            pair = (max(cin * k * B * L for cin, _ in convs)               # one conv's im2col
+                    + max(cout * B * L for _, cout in convs))              # its z
             conv_layers = (sum(cin * B * L for cin, _ in convs)            # inputs
-                           + max(cin * k * B * L for cin, _ in convs)      # one conv's im2col
-                           + max(cout * B * L for _, cout in convs)        # its z
+                           + len(cfg.branches) * pair                      # a pair per branch
                            + flat)                                         # flat's grad
             fc1_w = params["fc1.w"].size
             assert ws._bufs["arena"].size == max(conv_layers, fc1_w), width
@@ -634,17 +653,15 @@ class TestWorkspace:
             assert ws._bufs["arena"] is arena, width
             assert arena.size == step_ws._bufs["arena"].size, width
 
-    @pytest.mark.parametrize("width, kept", [(6, 1), (200, 2)], ids=["shared", "own_pairs"])
+    @pytest.mark.parametrize("width", [6, 200], ids=["narrow_fc1", "wide_fc1"])
     @pytest.mark.parametrize("arch", ["single", "multi"])
-    def test_backward_rebuilds_the_columns_of_every_conv_but_the_last(self, arch, width, kept,
+    def test_backward_rebuilds_the_columns_of_every_conv_but_the_last(self, arch, width,
                                                                       monkeypatch):
         # the forward pass builds every conv's columns; the backward pass finds
-        # the last conv's where the forward pass left them: once per network
-        # when the branches share one columns region, once per branch when a
-        # wide fc1 leaves the arena room for a region per branch
+        # each branch's last conv's where the forward pass left them, in the
+        # branch's own columns region, whatever the width of fc1
         cfg = _net(arch, dropout=0.5, dense_widths=(width, 4))
         convs = (len(cfg.conv_channels) - 1) * len(cfg.branches)
-        kept = min(kept, len(cfg.branches))
         im2col, calls = network._im2col, []
 
         def counted(*args):
@@ -656,7 +673,7 @@ class TestWorkspace:
         for ws in (None, _Workspace()):
             calls.clear()
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
-            assert len(calls) == 2 * convs - kept
+            assert len(calls) == 2 * convs - len(cfg.branches)
         calls.clear()
         predict(params, cfg, x)
         assert len(calls) == convs
@@ -725,6 +742,27 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak < im2col
 
+    @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_predict_memory_does_not_grow_with_the_flight(self, arch):
+        # passes of at most 64 windows through one workspace
+        cfg = NetConfig(arch=arch, window=32, dense_widths=(64, 16))
+        params = init_params(cfg, seed=0)
+        x = np.random.default_rng(0).normal(size=(640, 6, cfg.window))
+
+        def peak(windows):
+            tracemalloc.start()
+            try:
+                predict(params, cfg, windows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(x) <= 1.1 * peak(x[:64])
+        for m in (1, 37, 64):
+            one_pass = network._forward(params, cfg, x[:m], _Workspace())[0]
+            assert predict(params, cfg, x[:m]).tobytes() == one_pass.tobytes()
+        assert predict(params, cfg, x[:0]).shape == (0, cfg.out_dim)
+
 
 def _inline(first, second):
     return first(), second()
@@ -789,7 +827,6 @@ def _nested_both():
 
 
 class TestWorker:
-    # a wide fc1 leaves the arena room for a columns region per branch, so
     # multi's two conv stacks run at once, given a one-thread BLAS; longer
     # windows make GEMMs large enough to be split, the conv GEMMs too
     NETS = {"multi": _net("multi", dropout=0.5, dense_widths=(200, 4)),
@@ -831,11 +868,10 @@ class TestWorker:
 
     @staticmethod
     def _pass_calls(cfg, batch, backward):
-        """The _both calls of one pass at a one-thread BLAS: the conv stacks
-        where each branch has its own arena pair, and one per GEMM the split
-        rule takes outside the stacks that run at once."""
-        _, pairs, _, _ = network._arena(_Workspace(), cfg, batch)
-        at_once = pairs[0] is not pairs[-1]
+        """The _both calls of one pass at a one-thread BLAS: multi's conv
+        stacks, and one per GEMM the split rule takes outside the stacks
+        that run at once."""
+        at_once = len(cfg.branches) == 2
         return (at_once * (1 + backward)
                 + sum(_splits(*g) for g in _gemms(cfg, batch, backward, convs=not at_once)))
 
@@ -980,9 +1016,10 @@ class TestWorker:
         _assert_bit_equal((params, state.m, state.v, grads), before)
         assert state.t == 1
 
-    @pytest.mark.parametrize("width, threads", [(200, 2), (6, 1)], ids=["own_pairs", "shared"])
-    def test_every_buffer_is_taken_on_the_callers_thread(self, width, threads, monkeypatch):
-        # branches that share one arena pair run in turn on the caller's thread
+    @pytest.mark.parametrize("width", [200, 6], ids=["wide_fc1", "narrow_fc1"])
+    def test_every_buffer_is_taken_on_the_callers_thread(self, width, monkeypatch):
+        # every branch owns its arena pair, so the stacks run on two threads
+        # whatever the width of fc1; only the caller's thread takes buffers
         get, conv = _Workspace.get, network._conv_forward
         gets, convs = [], []
 
@@ -1003,7 +1040,7 @@ class TestWorker:
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
         predict(params, cfg, x)
         assert gets and set(gets) == {threading.get_ident()}
-        assert threading.get_ident() in convs and len(set(convs)) == threads
+        assert threading.get_ident() in convs and len(set(convs)) == 2
 
 
 needs_openblas = pytest.mark.skipif(
@@ -1166,13 +1203,15 @@ class TestTrain:
             train(init_params(TINY_SINGLE, seed=0), TINY_SINGLE,
                   np.empty((0, 6, 8)), np.empty((0, 3)), TrainConfig(epochs=1))
 
-    @pytest.mark.parametrize("rows", [13, 7])
-    def test_rejects_label_rows_unlike_input_rows(self, rows):
+    @pytest.mark.parametrize("shape", [(13, 3), (7, 3), (10, 2), (10, 4), (10,), (10, 3, 1)])
+    def test_rejects_labels_not_of_shape_windows_by_outputs(self, shape):
+        # refused before the first step, not inside its loss
         x, y = self.make_data(10)
         params = init_params(TINY_SINGLE, seed=0)
         before = copy.deepcopy(params)
-        labels = np.resize(y, (rows, 3))
-        with pytest.raises(ValueError, match=f"{rows} label rows for 10 input windows"):
+        labels = np.resize(y, shape)
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels of shape {shape} for 10 input windows, expected shape (10, 3)")):
             train(params, TINY_SINGLE, x, labels, TrainConfig(epochs=1, batch_size=4))
         _assert_bit_equal((params,), (before,))
 
