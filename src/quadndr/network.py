@@ -8,11 +8,13 @@ inverted dropout, then a linear head):
 - multi: two independent six-convolution stacks over the 3-channel
   accelerometer and gyroscope windows, concatenated before the dense tail
 
-Everything is plain numpy with handwritten backpropagation and Adam. When
-BLAS runs a GEMM on one thread, a step uses a second thread of its own
-(``_both``) for independent halves of its work: the column halves of each
-large GEMM (``_matmul``), multi's two conv stacks and Adam's two halves.
-The bits do not depend on the second thread.
+Everything is plain numpy with handwritten backpropagation and Adam. A
+step uses a second thread of its own (``_both``) for Adam's two halves and,
+when BLAS runs a GEMM on one thread, for other independent halves of its
+work: multi's two conv stacks, single's conv stack as two window halves
+("lanes", ``_lanes``) when its conv GEMMs are large enough, and the column
+halves of each other large GEMM (``_matmul``). The bits do not depend on
+the second thread.
 """
 from __future__ import annotations
 
@@ -160,8 +162,11 @@ class _Workspace:
     of its own in ``arena``.
 
     Every buffer is taken on the caller's thread before a pass hands a
-    branch or a GEMM's column half to the worker thread (``_both``), which
-    only writes into views."""
+    branch, a lane or a GEMM's column half to the worker thread (``_both``),
+    which only writes into views. A lane writes only its own windows'
+    columns of its branch's buffers: every conv input, mask and
+    (im2col columns, pre-activation) row is B*window long, so the lanes'
+    columns never overlap, whatever a layer's channel count."""
 
     def __init__(self):
         self._bufs = {}
@@ -201,23 +206,24 @@ def _arena(ws, cfg: NetConfig, batch: int) -> tuple:
     taken at a training step's size, so no pass regrows it under its views:
     every conv's (in, B, window) input, in the order the forward pass runs
     them; the (B, feature_dim) gradient of ``flat``; then, per branch and
-    sized for the largest conv, a pair of flat regions for one conv's
-    (in*KERNEL, B*window) im2col columns and its pre-activation; last,
+    sized for the largest conv, a pair of regions of B*window columns for
+    one conv's (in*KERNEL, B*window) im2col columns, in its first rows, and
+    its (out, B*window) pre-activation; last,
     ``fc1.w``'s gradient over the start of the buffer, for when the rest is
     dead. The backward pass writes each region's gradient over what the
     forward pass left there. Returns each branch's conv inputs and its pair,
     the gradient of ``flat`` and ``fc1.w``'s gradient."""
     chans, length = cfg.conv_channels, batch * cfg.window
-    pair = [max(chans[:-1]) * KERNEL * length, max(chans[1:]) * length]
+    pair = (max(chans[:-1]) * KERNEL, max(chans[1:]))  # rows of the columns and of z
     sizes = ([cin * length for cin in chans[:-1]] * len(cfg.branches)
-             + [batch * cfg.feature_dim] + pair * len(cfg.branches))
+             + [batch * cfg.feature_dim] + [rows * length for rows in pair] * len(cfg.branches))
     fc1_w = (cfg.dense_widths[0], cfg.feature_dim)
     buf = ws.get("arena", (max(sum(sizes), math.prod(fc1_w)),))
     views = iter(np.split(buf[:sum(sizes)], np.cumsum(sizes[:-1])))
     inputs = [[next(views).reshape(cin, batch, cfg.window) for cin in chans[:-1]]
               for _ in cfg.branches]
     dflat = next(views).reshape(batch, cfg.feature_dim)
-    pairs = [(next(views), next(views)) for _ in cfg.branches]
+    pairs = [tuple(next(views).reshape(rows, length) for rows in pair) for _ in cfg.branches]
     return inputs, pairs, dflat, buf[:math.prod(fc1_w)].reshape(fc1_w)
 
 
@@ -233,46 +239,46 @@ def _taps(length: int):
 
 def _im2col(x, free):
     """The (in*KERNEL, B*L) im2col columns of a channel-major (in, B, L)
-    input, at the start of the flat buffer ``free``."""
+    input, in the first rows of the (rows, B*L) array ``free``."""
     cin, B, length = x.shape
-    cols = free[:cin * KERNEL * B * length].reshape(cin, KERNEL, B, length)
+    cols = free[:cin * KERNEL]
+    by_tap = cols.reshape(cin, KERNEL, B, length)
     for k, out, inp in _taps(length):
-        np.copyto(cols[:, k, :, out], x[:, :, inp])
-        cols[:, k, :, :out.start] = 0.0
-        cols[:, k, :, out.stop:] = 0.0
-    return cols.reshape(cin * KERNEL, B * length)
+        np.copyto(by_tap[:, k, :, out], x[:, :, inp])
+        by_tap[:, k, :, :out.start] = 0.0
+        by_tap[:, k, :, out.stop:] = 0.0
+    return cols
 
 
 def _conv_forward(x, w, b, cols_free, z_free):
     """Cross-correlate a channel-major (in, B, L) input with (out, in, KERNEL)
-    weights; returns the (out, B, L) pre-activation at the start of the flat
-    buffer ``z_free``. Its im2col columns go to the start of ``cols_free``."""
+    weights; returns the (out, B, L) pre-activation, in the first rows of
+    the (rows, B*L) array ``z_free``. Its im2col columns go to the first
+    rows of ``cols_free``, of the same width."""
     cout = w.shape[0]
     cols = _im2col(x, cols_free)
-    z = z_free[:cout * cols.shape[1]].reshape(cout, cols.shape[1])
-    _matmul(w.reshape(cout, cols.shape[0]), cols, z)
-    z = z.reshape(cout, *x.shape[1:])
+    z = _matmul(w.reshape(cout, cols.shape[0]), cols, z_free[:cout]).reshape(cout, *x.shape[1:])
     z += b[:, None, None]
     return z
 
 
 def _conv_param_grads(dz, cols, dw, db):
     """Weight and bias gradients of one conv, into ``dw`` and ``db``, from its
-    (out, B, L) pre-activation gradient."""
-    dz2 = dz.reshape(dw.shape[0], -1)
-    _matmul(dz2, cols.T, dw.reshape(dw.shape[0], -1))
-    np.sum(dz2, axis=1, out=db)
+    (out, B*L) pre-activation gradient."""
+    _matmul(dz, cols.T, dw.reshape(dw.shape[0], -1))
+    np.sum(dz, axis=1, out=db)
 
 
 def _conv_input_grad(dz, w, cols, x):
-    """The (in, B, L) input gradient of one conv, in ``x``, the layer's input;
-    its columns overwrite ``cols``, the layer's im2col columns. Both are dead
-    once its weight gradient is formed."""
-    cout, B, length = dz.shape
-    dcols = _matmul(w.reshape(cout, cols.shape[0]).T, dz.reshape(cout, B * length), cols)
-    dcols = dcols.reshape(x.shape[0], KERNEL, B, length)
+    """The (in, B, L) input gradient of one conv, from its (out, B*L)
+    pre-activation gradient, in ``x``, the layer's input; its columns
+    overwrite ``cols``, the layer's im2col columns. Both are dead once its
+    weight gradient is formed."""
+    cout = w.shape[0]
+    dcols = _matmul(w.reshape(cout, cols.shape[0]).T, dz, cols)
+    dcols = dcols.reshape(x.shape[0], KERNEL, *x.shape[1:])
     x.fill(0.0)
-    for k, out, inp in _taps(length):
+    for k, out, inp in _taps(x.shape[2]):
         x[:, :, inp] += dcols[:, k, :, out]
     return x
 
@@ -368,7 +374,8 @@ def _by_branch(tasks):
     """Run one task per branch: two at once when BLAS runs a GEMM on one
     thread, else one after another. A threaded BLAS keeps every core busy in
     a GEMM already, so a second GEMM beside it only slows both down.
-    Branches that run at once keep their GEMMs whole (``_matmul``)."""
+    Branches that run at once keep their GEMMs whole (``_matmul``) and run
+    one lane each (``_lanes``); a lone branch may run two."""
     if len(tasks) == 2 and _blas_threads() == 1:
         _both(*tasks)
     else:
@@ -387,9 +394,12 @@ def _matmul(a, b, out):
     With a one-thread BLAS and no ``_both`` running, ``out``'s n columns
     are split at ``cut = (n // 16) * 8`` into two GEMMs run at once by
     ``_both``, when n is a multiple of 8 and each half has at least
-    _SPLIT_MIN multiply-adds; otherwise it is one call. Every split the
-    rule makes gave the bits of one call on OpenBLAS's SkylakeX kernel;
-    splits outside it did not always."""
+    _SPLIT_MIN multiply-adds; otherwise it is one call. A GEMM inside a
+    ``_both`` (a conv stack or a lane) is one call: a lane's conv GEMM is
+    already its half of the whole batch's, cut by ``_lanes`` under the same
+    two conditions. Every split the two rules make gave the bits of one
+    call on OpenBLAS's SkylakeX kernel; splits outside them did not always,
+    for example at 160 of 325 columns."""
     (m, k), n = a.shape, out.shape[1]
     cut = (n // 16) * 8
     if (_blas_threads() != 1 or _running.locked() or n % 8
@@ -400,32 +410,77 @@ def _matmul(a, b, out):
     return out
 
 
-def _branch_forward(params, records, x, out, cols_free, z_free):
+def _lanes(cfg: NetConfig, batch: int) -> list:
+    """The window ranges ("lanes") each branch's conv stack runs as. Given a
+    one-thread BLAS, a lone branch (single) runs two halves at once when
+    its conv GEMMs split at the lane cut as ``_matmul`` would split them:
+    the cut, ``batch // 2`` windows, is a multiple of 8 columns, and every
+    conv GEMM of the smaller lane has at least _SPLIT_MIN multiply-adds.
+    Otherwise, one lane of every window."""
+    chans, cut = cfg.conv_channels, batch // 2
+    columns = cut * cfg.window
+    if (len(cfg.branches) == 1 and _blas_threads() == 1 and columns % 8 == 0
+            and min(map(math.prod, zip(chans, chans[1:]))) * KERNEL * columns >= _SPLIT_MIN):
+        return [(0, cut), (cut, batch)]
+    return [(0, batch)]
+
+
+def _on_lanes(task, lanes):
+    """``task(lo, hi)`` for each lane: two lanes at once (``_both``)."""
+    if len(lanes) == 2:
+        _both(partial(task, *lanes[0]), partial(task, *lanes[1]))
+    else:
+        task(*lanes[0])
+
+
+def _branch_forward(params, records, x, out, cols_free, z_free, lanes):
     """One branch's conv stack: ``x`` through the convs of ``records``, each a
     (name, input, ``z > 0`` mask) triple whose input and mask it writes; the
-    last conv's activation goes to ``out``."""
-    np.copyto(records[0][1], x)
-    for (name, h, positive), h_out in zip(records, [h for _, h, _ in records[1:]] + [out]):
-        z = _conv_forward(h, params[name + ".w"], params[name + ".b"], cols_free, z_free)
-        _leaky(np.greater(z, 0, out=positive), z, h_out)
+    last conv's activation goes to ``out``. Each lane runs the whole stack
+    on its own windows, and so on its own columns of the (im2col columns,
+    pre-activation) pair ``cols_free``, ``z_free``."""
+    length = x.shape[2]
+    outputs = [h for _, h, _ in records[1:]] + [out]
+
+    def lane(lo, hi):
+        windows, columns = slice(lo, hi), slice(lo * length, hi * length)
+        np.copyto(records[0][1][:, windows], x[:, windows])
+        for (name, h, positive), h_out in zip(records, outputs):
+            z = _conv_forward(h[:, windows], params[name + ".w"], params[name + ".b"],
+                              cols_free[:, columns], z_free[:, columns])
+            _leaky(np.greater(z, 0, out=positive[:, windows]), z, h_out[:, windows])
+
+    _on_lanes(lane, lanes)
 
 
-def _branch_backward(params, records, da, grads, cols_free, z_free):
+def _branch_backward(params, records, da, grads, cols_free, z_free, lanes):
     """One branch's conv stack backward from ``da``, the gradient of its last
     activation: walks its ``records`` in reverse, writing each conv's weight
-    and bias gradients into the buffers in ``grads``. The last conv's im2col
-    columns are still in ``cols_free``, where its forward pass left them."""
-    length = da.shape[1] * da.shape[2]
+    and bias gradients into the buffers in ``grads``. Per conv, the lanes
+    form their windows' pre-activation gradient and im2col columns, this
+    thread the whole batch's weight and bias gradients, then the lanes the
+    input gradient. The last conv's columns are still in ``cols_free``,
+    where its forward pass left them."""
+    length = da.shape[2]
     for i, (name, h_in, positive) in reversed(list(enumerate(records))):
         w = params[name + ".w"]
-        dz = _leaky(positive, da, z_free[:positive.size].reshape(positive.shape))
-        if i == len(records) - 1:
-            cols = cols_free[:w[0].size * length].reshape(-1, length)
-        else:
-            cols = _im2col(h_in, cols_free)
+        cols, dz = cols_free[:w[0].size], z_free[:w.shape[0]]
+
+        def rebuild(lo, hi):
+            columns = slice(lo * length, hi * length)
+            _leaky(positive[:, lo:hi], da[:, lo:hi], dz.reshape(positive.shape)[:, lo:hi])
+            if i < len(records) - 1:
+                _im2col(h_in[:, lo:hi], cols[:, columns])
+
+        def input_grad(lo, hi):
+            columns = slice(lo * length, hi * length)
+            _conv_input_grad(dz[:, columns], w, cols[:, columns], h_in[:, lo:hi])
+
+        _on_lanes(rebuild, lanes)
         _conv_param_grads(dz, cols, grads[name + ".w"], grads[name + ".b"])
         if i > 0:  # the network's input needs no gradient
-            da = _conv_input_grad(dz, w, cols, h_in)
+            _on_lanes(input_grad, lanes)
+            da = h_in
 
 
 def _forward(params, cfg: NetConfig, x, ws, rng=None):
@@ -439,6 +494,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
     # per branch, the last conv output; flattened it is the dense input
     feats = ws.get("flat", (B, len(cfg.branches), chans[-1], L))
     inputs, pairs, _, _ = _arena(ws, cfg, B)
+    lanes = _lanes(cfg, B)
     conv_cache, tasks = [], []
     for bi, prefix in enumerate(cfg.branches):
         names = [f"{prefix}{i + 1}" for i in range(len(chans) - 1)]
@@ -447,7 +503,7 @@ def _forward(params, cfg: NetConfig, x, ws, rng=None):
         conv_cache.append(records)
         tasks.append(partial(_branch_forward, params, records,
                              x[:, bi * chans[0]:(bi + 1) * chans[0]].transpose(1, 0, 2),
-                             feats[:, bi].transpose(1, 0, 2), *pairs[bi]))
+                             feats[:, bi].transpose(1, 0, 2), *pairs[bi], lanes))
     _by_branch(tasks)
 
     dense_cache = []
@@ -494,8 +550,9 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
             for block in (name + ".w", name + ".b"):
                 grads[block] = ws.get("grad " + block, params[block].shape)
     dfeats = dh.reshape(B, len(cfg.branches), cfg.conv_channels[-1], cfg.window)
+    lanes = _lanes(cfg, B)
     _by_branch([partial(_branch_backward, params, records, dfeats[:, bi].transpose(1, 0, 2),
-                        grads, *pairs[bi]) for bi, records in enumerate(conv_cache)])
+                        grads, *pairs[bi], lanes) for bi, records in enumerate(conv_cache)])
     grads["fc1.w"] = _matmul(fc1_dz.T, flat, dfc1_w)  # the rest of arena is dead now
     return grads
 
@@ -578,26 +635,19 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     Before any array changes, a ``grads`` that names other blocks than
     ``params`` raises ValueError naming one, and every gradient block is
     checked finite and within _ADAM_GRAD_MAX in magnitude, so
-    TrainingDiverged leaves params, grads and state as they were. The
-    operation order is the textbook one,
-    ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
+    TrainingDiverged, naming the first bad block in ``params`` order, leaves
+    params, grads and state as they were. The operation order is the
+    textbook one, ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
     ``p - (lr*m_hat)/(sqrt(v_hat)+eps)``, so results are bitwise those of the
     out-of-place form. The first half of the elements, in block order, is
-    updated on this thread and the second on the worker thread (``_both``),
-    each in chunks of _ADAM_CHUNK elements, so the scratch is two
-    chunk-sized arrays whatever the block size."""
+    checked and then updated on this thread, and the second on the worker
+    thread (``_both``); neither half starts its update before both checks
+    have passed. Updates run in chunks of _ADAM_CHUNK elements, so the
+    scratch is two chunk-sized arrays whatever the block size."""
     odd = sorted(grads.keys() ^ params.keys())
     if odd:
         raise ValueError(f"gradient block {odd[0]!r} is "
                          + ("missing" if odd[0] in params else "not a parameter block"))
-    for k, g in grads.items():
-        # a sum of squares within the bound's square bounds every entry; only a
-        # block past it (or whose sum overflows) pays for the elementwise check
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not (np.vdot(g, g) <= _ADAM_GRAD_MAX ** 2
-                    or np.all(np.abs(g) <= _ADAM_GRAD_MAX)):
-                raise TrainingDiverged(f"gradient in block {k!r} is non-finite or"
-                                       f" above {_ADAM_GRAD_MAX:.3g} in magnitude")
     halves, start, cut = ([], []), 0, sum(p.size for p in params.values()) // 2
     for k, p in params.items():
         split = min(max(cut - start, 0), p.size)
@@ -608,8 +658,14 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
                                    flags=["external_loop", "buffered", "ranged"],
                                    op_flags=[["readwrite"]] * 4, buffersize=_ADAM_CHUNK)
                 chunks.iterrange = span
-                half.append(chunks)
+                half.append((k, span, chunks))
         start += p.size
+    # the first half's blocks come first in params order
+    late, early = _both(partial(_first_bad_block, grads, halves[1]),
+                        partial(_first_bad_block, grads, halves[0]))
+    if early or late:
+        raise TrainingDiverged(f"gradient in block {early or late!r} is non-finite or"
+                               f" above {_ADAM_GRAD_MAX:.3g} in magnitude")
     state.t += 1
     scratch = np.empty((2, _ADAM_CHUNK))
     _both(partial(_adam_chunks, halves[1], scratch[1], state),
@@ -617,13 +673,28 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     return params, state
 
 
-def _adam_chunks(iterators, scratch, state: AdamState) -> None:
-    """Adam's update of the (param, grad, m, v) chunks of ``iterators``, with
-    ``scratch`` and each gradient chunk, dead once ``v`` has read it, as the
-    two temporaries."""
+def _first_bad_block(grads, half):
+    """The name of the first block of ``half``, (name, (start, stop), chunks)
+    triples, whose gradient has an entry in that range that is non-finite
+    or above _ADAM_GRAD_MAX in magnitude; None if there is none."""
+    for k, (lo, hi), _ in half:
+        g = grads[k].ravel("K")[lo:hi]
+        # a sum of squares within the bound's square bounds every entry; only a
+        # range past it (or whose sum overflows) pays for the elementwise check
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (np.vdot(g, g) <= _ADAM_GRAD_MAX ** 2
+                    or np.all(np.abs(g) <= _ADAM_GRAD_MAX)):
+                return k
+    return None
+
+
+def _adam_chunks(half, scratch, state: AdamState) -> None:
+    """Adam's update of the (param, grad, m, v) chunks of ``half``, (name,
+    span, chunks) triples, with ``scratch`` and each gradient chunk, dead
+    once ``v`` has read it, as the two temporaries."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
-    for chunks in iterators:
+    for _, _, chunks in half:
         with chunks:
             for p, g, m, v in chunks:
                 step = scratch[:g.size]

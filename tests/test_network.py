@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -66,7 +67,8 @@ def conv1d(w, b, x, padding=0):
     x = np.asarray(x, dtype=float)[:, None]
     w = np.asarray(w, dtype=float)
     y = _conv_forward(x, w, np.asarray(b, dtype=float),
-                      np.empty(x.size * KERNEL), np.empty(w.shape[0] * x.shape[2]))[:, 0]
+                      np.empty((x.shape[0] * KERNEL, x.shape[2])),
+                      np.empty((w.shape[0], x.shape[2])))[:, 0]
     return y if padding else y[:, KERNEL // 2:y.shape[1] - KERNEL // 2]
 
 
@@ -113,7 +115,7 @@ class TestConv1d:
         # every window holds other values, so a column that reads past a
         # window's edge into its neighbour differs; NaN shows a cell left unset
         x = np.random.default_rng(3).normal(size=(4, 3, 5))  # (in, B, L)
-        cols = network._im2col(x, np.full(x.size * KERNEL, np.nan))
+        cols = network._im2col(x, np.full((4 * KERNEL, 3 * 5), np.nan))
         want, _ = oracle_im2col(x.transpose(1, 0, 2), KERNEL, KERNEL // 2)
         assert cols.tobytes() == want.tobytes()
 
@@ -768,27 +770,44 @@ def _inline(first, second):
     return first(), second()
 
 
-def _splits(m, k, n):
-    """Whether network._matmul's rule splits an (m, k) @ (k, n) GEMM that
-    runs outside any _both, given a one-thread BLAS."""
+def _splits(m, k, n, alone=True):
+    """Whether network._matmul's rule splits an (m, k) @ (k, n) GEMM, given
+    a one-thread BLAS; a GEMM that runs inside a _both (not ``alone``)
+    stays whole."""
     cut = (n // 16) * 8
-    return n % 8 == 0 and m * k * min(cut, n - cut) >= 2 ** 21
+    return alone and n % 8 == 0 and m * k * min(cut, n - cut) >= 2 ** 21
 
 
-def _gemms(cfg, batch, backward, convs=True):
-    """(m, k, n) of every GEMM of one forward pass of ``batch`` windows, and
-    with ``backward`` of its backward pass; ``convs=False`` leaves out the
-    conv layers' GEMMs."""
+def _two_lanes(cfg, batch):
+    """Whether network's lane rule runs ``cfg``'s conv stack on ``batch``
+    windows as two window halves at once, given a one-thread BLAS."""
+    chans, cut = cfg.conv_channels, batch // 2 * cfg.window
+    return (len(cfg.branches) == 1 and cut % 8 == 0
+            and min(a * b for a, b in zip(chans, chans[1:])) * KERNEL * cut >= 2 ** 21)
+
+
+def _gemms(cfg, batch, backward):
+    """(m, k, n, alone) of every GEMM of one forward pass of ``batch``
+    windows, and with ``backward`` of its backward pass, given a one-thread
+    BLAS. ``alone`` GEMMs run outside any _both: those of multi's conv
+    stacks, which run at once, are not, nor are the conv GEMMs of a stack
+    that runs as two lanes, one GEMM per lane on its own columns."""
     chans, cols = cfg.conv_channels, batch * cfg.window
-    layers = list(enumerate(zip(chans[:-1], chans[1:]))) * len(cfg.branches) if convs else []
-    shapes = [(cout, cin * KERNEL, cols) for _, (cin, cout) in layers]
+    at_once = len(cfg.branches) == 2
+    cut = batch // 2 * cfg.window
+    spans = [cut, cols - cut] if _two_lanes(cfg, batch) else [cols]
+    alone = not at_once and len(spans) == 1
+    layers = list(enumerate(zip(chans[:-1], chans[1:]))) * len(cfg.branches)
+    shapes = [(cout, cin * KERNEL, n, alone) for _, (cin, cout) in layers for n in spans]
     dims = (cfg.feature_dim,) + cfg.dense_widths + (cfg.out_dim,)
-    shapes += [(batch, din, dout) for din, dout in zip(dims[:-1], dims[1:])]
+    shapes += [(batch, din, dout, True) for din, dout in zip(dims[:-1], dims[1:])]
     if backward:
-        shapes += [(cout, cols, cin * KERNEL) for _, (cin, cout) in layers]  # weight gradients
-        shapes += [(cin * KERNEL, cout, cols) for i, (cin, cout) in layers if i > 0]  # input
+        # weight gradients, over the whole batch, then input gradients
+        shapes += [(cout, cols, cin * KERNEL, not at_once) for _, (cin, cout) in layers]
+        shapes += [(cin * KERNEL, cout, n, alone) for i, (cin, cout) in layers if i > 0
+                   for n in spans]
         shapes += [g for din, dout in zip(dims[:-1], dims[1:])
-                   for g in ((dout, batch, din), (batch, dout, din))]
+                   for g in ((dout, batch, din, True), (batch, dout, din, True))]
     return shapes
 
 
@@ -828,12 +847,16 @@ def _nested_both():
 
 class TestWorker:
     # multi's two conv stacks run at once, given a one-thread BLAS; longer
-    # windows make GEMMs large enough to be split, the conv GEMMs too
+    # windows make GEMMs large enough to be split, the conv GEMMs too; wide
+    # convs over long windows make single's stack run as two lanes, at
+    # batches 16 and 40 but not 8
     NETS = {"multi": _net("multi", dropout=0.5, dense_widths=(200, 4)),
             "single_long": NetConfig(arch="single", window=128, dropout=0.5,
                                      conv_channels=(6, 32, 32), dense_widths=(200, 4)),
             "multi_long": NetConfig(arch="multi", window=128, dropout=0.5,
-                                    conv_channels=(3, 32, 32), dense_widths=(200, 4))}
+                                    conv_channels=(3, 32, 32), dense_widths=(200, 4)),
+            "single_lanes": NetConfig(arch="single", window=128, dropout=0.5,
+                                      conv_channels=(6, 128, 128), dense_widths=(200, 4))}
     MULTI = NETS["multi"]
 
     @pytest.fixture(autouse=True)
@@ -869,18 +892,22 @@ class TestWorker:
     @staticmethod
     def _pass_calls(cfg, batch, backward):
         """The _both calls of one pass at a one-thread BLAS: multi's conv
-        stacks, and one per GEMM the split rule takes outside the stacks
-        that run at once."""
+        stacks; a stack's two lanes, once forward and, per conv backward,
+        once for the pre-activation gradient and the columns and, but for
+        the first conv, once for the input gradient; and one per GEMM the
+        split rule takes outside those."""
         at_once = len(cfg.branches) == 2
-        return (at_once * (1 + backward)
-                + sum(_splits(*g) for g in _gemms(cfg, batch, backward, convs=not at_once)))
+        lanes = _two_lanes(cfg, batch) * (1 + backward * (2 * (len(cfg.conv_channels) - 1) - 1))
+        splits = sum(_splits(*g) for g in _gemms(cfg, batch, backward))
+        return at_once * (1 + backward) + lanes + splits
 
     def _expected_calls(self, cfg, blas_threads):
-        """The _both calls of ``_train``: Adam's halves per step, and with a
-        one-thread BLAS those of each training step and of the predict."""
+        """The _both calls of ``_train``: Adam's check and update per step,
+        and with a one-thread BLAS those of each training step and of the
+        predict."""
         if blas_threads != 1:
-            return 3 * 2  # 3 batches, 2 epochs
-        return (sum(steps * (1 + self._pass_calls(cfg, batch, True))
+            return 2 * 3 * 2  # 3 batches, 2 epochs
+        return (sum(steps * (2 + self._pass_calls(cfg, batch, True))
                     for batch, steps in ((16, 4), (8, 2)))
                 + self._pass_calls(cfg, 40, False))
 
@@ -970,8 +997,8 @@ class TestWorker:
         params, x, y = _bitwise_case(cfg, 16, seed=1)
         loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0))
         # some of the stacks' GEMMs are large enough for the rule, but run whole
-        dense = sum(_splits(*g) for g in _gemms(cfg, 16, True, convs=False))
-        assert sum(_splits(*g) for g in _gemms(cfg, 16, True)) > dense
+        dense = sum(_splits(*g) for g in _gemms(cfg, 16, True))
+        assert sum(_splits(*g[:3]) for g in _gemms(cfg, 16, True)) > dense
         assert calls.count((False, False)) == 2  # the stacks, forward and backward
         assert calls.count((True, False)) == dense
         assert len(calls) == 2 + dense
@@ -1016,31 +1043,60 @@ class TestWorker:
         _assert_bit_equal((params, state.m, state.v, grads), before)
         assert state.t == 1
 
-    @pytest.mark.parametrize("width", [200, 6], ids=["wide_fc1", "narrow_fc1"])
-    def test_every_buffer_is_taken_on_the_callers_thread(self, width, monkeypatch):
-        # every branch owns its arena pair, so the stacks run on two threads
-        # whatever the width of fc1; only the caller's thread takes buffers
-        get, conv = _Workspace.get, network._conv_forward
-        gets, convs = [], []
+    def test_adam_checks_each_half_on_its_own_thread(self, monkeypatch):
+        # bad entries in both halves, and gradients in another order than
+        # the params: the error names the first bad block in params order
+        check, threads = network._first_bad_block, []
 
-        def recording_get(self, *args, **kwargs):
-            gets.append(threading.get_ident())
-            return get(self, *args, **kwargs)
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return check(*args)
 
-        def recording_conv(*args):
-            convs.append(threading.get_ident())
-            return conv(*args)
+        monkeypatch.setattr(network, "_first_bad_block", recording)
+        rng = np.random.default_rng(19)
+        params = {"a.w": rng.normal(size=(3, 7001)), "b.b": rng.normal(size=5),
+                  "c.w": rng.normal(size=(2, 9000))}
+        state = AdamState.for_params(params)
+        grads = {k: rng.normal(size=params[k].shape) for k in reversed(params)}
+        grads["a.w"][0, 0] = -np.inf
+        grads["c.w"][-1, -1] = np.inf
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v, grads)]
+        with pytest.raises(TrainingDiverged, match="'a.w'"):
+            adam_step(params, grads, state)
+        _assert_bit_equal((params, state.m, state.v, grads), before)
+        assert state.t == 0
+        assert len(threads) == len(set(threads)) == 2 and threading.get_ident() in threads
 
-        monkeypatch.setattr(_Workspace, "get", recording_get)
-        monkeypatch.setattr(network, "_conv_forward", recording_conv)
-        cfg = replace(self.MULTI, dense_widths=(width, 4))
-        params, x, y = _bitwise_case(cfg, 7, seed=8)
+    @pytest.mark.parametrize("net, width, batch", [("multi", 200, 7), ("multi", 6, 7),
+                                                    ("single_lanes", 200, 16)],
+                             ids=["wide_fc1", "narrow_fc1", "single_lanes"])
+    def test_every_buffer_is_taken_on_the_callers_thread(self, net, width, batch, monkeypatch):
+        # every branch owns its arena pair, so multi's stacks run on two
+        # threads whatever the width of fc1, as do a lone stack's two lanes,
+        # each on its own columns of the pair; only the caller's thread
+        # takes buffers
+        threads = {}
+
+        def recording(owner, name):
+            function = getattr(owner, name)
+
+            def run(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return function(*args, **kwargs)
+            monkeypatch.setattr(owner, name, run)
+
+        recording(_Workspace, "get")
+        for name in ("_conv_forward", "_conv_input_grad"):
+            recording(network, name)
+        cfg = replace(self.NETS[net], dense_widths=(width, 4))
+        params, x, y = _bitwise_case(cfg, batch, seed=8)
         ws = _Workspace()
         for _ in range(2):
             loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0), workspace=ws)
         predict(params, cfg, x)
-        assert gets and set(gets) == {threading.get_ident()}
-        assert threading.get_ident() in convs and len(set(convs)) == 2
+        assert threads["get"] == {threading.get_ident()}
+        for name in ("_conv_forward", "_conv_input_grad"):
+            assert threading.get_ident() in threads[name] and len(threads[name]) == 2, name
 
 
 needs_openblas = pytest.mark.skipif(
@@ -1057,11 +1113,14 @@ def _extent(shape, strides):
 def _split_gemms():
     """One training step and one predict of each GEMM_CASES entry, with
     every GEMM recorded as passed; then each recorded GEMM again, on random
-    operands of its shapes and strides, through network._matmul and as one
-    np.matmul. Returns the count recorded and, per GEMM that the rule split,
-    its (m, k, n) and whether the two results have the same bytes. It
-    swaps network._matmul and network._both while it runs, so a test runs
-    it in a process of its own."""
+    operands of its shapes and strides. A GEMM on a lane's columns of a
+    wider buffer is run as the whole-batch GEMM of that buffer, once split
+    at the lane cut and once as one np.matmul; any other GEMM through
+    network._matmul and as one np.matmul. Returns the count recorded and,
+    per GEMM that the rule split and per lane-split GEMM, its (m, k, n) and
+    whether the two results have the same bytes, in two lists. It swaps
+    network._matmul and network._both while it runs, so a test runs it in a
+    process of its own."""
     matmul, both, passed, split = network._matmul, network._both, [], []
 
     def recording(a, b, out):
@@ -1075,22 +1134,34 @@ def _split_gemms():
         predict(params, cfg, x[:predicted])
     network._matmul = matmul
     network._both = lambda first, second: split.append(1) or both(first, second)
-    layouts = dict.fromkeys(passed)
+    checks = {}  # layout -> None, or the lane cut of a whole-batch GEMM
+    for (a, b, (shape, strides)) in passed:
+        width = strides[0] // 8
+        if width > shape[1]:  # one lane's columns: the whole GEMM, and the lane cut
+            whole = (a, (b[0][:1] + (width,), b[1]), (shape[:1] + (width,), strides))
+            checks[whole, min(shape[1], width - shape[1])] = None
+        else:
+            checks[(a, b, (shape, strides)), None] = None
     values = np.random.default_rng(0).normal(
-        size=1 + max(_extent(*op) for layout in layouts for op in layout))
-    halves = []
-    for layout in layouts:
+        size=1 + max(_extent(*op) for layout, _ in checks for op in layout))
+    halves, lane_halves = [], []
+    for layout, cut in checks:
         a, b = (np.lib.stride_tricks.as_strided(values[i:], *op)
                 for i, op in enumerate(layout[:2]))
         out, whole = (np.lib.stride_tricks.as_strided(np.empty(_extent(*layout[2])), *layout[2])
                       for _ in range(2))
         split.clear()
-        matmul(a, b, out)
-        if split:
+        if cut is None:
+            matmul(a, b, out)
+        else:
+            for columns in (slice(0, cut), slice(cut, None)):
+                np.matmul(a, b[:, columns], out=out[:, columns])
+        if split or cut is not None:
             np.matmul(a, b, out=whole)
-            halves.append((*a.shape, out.shape[1], out.tobytes() == whole.tobytes()))
+            (halves if cut is None else lane_halves).append(
+                (*a.shape, out.shape[1], out.tobytes() == whole.tobytes()))
     network._both = both
-    return len(passed), halves
+    return len(passed), halves, lane_halves
 
 
 # one training step and one predict of: the default config at both of its
@@ -1117,12 +1188,23 @@ class TestSplitGemm:
         done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
                               text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1"))
         assert done.returncode == 0, done.stderr
-        count, halves = json.loads(done.stdout)
+        count, halves, lanes = json.loads(done.stdout)
         assert count == sum(len(_gemms(cfg, batch, True)) + len(_gemms(cfg, predicted, False))
                             for cfg, batch, predicted in GEMM_CASES)
         assert len(halves) > 50
         assert [64, 25600, 512, True] in halves  # the default fc1's forward GEMM
         assert [gemm for gemm in halves if not gemm[-1]] == []
+        # every conv GEMM of a stack run as two lanes, against one call: the
+        # default first conv's at 64 and 53 windows, single_lanes' at 16 and 40
+        for n in (6400, 5300):
+            assert [64, 18, n, True] in lanes
+        for n in (2048, 5120):
+            assert [128, 18, n, True] in lanes
+        assert [384, 128, 2048, True] in lanes  # an input gradient
+        # the default's 6 convs forward and 5 input gradients, at two batch
+        # sizes; single_lanes' 2 and 1 in training, and 2 in its predict
+        assert len({tuple(gemm) for gemm in lanes}) == 2 * (6 + 5) + (2 + 1) + 2
+        assert [gemm for gemm in lanes if not gemm[-1]] == []
 
     @pytest.mark.parametrize("m, k, n, whole", [
         (64, 18, 925, True),     # split at 456 columns, it changed bits
@@ -1131,6 +1213,8 @@ class TestSplitGemm:
         (256, 768, 256, False),
         (64, 18, 3632, True),    # halves of 1816 columns: just under 2 ** 21 multiply-adds
         (64, 18, 3648, False),
+        (128, 192, 325, True),   # split at 160 columns, it changed bits
+        (768, 256, 300, True),   # split at 144 columns, as did this one
     ])
     def test_rule_keeps_known_bad_shapes_whole(self, m, k, n, whole, monkeypatch):
         monkeypatch.setattr(network, "_blas_threads", lambda: 1)
@@ -1141,6 +1225,75 @@ class TestSplitGemm:
         out = network._matmul(a, b, np.empty((m, n)))
         assert len(calls) == (not whole)
         assert out.tobytes() == np.matmul(a, b).tobytes()
+
+
+    @pytest.mark.parametrize("cfg, batch, two", [
+        *((NetConfig(arch="single", window=25, dropout=0.1, out_dim=out_dim), batch, False)
+          for out_dim in (3, 2) for batch in (64, 32, 20)),   # criterion 6's passes
+        *((NetConfig(arch="single", window=100, out_dim=out_dim), batch, True)
+          for out_dim in (3, 2) for batch in (64, 53)),       # the default config's
+        (NetConfig(arch="single", window=100), 24, False),    # a short last predict pass
+        (NetConfig(arch="multi", window=100), 64, False),     # stacks that run at once
+        (TestWorker.NETS["single_lanes"], 16, True),
+        (TestWorker.NETS["single_lanes"], 8, False),
+        (TestWorker.NETS["single_long"], 16, False),
+    ])
+    def test_lane_rule(self, cfg, batch, two, monkeypatch):
+        # two lanes exactly where the lane cut meets _matmul's split rule
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        cut = batch // 2
+        assert network._lanes(cfg, batch) == ([(0, cut), (cut, batch)] if two else [(0, batch)])
+        assert _two_lanes(cfg, batch) == two
+        monkeypatch.setattr(network, "_blas_threads", lambda: 2)
+        assert network._lanes(cfg, batch) == [(0, batch)]
+
+
+def _lane_bits():
+    """Per config, the SHA-256 of the loss, every gradient and the
+    predictions of one pass each at 64 and 53 windows, and of the params,
+    loss history and predictions after two epochs of training on 117
+    windows (batches 64 and 53), for single and the baseline at the default
+    window, with the lanes forced off (network._blas_threads swapped for 2)
+    and on (for 1); and whether each pass took two lanes."""
+    blas_threads, digests = network._blas_threads, {}
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(117, 6, 100))
+    for out_dim in (3, 2):
+        cfg = NetConfig(arch="single", window=100, out_dim=out_dim)
+        y = rng.normal(size=(117, out_dim))
+        init = init_params(cfg, seed=out_dim)
+        for threads in (2, 1):
+            network._blas_threads = lambda: threads
+            digest = hashlib.sha256()
+            for batch in (64, 53):
+                params = {k: p.copy() for k, p in init.items()}
+                loss, grads, out = loss_and_gradients(params, cfg, x[:batch], y[:batch],
+                                                      rng=np.random.default_rng(0))
+                for a in (np.float64(loss), out, *grads.values()):
+                    digest.update(a.tobytes())
+            params, history = train({k: p.copy() for k, p in init.items()}, cfg, x, y,
+                                    TrainConfig(epochs=2, batch_size=64, seed=1))
+            for a in (np.array(history), predict(params, cfg, x), *params.values()):
+                digest.update(a.tobytes())
+            lanes = [len(network._lanes(cfg, batch)) for batch in (64, 53)]
+            digests[f"out_dim {out_dim}, threads {threads}"] = (digest.hexdigest(), lanes)
+    network._blas_threads = blas_threads
+    return digests
+
+
+@needs_openblas
+def test_lanes_keep_the_bits_at_the_default_config():
+    # at one BLAS thread, in a process of its own: two lanes, each running
+    # its conv GEMMs whole on its columns, give the bits of one lane
+    code = "import json, test_network\nprint(json.dumps(test_network._lane_bits()))\n"
+    done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
+                          text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout)
+    for out_dim in (3, 2):
+        off, on = (digests[f"out_dim {out_dim}, threads {t}"] for t in (2, 1))
+        assert off[1] == [1, 1] and on[1] == [2, 2]
+        assert on[0] == off[0], out_dim
 
 
 @needs_openblas
