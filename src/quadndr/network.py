@@ -10,22 +10,25 @@ inverted dropout, then a linear head):
 
 Everything is plain numpy with handwritten backpropagation and Adam. A
 step uses a second thread of its own (``_both``) for Adam's two halves and,
-when BLAS runs a GEMM on one thread, for other independent halves of its
-work: multi's two conv stacks, single's conv stack as two window halves
-("lanes", ``_lanes``) when its conv GEMMs are large enough, and the column
-halves of each other large GEMM (``_matmul``). The bits do not depend on
-the second thread.
+when numpy's BLAS is an OpenBLAS this module can pin to one thread
+(``_pinnable``), for other independent halves of its work: multi's two conv
+stacks, single's conv stack as two window halves ("lanes", ``_lanes``) when
+its conv GEMMs are large enough, and the column halves of each other large
+GEMM (``_matmul``). Each public call that runs BLAS pins it to one thread
+while it runs (``_one_blas_thread``), so the bits do not depend on the
+caller's BLAS thread count, nor on the second thread.
 """
 from __future__ import annotations
 
 import ctypes
 import json
 import math
+import os
 import queue
 import threading
 import zipfile
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache, partial, wraps
 
 import numpy as np
 
@@ -353,30 +356,83 @@ def _both(first, second):
 
 
 @cache
-def _blas_threads() -> int:
-    """How many threads the OpenBLAS that numpy loaded runs a GEMM on, as
-    when first asked; 0 where there is none to ask (another BLAS, or a
-    system without /proc/self/maps)."""
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy runs its
+    GEMMs on: the one mapped from numpy's own ``numpy.libs``, else the
+    first mapped OpenBLAS that has such a pair (scipy's, which lacks it, may
+    be mapped first). None where there is none (another BLAS, or a system
+    without /proc/self/maps)."""
+    site = os.path.dirname(os.path.realpath(os.path.dirname(np.__file__)))
+    libs = os.path.join(site, "numpy.libs", "")
     try:
         with open("/proc/self/maps") as maps:
-            path = next(line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1])
-        lib = ctypes.CDLL(path)
-    except (OSError, StopIteration):
-        return 0
-    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                   "openblas_get_num_threads"):
-        if hasattr(lib, symbol):
-            return getattr(lib, symbol)()
-    return 0
+            paths = dict.fromkeys(line.split()[-1] for line in maps
+                                  if "openblas" in line.rsplit("/", 1)[-1])
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda path: not path.startswith(libs)):
+        lib = ctypes.CDLL(path)  # already mapped, so this loads nothing
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _pinnable() -> bool:
+    """Whether ``_one_blas_thread`` pins numpy's BLAS to one thread, the same
+    answer for the whole process. Only then do two GEMMs run at once: a BLAS
+    that threads each GEMM keeps every core busy already."""
+    return _openblas() is not None
+
+
+class _OneBlasThread:
+    """A decorator: numpy's OpenBLAS runs on one thread while any call it
+    wraps runs, on any thread, and gets back the count the first of them
+    found once the last returns or raises. It changes nothing at one
+    thread, or without an OpenBLAS to pin."""
+
+    def __init__(self):
+        self._lock, self._calls, self._callers = threading.Lock(), 0, 1
+
+    def __call__(self, function):
+        @wraps(function)
+        def pinned(*args, **kwargs):
+            self._enter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self._leave()
+        return pinned
+
+    def _enter(self):
+        with self._lock:
+            if self._calls == 0 and _openblas():
+                self._callers = _openblas()[0]()
+                if self._callers != 1:
+                    _openblas()[1](1)
+            self._calls += 1
+
+    def _leave(self):
+        with self._lock:
+            self._calls -= 1
+            if self._calls == 0 and self._callers != 1:
+                _openblas()[1](self._callers)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def _by_branch(tasks):
-    """Run one task per branch: two at once when BLAS runs a GEMM on one
-    thread, else one after another. A threaded BLAS keeps every core busy in
-    a GEMM already, so a second GEMM beside it only slows both down.
-    Branches that run at once keep their GEMMs whole (``_matmul``) and run
-    one lane each (``_lanes``); a lone branch may run two."""
-    if len(tasks) == 2 and _blas_threads() == 1:
+    """Run one or two independent tasks: two branches' conv stacks, or one
+    stack's two lanes (``_lanes``). Two run at once (``_both``) when numpy's
+    BLAS is pinned to one thread, else one after another. Tasks that run at
+    once keep their GEMMs whole (``_matmul``)."""
+    if len(tasks) == 2 and _pinnable():
         _both(*tasks)
     else:
         for task in tasks:
@@ -391,10 +447,10 @@ _SPLIT_MIN = 2 ** 21
 def _matmul(a, b, out):
     """``out = a @ b`` for 2-D operands: every GEMM of this module runs here.
 
-    With a one-thread BLAS and no ``_both`` running, ``out``'s n columns
-    are split at ``cut = (n // 16) * 8`` into two GEMMs run at once by
-    ``_both``, when n is a multiple of 8 and each half has at least
-    _SPLIT_MIN multiply-adds; otherwise it is one call. A GEMM inside a
+    With numpy's BLAS pinned to one thread and no ``_both`` running,
+    ``out``'s n columns are split at ``cut = (n // 16) * 8`` into two GEMMs
+    run at once by ``_both``, when n is a multiple of 8 and each half has at
+    least _SPLIT_MIN multiply-adds; otherwise it is one call. A GEMM inside a
     ``_both`` (a conv stack or a lane) is one call: a lane's conv GEMM is
     already its half of the whole batch's, cut by ``_lanes`` under the same
     two conditions. Every split the two rules make gave the bits of one
@@ -402,7 +458,7 @@ def _matmul(a, b, out):
     for example at 160 of 325 columns."""
     (m, k), n = a.shape, out.shape[1]
     cut = (n // 16) * 8
-    if (_blas_threads() != 1 or _running.locked() or n % 8
+    if (not _pinnable() or _running.locked() or n % 8
             or m * k * min(cut, n - cut) < _SPLIT_MIN):
         return np.matmul(a, b, out=out)
     _both(partial(np.matmul, a, b[:, cut:], out=out[:, cut:]),
@@ -411,26 +467,18 @@ def _matmul(a, b, out):
 
 
 def _lanes(cfg: NetConfig, batch: int) -> list:
-    """The window ranges ("lanes") each branch's conv stack runs as. Given a
-    one-thread BLAS, a lone branch (single) runs two halves at once when
+    """The window ranges ("lanes") each branch's conv stack runs as. With
+    numpy's BLAS pinned, a lone branch (single) runs two halves at once when
     its conv GEMMs split at the lane cut as ``_matmul`` would split them:
     the cut, ``batch // 2`` windows, is a multiple of 8 columns, and every
     conv GEMM of the smaller lane has at least _SPLIT_MIN multiply-adds.
     Otherwise, one lane of every window."""
     chans, cut = cfg.conv_channels, batch // 2
     columns = cut * cfg.window
-    if (len(cfg.branches) == 1 and _blas_threads() == 1 and columns % 8 == 0
+    if (len(cfg.branches) == 1 and _pinnable() and columns % 8 == 0
             and min(map(math.prod, zip(chans, chans[1:]))) * KERNEL * columns >= _SPLIT_MIN):
         return [(0, cut), (cut, batch)]
     return [(0, batch)]
-
-
-def _on_lanes(task, lanes):
-    """``task(lo, hi)`` for each lane: two lanes at once (``_both``)."""
-    if len(lanes) == 2:
-        _both(partial(task, *lanes[0]), partial(task, *lanes[1]))
-    else:
-        task(*lanes[0])
 
 
 def _branch_forward(params, records, x, out, cols_free, z_free, lanes):
@@ -450,7 +498,7 @@ def _branch_forward(params, records, x, out, cols_free, z_free, lanes):
                               cols_free[:, columns], z_free[:, columns])
             _leaky(np.greater(z, 0, out=positive[:, windows]), z, h_out[:, windows])
 
-    _on_lanes(lane, lanes)
+    _by_branch([partial(lane, *span) for span in lanes])
 
 
 def _branch_backward(params, records, da, grads, cols_free, z_free, lanes):
@@ -476,10 +524,10 @@ def _branch_backward(params, records, da, grads, cols_free, z_free, lanes):
             columns = slice(lo * length, hi * length)
             _conv_input_grad(dz[:, columns], w, cols[:, columns], h_in[:, lo:hi])
 
-        _on_lanes(rebuild, lanes)
+        _by_branch([partial(rebuild, *span) for span in lanes])
         _conv_param_grads(dz, cols, grads[name + ".w"], grads[name + ".b"])
         if i > 0:  # the network's input needs no gradient
-            _on_lanes(input_grad, lanes)
+            _by_branch([partial(input_grad, *span) for span in lanes])
             da = h_in
 
 
@@ -562,6 +610,7 @@ def _backward(params, cfg: NetConfig, cache, dout, ws):
 _CHUNK = 64
 
 
+@_one_blas_thread
 def predict(params, cfg: NetConfig, inputs) -> np.ndarray:
     """Batched inference on (M, 6, n) windows, in passes of at most _CHUNK
     windows through one workspace, so its memory does not grow with M."""
@@ -581,6 +630,7 @@ def mse_loss(predictions, targets) -> float:
     return float(np.mean(np.sum((p - t) ** 2, axis=1)))
 
 
+@_one_blas_thread
 def loss_and_gradients(params, cfg: NetConfig, inputs, targets,
                        rng=None, *, workspace=None):
     """One forward/backward pass; returns (loss, gradients, predictions).
@@ -620,13 +670,17 @@ class AdamState:
                    v={k: np.zeros(np.shape(p)) for k, p in params.items()}, t=0, lr=lr)
 
 
-# elements per chunk of one Adam pass: six chunk-sized arrays fit in L2 cache
-_ADAM_CHUNK = 16384
+# elements per chunk of one Adam pass: each chunk costs 14 ufunc calls, and
+# at 2**14 their overhead held the two halves to 1.48x one thread at a
+# default step, against 1.88x at 2**16 (2-core Xeon); the bits do not
+# depend on the chunk size
+_ADAM_CHUNK = 2 ** 16
 # the largest gradient entry Adam takes: v_hat is at most the largest squared
 # entry, so v and v_hat stay finite, with a factor 4 to spare
 _ADAM_GRAD_MAX = 2.0 ** 511
 
 
+@_one_blas_thread
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
     """One Adam update in place: overwrites ``params[k]``, ``state.m[k]`` and
     ``state.v[k]``, advances ``state.t`` and returns the same two objects.
@@ -739,6 +793,7 @@ class TrainConfig:
             raise ValueError(f"stop_ratio must be None or in (0, 1), got {self.stop_ratio!r}")
 
 
+@_one_blas_thread
 def train(params: dict, cfg: NetConfig, inputs, labels,
           tcfg: TrainConfig) -> tuple[dict, list]:
     """Mini-batch Adam training with seeded per-epoch shuffling.

@@ -4,7 +4,11 @@ One test per acceptance criterion; each prints a single PASS line (visible
 with ``pytest -s``) and encodes the stated tolerance and runtime budget.
 Run with ``pytest -v tests/test_acceptance.py``.
 """
+import contextlib
 import hashlib
+import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -33,6 +37,7 @@ from quadndr.simulate import (
     inverse_mechanize,
 )
 from quadndr.windows import WindowSpec, window_series
+from test_network import _subprocess_env
 
 
 def _report(criterion, detail):
@@ -260,3 +265,31 @@ def test_criterion_6_qualitative_claim(tmp_path):
     _report(6, "mean RMSE [m] single {single:.3g}, multi {multi:.3g}, "
                "baseline {baseline:.3g}, pure INS {ins:.3g}; "
                "{secs:.0f} s".format(secs=elapsed, **means))
+
+
+def _short_claim_digests(out_dir):
+    """Criterion 6's pipeline at 3 epochs and one run, into ``out_dir``; the
+    digest of each output. The commands' progress lines go to stderr."""
+    cfg = load_config(overrides=CLAIM_OVERRIDES + ["epochs=3", "runs=1", f"out_dir={out_dir}"])
+    with contextlib.redirect_stdout(sys.stderr):
+        cmd_simulate(cfg)
+        models = cmd_train(cfg, "single") + cmd_train(cfg, "multi")
+        cmd_eval(cfg, models, cmd_train(cfg, "baseline"))
+    return _digests(out_dir)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every output of a short criterion-6 run is the same, bit for bit,
+    with OPENBLAS_NUM_THREADS unset, at 1 and at 2. OpenBLAS reads the
+    variable once, so each run has a process of its own."""
+    code = ("import json, sys, test_acceptance\n"
+            "print(json.dumps(test_acceptance._short_claim_digests(sys.argv[1])))\n")
+    runs = {}
+    for threads in (None, "1", "2"):
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / f"threads_{threads}")],
+                              timeout=600, capture_output=True, text=True,
+                              env=_subprocess_env(OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout)
+    assert "report.txt" in runs[None] and "single_run0.qpnet" in runs[None]
+    assert runs["1"] == runs[None] == runs["2"]

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import hashlib
 import io
 import json
@@ -453,10 +454,10 @@ class TestInPlaceAdam:
 
     def test_step_allocates_only_two_scratch_chunks(self):
         # neither the finiteness check nor the update makes a block-sized
-        # temporary: the two chunks are 0.033 of this block
+        # temporary: the two chunks are 0.031 of this block
         rng = np.random.default_rng(14)
-        params = {"w": rng.normal(size=(1000, 1000))}
-        grads = {"w": rng.normal(size=(1000, 1000))}
+        params = {"w": rng.normal(size=(4096, 1024))}
+        grads = {"w": rng.normal(size=(4096, 1024))}
         state = AdamState.for_params(params)
         adam_step(params, grads, state)
         tracemalloc.start()
@@ -711,13 +712,15 @@ class TestWorkspace:
         assert peak <= 0.5 * params["fc1.w"].nbytes
 
     def test_train_batch_peaks_under_3_point_3_parameter_sets(self):
-        # Adam's two moments, the gradients and the activations, 3.28x; fc1's
-        # weight gradient shares the conv layers' memory rather than adding to it
-        cfg = NetConfig(arch="single", window=64, conv_channels=(6, 16, 16),
+        # Adam's two moments, the gradients and the activations, 3.22x; fc1's
+        # weight gradient shares the conv layers' memory rather than adding to
+        # it. Adam's two scratch chunks, a fixed 1 MiB, are 0.12x of these
+        # 8.4 MB of parameters
+        cfg = NetConfig(arch="single", window=256, conv_channels=(6, 16, 16),
                         dense_widths=(256, 16))
         params = init_params(cfg, seed=0)
         rng = np.random.default_rng(0)
-        x, y = rng.normal(size=(16, 6, 64)), rng.normal(size=(16, 3))
+        x, y = rng.normal(size=(16, 6, 256)), rng.normal(size=(16, 3))
         tracemalloc.start()
         try:
             train(params, cfg, x, y, TrainConfig(epochs=1, batch_size=16))
@@ -772,7 +775,7 @@ def _inline(first, second):
 
 def _splits(m, k, n, alone=True):
     """Whether network._matmul's rule splits an (m, k) @ (k, n) GEMM, given
-    a one-thread BLAS; a GEMM that runs inside a _both (not ``alone``)
+    a pinned BLAS; a GEMM that runs inside a _both (not ``alone``)
     stays whole."""
     cut = (n // 16) * 8
     return alone and n % 8 == 0 and m * k * min(cut, n - cut) >= 2 ** 21
@@ -780,7 +783,7 @@ def _splits(m, k, n, alone=True):
 
 def _two_lanes(cfg, batch):
     """Whether network's lane rule runs ``cfg``'s conv stack on ``batch``
-    windows as two window halves at once, given a one-thread BLAS."""
+    windows as two window halves at once, given a pinned BLAS."""
     chans, cut = cfg.conv_channels, batch // 2 * cfg.window
     return (len(cfg.branches) == 1 and cut % 8 == 0
             and min(a * b for a, b in zip(chans, chans[1:])) * KERNEL * cut >= 2 ** 21)
@@ -788,7 +791,7 @@ def _two_lanes(cfg, batch):
 
 def _gemms(cfg, batch, backward):
     """(m, k, n, alone) of every GEMM of one forward pass of ``batch``
-    windows, and with ``backward`` of its backward pass, given a one-thread
+    windows, and with ``backward`` of its backward pass, given a pinned
     BLAS. ``alone`` GEMMs run outside any _both: those of multi's conv
     stacks, which run at once, are not, nor are the conv GEMMs of a stack
     that runs as two lanes, one GEMM per lane on its own columns."""
@@ -813,9 +816,10 @@ def _gemms(cfg, batch, backward):
 
 def _subprocess_env(**variables):
     """The environment of a Python subprocess that imports quadndr and the
-    test modules, with ``variables`` set."""
+    test modules, with ``variables`` set, and those given as None unset."""
     paths = [str(Path(network.__file__).parents[1]), str(Path(__file__).parent)]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **variables}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **variables}
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def _nested_both():
@@ -846,7 +850,7 @@ def _nested_both():
 
 
 class TestWorker:
-    # multi's two conv stacks run at once, given a one-thread BLAS; longer
+    # multi's two conv stacks run at once, given a pinned BLAS; longer
     # windows make GEMMs large enough to be split, the conv GEMMs too; wide
     # convs over long windows make single's stack run as two lanes, at
     # batches 16 and 40 but not 8
@@ -860,8 +864,8 @@ class TestWorker:
     MULTI = NETS["multi"]
 
     @pytest.fixture(autouse=True)
-    def one_thread_blas(self, monkeypatch):
-        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+    def pinned(self, monkeypatch):
+        monkeypatch.setattr(network, "_pinnable", lambda: True)
 
     def _data(self, cfg=MULTI):
         rng = np.random.default_rng(21)
@@ -891,7 +895,7 @@ class TestWorker:
 
     @staticmethod
     def _pass_calls(cfg, batch, backward):
-        """The _both calls of one pass at a one-thread BLAS: multi's conv
+        """The _both calls of one pass at a pinned BLAS: multi's conv
         stacks; a stack's two lanes, once forward and, per conv backward,
         once for the pre-activation gradient and the columns and, but for
         the first conv, once for the input gradient; and one per GEMM the
@@ -901,27 +905,26 @@ class TestWorker:
         splits = sum(_splits(*g) for g in _gemms(cfg, batch, backward))
         return at_once * (1 + backward) + lanes + splits
 
-    def _expected_calls(self, cfg, blas_threads):
+    def _expected_calls(self, cfg, pinned):
         """The _both calls of ``_train``: Adam's check and update per step,
-        and with a one-thread BLAS those of each training step and of the
+        and with a pinned BLAS those of each training step and of the
         predict."""
-        if blas_threads != 1:
+        if not pinned:
             return 2 * 3 * 2  # 3 batches, 2 epochs
         return (sum(steps * (2 + self._pass_calls(cfg, batch, True))
                     for batch, steps in ((16, 4), (8, 2)))
                 + self._pass_calls(cfg, 40, False))
 
-    @pytest.mark.parametrize("blas_threads", [1, 2, 0])
+    @pytest.mark.parametrize("pinned", [True, False])
     @pytest.mark.parametrize("net", sorted(NETS))
-    def test_training_with_the_worker_is_byte_equal_to_inline(self, net, blas_threads,
-                                                               monkeypatch):
-        # a threaded or an unknown BLAS runs the conv stacks in turn and every
+    def test_training_with_the_worker_is_byte_equal_to_inline(self, net, pinned, monkeypatch):
+        # a BLAS that cannot be pinned runs the conv stacks in turn and every
         # GEMM whole; the inline helper runs the same halves in turn
         cfg = self.NETS[net]
-        monkeypatch.setattr(network, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(network, "_pinnable", lambda: pinned)
         params, state, history, out, calls = self._train(monkeypatch, network._both, cfg)
         ref_params, ref_state, ref_history, ref_out, _ = self._train(monkeypatch, _inline, cfg)
-        assert len(calls) == self._expected_calls(cfg, blas_threads)
+        assert len(calls) == self._expected_calls(cfg, pinned)
         for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
             assert got.keys() == want.keys()
             for k in want:
@@ -1182,11 +1185,14 @@ GEMM_CASES = [
 
 class TestSplitGemm:
     @needs_openblas
-    def test_every_gemm_the_rule_splits_has_the_bits_of_one_call(self):
-        # at one BLAS thread, where the rule splits, in a process of its own
+    @pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["cpu_kernel", "Haswell"])
+    def test_every_gemm_the_rule_splits_has_the_bits_of_one_call(self, coretype):
+        # at one BLAS thread, in a process of its own, on the kernel OpenBLAS
+        # picks for this CPU and on Haswell's
         code = "import json, test_network\nprint(json.dumps(test_network._split_gemms()))\n"
         done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
-                              text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1"))
+                              text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1",
+                                                             OPENBLAS_CORETYPE=coretype))
         assert done.returncode == 0, done.stderr
         count, halves, lanes = json.loads(done.stdout)
         assert count == sum(len(_gemms(cfg, batch, True)) + len(_gemms(cfg, predicted, False))
@@ -1217,14 +1223,14 @@ class TestSplitGemm:
         (768, 256, 300, True),   # split at 144 columns, as did this one
     ])
     def test_rule_keeps_known_bad_shapes_whole(self, m, k, n, whole, monkeypatch):
-        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(network, "_pinnable", lambda: True)
         both, calls = network._both, []
         monkeypatch.setattr(network, "_both", lambda *tasks: calls.append(1) or both(*tasks))
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(m, k)), rng.normal(size=(n, k)).T
-        out = network._matmul(a, b, np.empty((m, n)))
+        out = network._one_blas_thread(network._matmul)(a, b, np.empty((m, n)))
         assert len(calls) == (not whole)
-        assert out.tobytes() == np.matmul(a, b).tobytes()
+        assert out.tobytes() == network._one_blas_thread(np.matmul)(a, b).tobytes()
 
 
     @pytest.mark.parametrize("cfg, batch, two", [
@@ -1240,11 +1246,11 @@ class TestSplitGemm:
     ])
     def test_lane_rule(self, cfg, batch, two, monkeypatch):
         # two lanes exactly where the lane cut meets _matmul's split rule
-        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(network, "_pinnable", lambda: True)
         cut = batch // 2
         assert network._lanes(cfg, batch) == ([(0, cut), (cut, batch)] if two else [(0, batch)])
         assert _two_lanes(cfg, batch) == two
-        monkeypatch.setattr(network, "_blas_threads", lambda: 2)
+        monkeypatch.setattr(network, "_pinnable", lambda: False)
         assert network._lanes(cfg, batch) == [(0, batch)]
 
 
@@ -1253,17 +1259,17 @@ def _lane_bits():
     predictions of one pass each at 64 and 53 windows, and of the params,
     loss history and predictions after two epochs of training on 117
     windows (batches 64 and 53), for single and the baseline at the default
-    window, with the lanes forced off (network._blas_threads swapped for 2)
-    and on (for 1); and whether each pass took two lanes."""
-    blas_threads, digests = network._blas_threads, {}
+    window, with the lanes forced off (network._pinnable swapped for False)
+    and on (for True); and whether each pass took two lanes."""
+    pinnable, digests = network._pinnable, {}
     rng = np.random.default_rng(5)
     x = rng.normal(size=(117, 6, 100))
     for out_dim in (3, 2):
         cfg = NetConfig(arch="single", window=100, out_dim=out_dim)
         y = rng.normal(size=(117, out_dim))
         init = init_params(cfg, seed=out_dim)
-        for threads in (2, 1):
-            network._blas_threads = lambda: threads
+        for pinned in (False, True):
+            network._pinnable = lambda: pinned
             digest = hashlib.sha256()
             for batch in (64, 53):
                 params = {k: p.copy() for k, p in init.items()}
@@ -1276,36 +1282,122 @@ def _lane_bits():
             for a in (np.array(history), predict(params, cfg, x), *params.values()):
                 digest.update(a.tobytes())
             lanes = [len(network._lanes(cfg, batch)) for batch in (64, 53)]
-            digests[f"out_dim {out_dim}, threads {threads}"] = (digest.hexdigest(), lanes)
-    network._blas_threads = blas_threads
+            digests[f"out_dim {out_dim}, pinned {pinned}"] = (digest.hexdigest(), lanes)
+    network._pinnable = pinnable
     return digests
 
 
 @needs_openblas
 def test_lanes_keep_the_bits_at_the_default_config():
-    # at one BLAS thread, in a process of its own: two lanes, each running
-    # its conv GEMMs whole on its columns, give the bits of one lane
+    # in a process of its own: two lanes, each running its conv GEMMs whole
+    # on its columns, give the bits of one lane
     code = "import json, test_network\nprint(json.dumps(test_network._lane_bits()))\n"
     done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
-                          text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1"))
+                          text=True, env=_subprocess_env())
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout)
     for out_dim in (3, 2):
-        off, on = (digests[f"out_dim {out_dim}, threads {t}"] for t in (2, 1))
+        off, on = (digests[f"out_dim {out_dim}, pinned {p}"] for p in (False, True))
         assert off[1] == [1, 1] and on[1] == [2, 2]
         assert on[0] == off[0], out_dim
 
 
+def _numpy_openblas_threads():
+    """The thread-count getter of the OpenBLAS in numpy's own ``numpy.libs``,
+    found as perfbench finds it, apart from network's lookup; None if there
+    is none."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+            if hasattr(handle, symbol):
+                getter = getattr(handle, symbol)
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _pin_observations():
+    """Each public call that pins numpy's OpenBLAS, run at the thread count
+    the process started with. Per call: how it ended, the counts numpy's
+    OpenBLAS reported in its GEMMs and Adam checks, and the count after it
+    returned or raised. Last, two threads whose predicts overlap: the
+    first, at its first GEMM, runs the second's predict to its end, then
+    reads the count; the count after both have ended follows."""
+    threads, hold, inside = _numpy_openblas_threads(), [], set()
+
+    def seeing(function):
+        def run(*args):
+            inside.add(threads())
+            if hold and threading.current_thread().name == "first":
+                hold.pop()()
+            return function(*args)
+        return run
+
+    network._matmul = seeing(network._matmul)
+    network._first_bad_block = seeing(network._first_bad_block)
+    cfg = TINY_SINGLE
+    params, x, y = _bitwise_case(cfg, 5, seed=0)
+    calls = {
+        "predict": partial(predict, params, cfg, x),
+        "loss_and_gradients, a misshapen block": partial(
+            loss_and_gradients, {**params, "head.b": np.zeros(2)}, cfg, x, y),
+        "adam_step, a non-finite gradient": partial(
+            adam_step, {k: p.copy() for k, p in params.items()},
+            {k: np.full(p.shape, np.inf) for k, p in params.items()},
+            AdamState.for_params(params)),
+        "train, which calls loss_and_gradients and adam_step": partial(
+            train, {k: p.copy() for k, p in params.items()}, cfg, x, y,
+            TrainConfig(epochs=2, batch_size=2)),
+    }
+    seen = {"started": threads()}
+    for name, call in calls.items():
+        inside.clear()
+        try:
+            call()
+            ended = "returned"
+        except (ValueError, TrainingDiverged) as exc:
+            ended = type(exc).__name__
+        seen[name] = [ended, sorted(inside), threads()]
+
+    second = threading.Thread(target=partial(predict, params, cfg, x), name="second")
+
+    def run_second():
+        second.start()
+        second.join(60)
+        seen["overlap"] = [second.is_alive(), threads()]
+
+    hold.append(run_second)
+    first = threading.Thread(target=partial(predict, params, cfg, x), name="first")
+    first.start()
+    first.join(60)
+    seen["overlap"].append(threads())
+    return seen
+
+
 @needs_openblas
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_blas_threads_are_those_openblas_runs(threads):
-    if int(threads) > len(os.sched_getaffinity(0)):
-        pytest.skip("OpenBLAS runs no more threads than the process has cores")
-    code = "from quadndr import network\nprint(network._blas_threads())\n"
-    done = subprocess.run([sys.executable, "-c", code], timeout=60,
-                          env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
-                          capture_output=True, text=True)
-    assert done.stdout == threads + "\n", done.stderr
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or _numpy_openblas_threads() is None,
+                    reason="needs numpy's own OpenBLAS and two cores to run it on")
+@pytest.mark.parametrize("first_import", ["", "scipy.linalg"], ids=["numpy", "scipy_first"])
+def test_public_calls_pin_numpys_openblas_and_give_the_count_back(first_import):
+    # started at two BLAS threads; scipy's OpenBLAS, when imported first, is
+    # mapped before numpy's and has no 64-bit thread calls
+    if first_import:
+        pytest.importorskip(first_import)
+    code = (f"import {first_import or 'os'}, json, test_network\n"
+            "print(json.dumps(test_network._pin_observations()))\n")
+    done = subprocess.run([sys.executable, "-c", code], timeout=120, capture_output=True,
+                          text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="2"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "started": 2,
+        "predict": ["returned", [1], 2],
+        "loss_and_gradients, a misshapen block": ["ValueError", [], 2],
+        "adam_step, a non-finite gradient": ["TrainingDiverged", [1], 2],
+        "train, which calls loss_and_gradients and adam_step": ["returned", [1], 2],
+        # the second predict had ended, the first had not: still pinned
+        "overlap": [False, 1, 2],
+    }
 
 
 class TestTrain:

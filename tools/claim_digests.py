@@ -8,15 +8,15 @@ It simulates the flights of ``tests/test_acceptance.py``'s criterion-6
 config (``runs=3``, ``seed=17``) into ``OUT_DIR``, trains the ``single``,
 ``multi`` and ``baseline`` models, evaluates them, and prints one JSON
 object that maps each file under ``OUT_DIR`` to its SHA-256; the commands'
-progress lines go to stderr. BLAS runs on one thread. Two checkouts
-produced the same outputs when their JSON files are equal
-(``diff a.json b.json``). The package is imported from the ``src/`` next
+progress lines go to stderr. The outputs do not depend on
+``OPENBLAS_NUM_THREADS``; they are equal on one OpenBLAS kernel, not across
+kernels. Two checkouts produced the same outputs when their JSON files are
+equal (``diff a.json b.json``). The package is imported from the ``src/`` next
 to this script, so each checkout runs its own code.
 """
 import contextlib
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,7 +34,6 @@ def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python tools/claim_digests.py OUT_DIR", file=sys.stderr)
         return 2
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads below
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from quadndr.cli import cmd_eval, cmd_simulate, cmd_train
     from quadndr.config import load_config
