@@ -915,16 +915,38 @@ class TestWorker:
                     for batch, steps in ((16, 4), (8, 2)))
                 + self._pass_calls(cfg, 40, False))
 
-    @pytest.mark.parametrize("pinned", [True, False])
+    @pytest.mark.parametrize("blas_threads", [1, 2, 0])
     @pytest.mark.parametrize("net", sorted(NETS))
-    def test_training_with_the_worker_is_byte_equal_to_inline(self, net, pinned, monkeypatch):
-        # a BLAS that cannot be pinned runs the conv stacks in turn and every
-        # GEMM whole; the inline helper runs the same halves in turn
-        cfg = self.NETS[net]
-        monkeypatch.setattr(network, "_pinnable", lambda: pinned)
-        params, state, history, out, calls = self._train(monkeypatch, network._both, cfg)
-        ref_params, ref_state, ref_history, ref_out, _ = self._train(monkeypatch, _inline, cfg)
-        assert len(calls) == self._expected_calls(cfg, pinned)
+    def test_training_with_the_worker_is_byte_equal_to_inline(self, net, blas_threads,
+                                                               monkeypatch):
+        # numpy's OpenBLAS started at one thread or at two, which the pin
+        # brings to one: both take the two-core path; a BLAS that cannot be
+        # pinned (0) runs the conv stacks in turn and every GEMM whole. The
+        # inline helper runs the same halves in turn
+        cfg, pin, inside = self.NETS[net], blas_threads and network._openblas(), set()
+        monkeypatch.setattr(network, "_pinnable", lambda: blas_threads > 0)
+        if pin:
+            get, set_ = pin
+            matmul = network._matmul
+
+            def seeing(*args, **kwargs):
+                inside.add(get())
+                return matmul(*args, **kwargs)
+
+            monkeypatch.setattr(network, "_matmul", seeing)
+            callers = get()
+            set_(blas_threads)
+            started = get()  # OpenBLAS may run fewer threads than asked
+        try:
+            params, state, history, out, calls = self._train(monkeypatch, network._both, cfg)
+            ref_params, ref_state, ref_history, ref_out, _ = self._train(
+                monkeypatch, _inline, cfg)
+            if pin:
+                assert inside == {1} and get() == started
+        finally:
+            if pin:
+                set_(callers)
+        assert len(calls) == self._expected_calls(cfg, blas_threads > 0)
         for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
             assert got.keys() == want.keys()
             for k in want:
