@@ -356,22 +356,26 @@ def _both(first, second):
 
 
 @cache
-def _openblas():
+def _openblas(maps="/proc/self/maps"):
     """The (get, set) thread-count functions of the OpenBLAS numpy runs its
     GEMMs on: the one mapped from numpy's own ``numpy.libs``, else the
     first mapped OpenBLAS that has such a pair (scipy's, which lacks it, may
     be mapped first). None where there is none (another BLAS, or a system
-    without /proc/self/maps)."""
+    without /proc/self/maps). ``maps`` is read in that file's format."""
     site = os.path.dirname(os.path.realpath(os.path.dirname(np.__file__)))
     libs = os.path.join(site, "numpy.libs", "")
     try:
-        with open("/proc/self/maps") as maps:
-            paths = dict.fromkeys(line.split()[-1] for line in maps
+        with open(maps) as lines:
+            # a path, the sixth field, may hold spaces
+            paths = dict.fromkeys(line.split(maxsplit=5)[5].rstrip("\n") for line in lines
                                   if "openblas" in line.rsplit("/", 1)[-1])
     except OSError:
         return None
     for path in sorted(paths, key=lambda path: not path.startswith(libs)):
-        lib = ctypes.CDLL(path)  # already mapped, so this loads nothing
+        try:
+            lib = ctypes.CDLL(path)  # already mapped, so this loads nothing
+        except OSError:  # deleted or replaced since it was mapped
+            continue
         for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
                                ("openblas_", "")):
             get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
@@ -390,41 +394,34 @@ def _pinnable() -> bool:
     return _openblas() is not None
 
 
-class _OneBlasThread:
+_pin_lock = threading.Lock()  # guards the two counts below
+_pin_calls = 0  # the calls of _one_blas_thread's functions running now
+_pin_callers = 1  # numpy's BLAS thread count when the first of them began
+
+
+def _one_blas_thread(function):
     """A decorator: numpy's OpenBLAS runs on one thread while any call it
     wraps runs, on any thread, and gets back the count the first of them
     found once the last returns or raises. It changes nothing at one
     thread, or without an OpenBLAS to pin."""
-
-    def __init__(self):
-        self._lock, self._calls, self._callers = threading.Lock(), 0, 1
-
-    def __call__(self, function):
-        @wraps(function)
-        def pinned(*args, **kwargs):
-            self._enter()
-            try:
-                return function(*args, **kwargs)
-            finally:
-                self._leave()
-        return pinned
-
-    def _enter(self):
-        with self._lock:
-            if self._calls == 0 and _openblas():
-                self._callers = _openblas()[0]()
-                if self._callers != 1:
-                    _openblas()[1](1)
-            self._calls += 1
-
-    def _leave(self):
-        with self._lock:
-            self._calls -= 1
-            if self._calls == 0 and self._callers != 1:
-                _openblas()[1](self._callers)
-
-
-_one_blas_thread = _OneBlasThread()
+    @wraps(function)
+    def pinned(*args, **kwargs):
+        global _pin_calls, _pin_callers
+        pin = _openblas()
+        with _pin_lock:
+            if _pin_calls == 0 and pin:
+                _pin_callers = pin[0]()
+                if _pin_callers != 1:
+                    pin[1](1)
+            _pin_calls += 1
+        try:
+            return function(*args, **kwargs)
+        finally:
+            with _pin_lock:
+                _pin_calls -= 1
+                if _pin_calls == 0 and _pin_callers != 1:
+                    pin[1](_pin_callers)
+    return pinned
 
 
 def _by_branch(tasks):
@@ -670,10 +667,11 @@ class AdamState:
                    v={k: np.zeros(np.shape(p)) for k, p in params.items()}, t=0, lr=lr)
 
 
-# elements per chunk of one Adam pass: each chunk costs 14 ufunc calls, and
-# at 2**14 their overhead held the two halves to 1.48x one thread at a
-# default step, against 1.88x at 2**16 (2-core Xeon); the bits do not
-# depend on the chunk size
+# the most elements per chunk of one Adam pass: each chunk costs 14 ufunc
+# calls, and at 2**14 their overhead held the two halves to 1.48x one
+# thread at a default step, against 1.88x at 2**16 (2-core Xeon). A net of
+# under 32 chunks takes chunks of a 32nd of its elements, so its scratch
+# stays a 16th of a parameter set. The bits do not depend on the chunk size
 _ADAM_CHUNK = 2 ** 16
 # the largest gradient entry Adam takes: v_hat is at most the largest squared
 # entry, so v and v_hat stay finite, with a factor 4 to spare
@@ -696,13 +694,14 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     out-of-place form. The first half of the elements, in block order, is
     checked and then updated on this thread, and the second on the worker
     thread (``_both``); neither half starts its update before both checks
-    have passed. Updates run in chunks of _ADAM_CHUNK elements, so the
-    scratch is two chunk-sized arrays whatever the block size."""
+    have passed. Updates run in chunks of at most _ADAM_CHUNK elements, so
+    the scratch is two chunk-sized arrays whatever the block size."""
     odd = sorted(grads.keys() ^ params.keys())
     if odd:
         raise ValueError(f"gradient block {odd[0]!r} is "
                          + ("missing" if odd[0] in params else "not a parameter block"))
-    halves, start, cut = ([], []), 0, sum(p.size for p in params.values()) // 2
+    size = sum(p.size for p in params.values())
+    halves, start, cut, chunk = ([], []), 0, size // 2, min(_ADAM_CHUNK, size // 32 + 1)
     for k, p in params.items():
         split = min(max(cut - start, 0), p.size)
         for half, span in zip(halves, ((0, split), (split, p.size))):
@@ -710,7 +709,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
                 # nditer hands out views of contiguous blocks and buffers any other layout
                 chunks = np.nditer([p, grads[k], state.m[k], state.v[k]],
                                    flags=["external_loop", "buffered", "ranged"],
-                                   op_flags=[["readwrite"]] * 4, buffersize=_ADAM_CHUNK)
+                                   op_flags=[["readwrite"]] * 4, buffersize=chunk)
                 chunks.iterrange = span
                 half.append((k, span, chunks))
         start += p.size
@@ -721,7 +720,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
         raise TrainingDiverged(f"gradient in block {early or late!r} is non-finite or"
                                f" above {_ADAM_GRAD_MAX:.3g} in magnitude")
     state.t += 1
-    scratch = np.empty((2, _ADAM_CHUNK))
+    scratch = np.empty((2, chunk))
     _both(partial(_adam_chunks, halves[1], scratch[1], state),
           partial(_adam_chunks, halves[0], scratch[0], state))
     return params, state

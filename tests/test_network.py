@@ -712,15 +712,13 @@ class TestWorkspace:
         assert peak <= 0.5 * params["fc1.w"].nbytes
 
     def test_train_batch_peaks_under_3_point_3_parameter_sets(self):
-        # Adam's two moments, the gradients and the activations, 3.22x; fc1's
-        # weight gradient shares the conv layers' memory rather than adding to
-        # it. Adam's two scratch chunks, a fixed 1 MiB, are 0.12x of these
-        # 8.4 MB of parameters
-        cfg = NetConfig(arch="single", window=256, conv_channels=(6, 16, 16),
+        # Adam's two moments, the gradients and the activations, 3.25x; fc1's
+        # weight gradient shares the conv layers' memory rather than adding to it
+        cfg = NetConfig(arch="single", window=64, conv_channels=(6, 16, 16),
                         dense_widths=(256, 16))
         params = init_params(cfg, seed=0)
         rng = np.random.default_rng(0)
-        x, y = rng.normal(size=(16, 6, 256)), rng.normal(size=(16, 3))
+        x, y = rng.normal(size=(16, 6, 64)), rng.normal(size=(16, 3))
         tracemalloc.start()
         try:
             train(params, cfg, x, y, TrainConfig(epochs=1, batch_size=16))
@@ -1337,6 +1335,28 @@ def _numpy_openblas_threads():
                 getter.restype = ctypes.c_int
                 return getter
     return None
+
+
+@needs_openblas
+@pytest.mark.skipif(_numpy_openblas_threads() is None, reason="needs numpy's own OpenBLAS")
+def test_openblas_lookup_reads_paths_with_spaces_and_passes_over_unloadable_ones(tmp_path):
+    # a path past the maps line's fifth field is read whole; one that no
+    # longer loads is passed over, not raised
+    numpy_blas = next(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"))
+    spaced = tmp_path / "a dir" / numpy_blas.name
+    spaced.parent.mkdir()
+    spaced.symlink_to(numpy_blas)  # dlopen finds it is the library already loaded
+    gone = tmp_path / "gone dir" / "libopenblas-gone.so"
+
+    def lookup(*paths):
+        maps = tmp_path / f"maps{len(paths)}"  # a file per lookup: _openblas caches by path
+        maps.write_text("".join(f"7f00-7f10 r-xp 00000000 08:01 {i}        {path}\n"
+                                for i, path in enumerate(paths)))
+        return network._openblas(str(maps))
+
+    assert lookup(gone) is None
+    get, _ = lookup(gone, spaced)
+    assert get() == _numpy_openblas_threads()()
 
 
 def _pin_observations():

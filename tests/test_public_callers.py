@@ -2,9 +2,9 @@
 
 That holds for private helpers too: a helper that a refactor leaves without
 callers is dead code, whatever its name. A function counts as called when
-another function's body, a class body (say, a dataclass field's parser) or a
-module's ``if __name__ == "__main__":`` block refers to it by name or as an
-attribute. Other module-level statements and
+another function's body or decorators, a class body (say, a dataclass
+field's parser) or a module's ``if __name__ == "__main__":`` block refers to
+it by name or as an attribute. Other module-level statements and
 ``__init__.py`` re-exports do not count: a function only tests use belongs
 in ``tests/`` as an oracle.
 
@@ -70,8 +70,9 @@ def _is_main_guard(node) -> bool:
 
 
 def uncalled_functions(sources: list[str]) -> list[str]:
-    """Top-level functions of ``sources`` that no other function body, no
-    class body and no ``__main__`` block of ``sources`` refers to."""
+    """Top-level functions of ``sources`` that no other function's body or
+    decorators, no class body and no ``__main__`` block of ``sources``
+    refers to."""
     defined, called = [], set()
     for source in sources:
         tree = ast.parse(source)
@@ -80,7 +81,7 @@ def uncalled_functions(sources: list[str]) -> list[str]:
                               if _is_main_guard(node) or isinstance(node, ast.ClassDef))
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                called |= _referenced(fn.body) - {fn.name}
+                called |= _referenced(fn.body + fn.decorator_list) - {fn.name}
     return [name for name in defined if name not in called]
 
 
@@ -93,9 +94,11 @@ def test_every_function_has_a_caller_in_the_package():
         "def _private(): pass\n"
         "def _helper(): pass\n"
         "def _parse(): pass\n"
+        "def _wrap(f): return f\n"
         "class Config:\n"
         "    key: int = field(metadata={'parse': _parse})\n"
         "def main(): return helper() + _helper() + mod.attr_called()\n"
+        "@_wrap\n"
         "def attr_called(): pass\n"
         "table = {'x': orphan, 'y': _private}\n"
         "if __name__ == '__main__':\n"
