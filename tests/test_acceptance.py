@@ -4,17 +4,15 @@ One test per acceptance criterion; each prints a single PASS line (visible
 with ``pytest -s``) and encodes the stated tolerance and runtime budget.
 Run with ``pytest -v tests/test_acceptance.py``.
 """
-import contextlib
-import hashlib
 import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from claim_digests import run_claim, tree_digests
 from oracles import finite_difference_grads, guarded_relative_error, scalar_adam_reference
 from quadndr.cli import cmd_eval, cmd_simulate, cmd_train
 from quadndr.config import load_config
@@ -37,6 +35,7 @@ from quadndr.simulate import (
     inverse_mechanize,
 )
 from quadndr.windows import WindowSpec, window_series
+from test_config_cli import tiny_overrides
 from test_network import _subprocess_env
 
 
@@ -192,52 +191,21 @@ def test_criterion_8_windowing_brute_force():
     _report(8, "200 random combinations matched exactly")
 
 
-def _tiny_overrides(out_dir):
-    pairs = dict(
-        sample_rate=20.0, total_span=0.9, window_size=20, stride=10,
-        num_trajectories=3, test_fraction=0.34,
-        accel_noise_std=0.01, gyro_noise_std=0.001,
-        conv_channels="6,8,8", dense_widths="16,8",
-        epochs=2, runs=1, batch_size=32, dropout=0.0,
-        out_dir=str(out_dir),
-    )
-    return [f"{k}={v}" for k, v in pairs.items()]
-
-
-def _digests(root):
-    digests = {}
-    for pattern in ("*.csv", "*.qpnet", "report.txt", "eval_xz.svg"):
-        for path in sorted(Path(root).rglob(pattern)):
-            digests[str(path.relative_to(root))] = hashlib.sha256(
-                path.read_bytes()).hexdigest()
-    return digests
-
-
 def test_criterion_9_determinism(tmp_path):
     """Rerunning every command with an identical config reproduces every
-    CSV output, model file, report and plot bit for bit."""
+    output file (CSVs, models, report and plot) bit for bit."""
     digests = []
     for sub in ("first", "second"):
         out = tmp_path / sub
-        cfg = load_config(overrides=_tiny_overrides(out))
+        cfg = load_config(overrides=tiny_overrides(out))
         cmd_simulate(cfg)
         models = cmd_train(cfg, "single")
         baselines = cmd_train(cfg, "baseline")
         cmd_eval(cfg, models, baselines)
-        digests.append(_digests(out))
+        digests.append(tree_digests(out))
     assert digests[0].keys() == digests[1].keys()
     assert digests[0] == digests[1]
     _report(9, f"{len(digests[0])} output files identical across reruns")
-
-
-# criterion 6's config, out_dir aside; tools/claim_digests.py runs the same
-CLAIM_OVERRIDES = [
-    "sample_rate=25.0", "window_size=25", "stride=12",
-    "num_trajectories=6", "test_fraction=0.34",
-    "accel_noise_std=0.05", "gyro_noise_std=0.002",
-    "accel_bias=0.08,-0.05,0.06", "gyro_bias=0.004,-0.003,0.03",
-    "epochs=10", "runs=3", "dropout=0.1", "seed=17",
-]
 
 
 def test_criterion_6_qualitative_claim(tmp_path):
@@ -246,16 +214,10 @@ def test_criterion_6_qualitative_claim(tmp_path):
     position-regression variants beat pure-INS mechanization and the
     distance + INS-heading baseline. Direction of inequality only; < 15 min.
 
-    The dataset is scaled to a single-core desktop CPU: 25 Hz sampling,
-    25-sample windows, 6 trajectories, 10 epochs per run."""
+    The config is configs/criterion6.cfg, scaled to a desktop CPU: 25 Hz
+    sampling, 25-sample windows, 6 trajectories, 10 epochs per run."""
     t0 = time.perf_counter()
-    cfg = load_config(overrides=CLAIM_OVERRIDES + [f"out_dir={tmp_path / 'claim'}"])
-    cmd_simulate(cfg)
-    single_models = cmd_train(cfg, "single")
-    multi_models = cmd_train(cfg, "multi")
-    baseline_models = cmd_train(cfg, "baseline")
-    result = cmd_eval(cfg, single_models + multi_models, baseline_models)
-    means = result["means"]
+    means = run_claim(tmp_path / "claim")["means"]
     elapsed = time.perf_counter() - t0
     assert means["single"] < means["baseline"], means
     assert means["single"] < means["ins"], means
@@ -270,12 +232,8 @@ def test_criterion_6_qualitative_claim(tmp_path):
 def _short_claim_digests(out_dir):
     """Criterion 6's pipeline at 3 epochs and one run, into ``out_dir``; the
     digest of each output. The commands' progress lines go to stderr."""
-    cfg = load_config(overrides=CLAIM_OVERRIDES + ["epochs=3", "runs=1", f"out_dir={out_dir}"])
-    with contextlib.redirect_stdout(sys.stderr):
-        cmd_simulate(cfg)
-        models = cmd_train(cfg, "single") + cmd_train(cfg, "multi")
-        cmd_eval(cfg, models, cmd_train(cfg, "baseline"))
-    return _digests(out_dir)
+    run_claim(out_dir, ["epochs=3", "runs=1"])
+    return tree_digests(out_dir)
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -1,6 +1,4 @@
 import contextlib
-import hashlib
-import importlib.util
 import io
 import json
 import re
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import test_acceptance
+from claim_digests import tree_digests
 from quadndr.cli import _profile, cmd_eval, cmd_simulate, cmd_train, main
 from quadndr.config import _PARSERS, ExperimentConfig, _parse_pair, load_config, parse_config_text
 from quadndr.simulate import TrajectoryProfile
@@ -33,15 +31,6 @@ def tiny_overrides(out_dir, **extra):
     )
     base.update(extra)
     return [f"{k}={v}" for k, v in base.items()]
-
-
-def tree_digest(root):
-    h = hashlib.sha256()
-    for path in sorted(Path(root).rglob("*")):
-        if path.is_file():
-            h.update(str(path.relative_to(root)).encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 class TestConfigParsing:
@@ -586,11 +575,11 @@ def test_eval_removes_the_curves_of_methods_it_did_not_score(trained, tmp_path):
     assert code == 0, err
     assert (exp / "eval_baseline_traj.csv").is_file()
     # a refused eval leaves every file as it was
-    before = tree_digest(exp)
+    before = tree_digests(exp)
     code, err = _run_main(["eval", *_sets(tiny_overrides(exp, window_size=10)),
                            "--models", str(single)])
     assert code == 1, err
-    assert tree_digest(exp) == before
+    assert tree_digests(exp) == before
     code, err = _run_main(["eval", *_sets(tiny_overrides(exp)), "--models", str(single)])
     assert code == 0, err
     assert sorted(p.name for p in exp.glob("eval_*_traj.csv")) == [
@@ -609,12 +598,12 @@ def test_train_removes_the_models_of_runs_it_did_not_make(trained, tmp_path):
         (exp / name).write_text("kept")
     kept = sorted(p.name for p in exp.rglob("*") if not p.name.startswith("baseline_run"))
     # a refused and a diverged train remove nothing
-    before = tree_digest(exp)
+    before = tree_digests(exp)
     for setting, want in (("stride=0", 1), ("lr=1e308", 2)):
         code, err = _run_main(["train", *_sets(tiny_overrides(exp, runs=1)), "--arch",
                                "baseline", "--set", setting])
         assert code == want, err
-        assert tree_digest(exp) == before, setting
+        assert tree_digests(exp) == before, setting
     assert (exp / "baseline_run1.qpnet").is_file() and (exp / "baseline_run1_loss.csv").is_file()
     code, err = _run_main(["train", *_sets(tiny_overrides(exp, runs=1)), "--arch", "baseline"])
     assert code == 0, err
@@ -638,11 +627,11 @@ def test_failed_resimulate_leaves_the_earlier_flights(tmp_path):
     # seed 4 draws finite noise for the first two flights and overflows on the third
     exp = tmp_path / "exp"
     assert main(["simulate", *_sets(tiny_overrides(exp, seed=4))]) == 0
-    before = tree_digest(exp)
+    before = tree_digests(exp)
     code, err = _run_main(["simulate", *_sets(tiny_overrides(exp, seed=4)),
                            "--set", "accel_noise_std=6e307"])
     assert code == 1 and "accel_noise_std" in err, err
-    assert tree_digest(exp) == before
+    assert tree_digests(exp) == before
 
 
 def test_train_refuses_inputs_it_cannot_normalize(tmp_path):
@@ -703,7 +692,7 @@ class TestSimulate:
             out = tmp_path / sub
             cfg = load_config(overrides=tiny_overrides(out))
             cmd_simulate(cfg)
-            digests.append(tree_digest(out))
+            digests.append(tree_digests(out))
         assert digests[0] == digests[1]
 
     def test_zero_noise_clean_equals_noisy(self, tmp_path):
@@ -778,11 +767,3 @@ class TestPipeline:
             blobs.append(paths[0].read_bytes())
         assert blobs[0] == blobs[1]
 
-
-def test_claim_digests_runs_the_criterion_6_config():
-    # the tool shows that a change keeps criterion 6's outputs byte for byte
-    path = Path(__file__).resolve().parents[1] / "tools" / "claim_digests.py"
-    spec = importlib.util.spec_from_file_location("claim_digests", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.CLAIM_OVERRIDES == test_acceptance.CLAIM_OVERRIDES

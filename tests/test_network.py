@@ -813,9 +813,11 @@ def _gemms(cfg, batch, backward):
 
 
 def _subprocess_env(**variables):
-    """The environment of a Python subprocess that imports quadndr and the
-    test modules, with ``variables`` set, and those given as None unset."""
-    paths = [str(Path(network.__file__).parents[1]), str(Path(__file__).parent)]
+    """The environment of a Python subprocess that imports quadndr, the test
+    modules and the tools, with ``variables`` set, and those given as None
+    unset."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(Path(network.__file__).parents[1]), str(root / "tests"), str(root / "tools")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **variables}
     return {name: value for name, value in env.items() if value is not None}
 
@@ -1205,10 +1207,11 @@ GEMM_CASES = [
 
 class TestSplitGemm:
     @needs_openblas
-    @pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["cpu_kernel", "Haswell"])
+    @pytest.mark.parametrize("coretype", [None, "Haswell", "Sandybridge", "Katmai"],
+                             ids=["cpu_kernel", "Haswell", "Sandybridge", "Katmai"])
     def test_every_gemm_the_rule_splits_has_the_bits_of_one_call(self, coretype):
         # at one BLAS thread, in a process of its own, on the kernel OpenBLAS
-        # picks for this CPU and on Haswell's
+        # picks for this CPU and on Haswell's, Sandybridge's and Katmai's
         code = "import json, test_network\nprint(json.dumps(test_network._split_gemms()))\n"
         done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
                               text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1",

@@ -18,7 +18,8 @@ is a constant in the parameter list.
 
 Every ``NetConfig`` field is set by the CLI, too: a field that no production
 caller sets is an option only tests vary, and belongs in a constant. And the
-benchmark's copy of the CLI's network builder builds the same networks.
+benchmark's copy of the CLI's network builder builds the same networks, and
+its claim workload runs criterion 6's config, ``configs/criterion6.cfg``.
 
 The CLI reads, checks and splits flights in one function, so train and eval
 refuse the same flights and hold out the same ones. And train and eval check
@@ -48,6 +49,7 @@ from quadndr.network import NetConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "quadndr"
+CRITERION_6 = ROOT / "configs" / "criterion6.cfg"
 
 
 def _referenced(nodes) -> set[str]:
@@ -476,12 +478,17 @@ def _perfbench_workloads():
 @pytest.mark.parametrize("arch", ARCHES)
 @pytest.mark.parametrize("config", ["default", "criterion_6", "tiny_network"])
 def test_perfbench_builds_the_networks_the_cli_trains(config, arch):
-    workloads = _perfbench_workloads()
-    overrides = {
-        "default": (),
-        "criterion_6": workloads.CLAIM_OVERRIDES + ("runs=3", "seed=17"),
-        "tiny_network": ("conv_channels=" + ("3,4,4" if arch == "multi" else "6,8,8"),
-                         "dense_widths=16,8", "dropout=0.0"),
+    path, overrides = {
+        "default": (None, []),
+        "criterion_6": (CRITERION_6, []),
+        "tiny_network": (None, ["conv_channels=" + ("3,4,4" if arch == "multi" else "6,8,8"),
+                                "dense_widths=16,8", "dropout=0.0"]),
     }[config]
-    cfg = load_config(overrides=list(overrides))
-    assert workloads.net_config(cfg, arch) == _net_config(cfg, arch)
+    cfg = load_config(path, overrides)
+    assert _perfbench_workloads().net_config(cfg, arch) == _net_config(cfg, arch)
+
+
+def test_perfbench_claim_workload_runs_the_criterion_6_config():
+    # claim_pipeline runs one training run at a seed of its own
+    overrides = [*_perfbench_workloads().CLAIM_OVERRIDES, "runs=3", "seed=17"]
+    assert load_config(overrides=overrides) == load_config(CRITERION_6)

@@ -4,15 +4,19 @@ Usage::
 
     python tools/claim_digests.py OUT_DIR > digests.json
 
-It simulates the flights of ``tests/test_acceptance.py``'s criterion-6
-config (``runs=3``, ``seed=17``) into ``OUT_DIR``, trains the ``single``,
-``multi`` and ``baseline`` models, evaluates them, and prints one JSON
-object that maps each file under ``OUT_DIR`` to its SHA-256; the commands'
-progress lines go to stderr. The outputs do not depend on
-``OPENBLAS_NUM_THREADS``; they are equal on one OpenBLAS kernel, not across
-kernels. Two checkouts produced the same outputs when their JSON files are
-equal (``diff a.json b.json``). The package is imported from the ``src/`` next
-to this script, so each checkout runs its own code.
+It simulates the flights of ``configs/criterion6.cfg`` (``runs=3``,
+``seed=17``) into ``OUT_DIR``, trains the ``single``, ``multi`` and
+``baseline`` models, evaluates them, and prints one JSON object that maps
+each file under ``OUT_DIR`` to its SHA-256; the commands' progress lines go
+to stderr. The outputs do not depend on ``OPENBLAS_NUM_THREADS``; they are
+equal on one OpenBLAS kernel, not across kernels. Two checkouts produced the
+same outputs when their JSON files are equal (``diff a.json b.json``). The
+package is imported from the ``src/`` next to this script, so each checkout
+runs its own code.
+
+The tests import ``run_claim`` and ``tree_digests`` from here: criterion 6
+runs the claim through ``run_claim``, and every test that compares output
+trees hashes them with ``tree_digests``.
 """
 import contextlib
 import hashlib
@@ -20,33 +24,38 @@ import json
 import sys
 from pathlib import Path
 
-# the overrides of test_criterion_6_qualitative_claim, out_dir aside
-CLAIM_OVERRIDES = [
-    "sample_rate=25.0", "window_size=25", "stride=12",
-    "num_trajectories=6", "test_fraction=0.34",
-    "accel_noise_std=0.05", "gyro_noise_std=0.002",
-    "accel_bias=0.08,-0.05,0.06", "gyro_bias=0.004,-0.003,0.03",
-    "epochs=10", "runs=3", "dropout=0.1", "seed=17",
-]
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "criterion6.cfg"
+sys.path.insert(0, str(ROOT / "src"))
+
+from quadndr.cli import cmd_eval, cmd_simulate, cmd_train  # noqa: E402
+from quadndr.config import load_config  # noqa: E402
+
+
+def run_claim(out_dir, overrides=()):
+    """Simulate, train ``single``, ``multi`` and ``baseline``, and evaluate
+    ``configs/criterion6.cfg`` with ``overrides`` into ``out_dir``. Returns
+    ``cmd_eval``'s result; the commands' progress lines go to stderr."""
+    cfg = load_config(CONFIG, [*overrides, f"out_dir={out_dir}"])
+    with contextlib.redirect_stdout(sys.stderr):
+        cmd_simulate(cfg)
+        models = cmd_train(cfg, "single") + cmd_train(cfg, "multi")
+        return cmd_eval(cfg, models, cmd_train(cfg, "baseline"))
+
+
+def tree_digests(root) -> dict:
+    """The SHA-256 of each file under ``root``, by its path relative to it."""
+    root = Path(root)
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python tools/claim_digests.py OUT_DIR", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from quadndr.cli import cmd_eval, cmd_simulate, cmd_train
-    from quadndr.config import load_config
-
-    out = Path(argv[0])
-    cfg = load_config(overrides=CLAIM_OVERRIDES + [f"out_dir={out}"])
-    with contextlib.redirect_stdout(sys.stderr):  # the commands' progress lines
-        cmd_simulate(cfg)
-        models = cmd_train(cfg, "single") + cmd_train(cfg, "multi")
-        cmd_eval(cfg, models, cmd_train(cfg, "baseline"))
-    digests = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(out.rglob("*")) if path.is_file()}
-    print(json.dumps(digests, indent=1, sort_keys=True))
+    run_claim(argv[0])
+    print(json.dumps(tree_digests(argv[0]), indent=1, sort_keys=True))
     return 0
 
 
