@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +152,8 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
     """Train ``runs`` independently seeded models and save them."""
     if cfg.runs < 1:
         raise ValueError(f"runs must be >= 1, got {cfg.runs!r}")
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr)
+    tcfgs = [TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                         seed=cfg.seed + 1000 * (run + 1)) for run in range(cfg.runs)]
     spec = WindowSpec(cfg.window_size, cfg.stride)
     net_cfg = _net_config(cfg, arch)
     series, train_tags, _ = _load_trajectories(cfg)  # after every setting is checked
@@ -165,11 +166,9 @@ def cmd_train(cfg: ExperimentConfig, arch: str) -> list[Path]:
         labels = np.column_stack([np.hypot(labels[:, 0], labels[:, 1]), labels[:, 2]])
     out = Path(cfg.out_dir)
     paths = []
-    for run in range(cfg.runs):
-        run_seed = cfg.seed + 1000 * (run + 1)
-        params = init_params(net_cfg, run_seed)
-        params, history = train(params, net_cfg, train_set.inputs, labels,
-                                replace(tcfg, seed=run_seed))
+    for run, tcfg in enumerate(tcfgs):
+        params = init_params(net_cfg, tcfg.seed)
+        params, history = train(params, net_cfg, train_set.inputs, labels, tcfg)
         model_path = out / f"{arch}_run{run}.qpnet"
         save_model(model_path, params, net_cfg, norm)
         write_csv(out / f"{arch}_run{run}_loss.csv", "epoch,loss", enumerate(history))

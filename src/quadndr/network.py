@@ -9,14 +9,14 @@ inverted dropout, then a linear head):
   accelerometer and gyroscope windows, concatenated before the dense tail
 
 Everything is plain numpy with handwritten backpropagation and Adam. A
-step uses a second thread of its own (``_both``) for Adam's two halves and,
-when numpy's BLAS is an OpenBLAS this module can pin to one thread
-(``_pinnable``), for other independent halves of its work: multi's two conv
-stacks, single's conv stack as two window halves ("lanes", ``_lanes``) when
-its conv GEMMs are large enough, and the column halves of each other large
-GEMM (``_matmul``). Each public call that runs BLAS pins it to one thread
-while it runs (``_one_blas_thread``), so the bits do not depend on the
-caller's BLAS thread count, nor on the second thread.
+step splits into independent halves by shape alone: Adam's, multi's two
+conv stacks, single's conv stack as two window halves ("lanes",
+``_lanes``) when its conv GEMMs are large enough, and each other large
+GEMM's column halves (``_matmul``). A second thread (``_both``) runs them
+at once, or all but Adam's in turn where numpy's BLAS is not an OpenBLAS
+this module can pin to one thread (``_pinnable``), as each public call that
+runs BLAS does while it runs (``_one_blas_thread``). So a step makes the
+same BLAS calls either way, at any BLAS thread count the caller set.
 """
 from __future__ import annotations
 
@@ -389,8 +389,8 @@ def _openblas(maps="/proc/self/maps"):
 
 def _pinnable() -> bool:
     """Whether ``_one_blas_thread`` pins numpy's BLAS to one thread, the same
-    answer for the whole process. Only then do two GEMMs run at once: a BLAS
-    that threads each GEMM keeps every core busy already."""
+    answer for the whole process. Only then does ``_by_branch`` run two
+    tasks at once: a BLAS that threads each GEMM keeps every core busy."""
     return _openblas() is not None
 
 
@@ -424,55 +424,62 @@ def _one_blas_thread(function):
     return pinned
 
 
+_pair = threading.local()  # .inside: this thread runs one of _by_branch's two tasks
+
+
+def _in_pair(task):
+    """Run ``task`` with this thread's ``_pair.inside`` set."""
+    _pair.inside = True
+    try:
+        task()
+    finally:
+        _pair.inside = False
+
+
 def _by_branch(tasks):
-    """Run one or two independent tasks: two branches' conv stacks, or one
-    stack's two lanes (``_lanes``). Two run at once (``_both``) when numpy's
-    BLAS is pinned to one thread, else one after another. Tasks that run at
-    once keep their GEMMs whole (``_matmul``)."""
-    if len(tasks) == 2 and _pinnable():
-        _both(*tasks)
-    else:
-        for task in tasks:
-            task()
+    """Run one task, or two independent ones (two conv stacks, two lanes or
+    a GEMM's column halves) with ``_pair.inside`` set, so their GEMMs stay
+    whole: at once (``_both``) when numpy's BLAS is pinned, else in turn."""
+    if len(tasks) == 2:
+        tasks = [partial(_in_pair, task) for task in tasks]
+        if _pinnable():
+            return _both(*tasks)
+    for task in tasks:
+        task()
 
 
-# the fewest multiply-adds of a GEMM half: a smaller half may take another
-# OpenBLAS kernel than the whole GEMM, with other bits
+# the fewest multiply-adds of a GEMM half, and of a lane's smallest conv
+# GEMM. It fixes which GEMMs split, and so the bits: a change to it needs
+# benchmark evidence of its own
 _SPLIT_MIN = 2 ** 21
 
 
 def _matmul(a, b, out):
     """``out = a @ b`` for 2-D operands: every GEMM of this module runs here.
 
-    With numpy's BLAS pinned to one thread and no ``_both`` running,
     ``out``'s n columns are split at ``cut = (n // 16) * 8`` into two GEMMs
-    run at once by ``_both``, when n is a multiple of 8 and each half has at
-    least _SPLIT_MIN multiply-adds; otherwise it is one call. A GEMM inside a
-    ``_both`` (a conv stack or a lane) is one call: a lane's conv GEMM is
-    already its half of the whole batch's, cut by ``_lanes`` under the same
-    two conditions. Every split the two rules make gave the bits of one
-    call on OpenBLAS's SkylakeX kernel; splits outside them did not always,
-    for example at 160 of 325 columns."""
+    (``_by_branch``) when n is a multiple of 8 and each half has at least
+    _SPLIT_MIN multiply-adds; otherwise it is one call. So is a GEMM inside
+    one of ``_by_branch``'s two tasks: a lane's conv GEMM is already its half
+    of the whole batch's, cut by ``_lanes`` under the same two conditions."""
     (m, k), n = a.shape, out.shape[1]
     cut = (n // 16) * 8
-    if (not _pinnable() or _running.locked() or n % 8
-            or m * k * min(cut, n - cut) < _SPLIT_MIN):
+    if getattr(_pair, "inside", False) or n % 8 or m * k * min(cut, n - cut) < _SPLIT_MIN:
         return np.matmul(a, b, out=out)
-    _both(partial(np.matmul, a, b[:, cut:], out=out[:, cut:]),
-          partial(np.matmul, a, b[:, :cut], out=out[:, :cut]))
+    _by_branch([partial(np.matmul, a, b[:, cut:], out=out[:, cut:]),
+                partial(np.matmul, a, b[:, :cut], out=out[:, :cut])])
     return out
 
 
 def _lanes(cfg: NetConfig, batch: int) -> list:
-    """The window ranges ("lanes") each branch's conv stack runs as. With
-    numpy's BLAS pinned, a lone branch (single) runs two halves at once when
-    its conv GEMMs split at the lane cut as ``_matmul`` would split them:
-    the cut, ``batch // 2`` windows, is a multiple of 8 columns, and every
-    conv GEMM of the smaller lane has at least _SPLIT_MIN multiply-adds.
-    Otherwise, one lane of every window."""
+    """The window ranges ("lanes") each branch's conv stack runs as. A lone
+    branch (single) runs as two halves when its conv GEMMs split at the lane
+    cut as ``_matmul`` would split them: the cut, ``batch // 2`` windows, is
+    a multiple of 8 columns, and every conv GEMM of the smaller lane has at
+    least _SPLIT_MIN multiply-adds. Otherwise, one lane of every window."""
     chans, cut = cfg.conv_channels, batch // 2
     columns = cut * cfg.window
-    if (len(cfg.branches) == 1 and _pinnable() and columns % 8 == 0
+    if (len(cfg.branches) == 1 and columns % 8 == 0
             and min(map(math.prod, zip(chans, chans[1:]))) * KERNEL * columns >= _SPLIT_MIN):
         return [(0, cut), (cut, batch)]
     return [(0, batch)]
@@ -777,9 +784,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-    #: optional early stop: end training once the epoch mean loss drops
-    #: below stop_ratio * (epoch-1 loss); epochs stays the hard cap
-    stop_ratio: float | None = None
 
     def __post_init__(self):
         for field in ("epochs", "batch_size"):
@@ -788,8 +792,6 @@ class TrainConfig:
                 raise ValueError(f"{field} must be an int >= 1, got {value!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if self.stop_ratio is not None and not 0.0 < self.stop_ratio < 1.0:
-            raise ValueError(f"stop_ratio must be None or in (0, 1), got {self.stop_ratio!r}")
 
 
 @_one_blas_thread
@@ -832,8 +834,6 @@ def train(params: dict, cfg: NetConfig, inputs, labels,
             params, state = adam_step(params, grads, state)
             total += loss * idx.size
         history.append(total / m)
-        if tcfg.stop_ratio is not None and history[-1] < tcfg.stop_ratio * history[0]:
-            break
     return params, history
 
 

@@ -119,9 +119,9 @@ def test_criterion_3_adam_oracle():
 
 
 def test_criterion_4_overfit_convergence():
-    """A single-head network memorizes 32 windows (batch 64, lr 1e-3): the
-    final epoch's MSE drops below 1% of the first epoch's within 500
-    epochs, in under 2 minutes."""
+    """A single-head network memorizes 32 windows (batch 64, lr 1e-3): after
+    100 epochs the final epoch's MSE is below 1% of the first epoch's, in
+    under 2 minutes."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     inputs = rng.normal(size=(32, 6, 10))
@@ -129,10 +129,9 @@ def test_criterion_4_overfit_convergence():
     cfg = NetConfig(arch="single", window=10, dropout=0.0)
     params = init_params(cfg, seed=0)
     _, history = train(params, cfg, inputs, labels,
-                       TrainConfig(epochs=500, batch_size=64, lr=1e-3, seed=0,
-                                   stop_ratio=0.01))
+                       TrainConfig(epochs=100, batch_size=64, lr=1e-3, seed=0))
     elapsed = time.perf_counter() - t0
-    assert len(history) <= 500
+    assert len(history) == 100
     assert history[-1] < 0.01 * history[0]
     assert elapsed < 120.0
     _report(4, f"loss {history[0]:.3g} -> {history[-1]:.3g} "

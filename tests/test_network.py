@@ -1,6 +1,5 @@
 import copy
 import ctypes
-import hashlib
 import io
 import json
 import os
@@ -771,9 +770,22 @@ def _inline(first, second):
     return first(), second()
 
 
+def _recording_gemms(monkeypatch):
+    """Swaps np.matmul for a recorder; returns the list to which it appends
+    the (m, k, n) of each GEMM, on any thread."""
+    matmul, gemms = np.matmul, []
+
+    def recording(a, b, out):
+        gemms.append((*a.shape, b.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return gemms
+
+
 def _splits(m, k, n, alone=True):
-    """Whether network._matmul's rule splits an (m, k) @ (k, n) GEMM, given
-    a pinned BLAS; a GEMM that runs inside a _both (not ``alone``)
+    """Whether network._matmul's rule splits an (m, k) @ (k, n) GEMM; a
+    GEMM that runs inside one of _by_branch's two tasks (not ``alone``)
     stays whole."""
     cut = (n // 16) * 8
     return alone and n % 8 == 0 and m * k * min(cut, n - cut) >= 2 ** 21
@@ -781,7 +793,7 @@ def _splits(m, k, n, alone=True):
 
 def _two_lanes(cfg, batch):
     """Whether network's lane rule runs ``cfg``'s conv stack on ``batch``
-    windows as two window halves at once, given a pinned BLAS."""
+    windows as two window halves."""
     chans, cut = cfg.conv_channels, batch // 2 * cfg.window
     return (len(cfg.branches) == 1 and cut % 8 == 0
             and min(a * b for a, b in zip(chans, chans[1:])) * KERNEL * cut >= 2 ** 21)
@@ -789,10 +801,10 @@ def _two_lanes(cfg, batch):
 
 def _gemms(cfg, batch, backward):
     """(m, k, n, alone) of every GEMM of one forward pass of ``batch``
-    windows, and with ``backward`` of its backward pass, given a pinned
-    BLAS. ``alone`` GEMMs run outside any _both: those of multi's conv
-    stacks, which run at once, are not, nor are the conv GEMMs of a stack
-    that runs as two lanes, one GEMM per lane on its own columns."""
+    windows, and with ``backward`` of its backward pass, before the split
+    rule. ``alone`` GEMMs run outside _by_branch's two tasks: those of
+    multi's conv stacks are not, nor are the conv GEMMs of a stack that
+    runs as two lanes, one GEMM per lane on its own columns."""
     chans, cols = cfg.conv_channels, batch * cfg.window
     at_once = len(cfg.branches) == 2
     cut = batch // 2 * cfg.window
@@ -850,8 +862,8 @@ def _nested_both():
 
 
 class TestWorker:
-    # multi's two conv stacks run at once, given a pinned BLAS; longer
-    # windows make GEMMs large enough to be split, the conv GEMMs too; wide
+    # multi's two conv stacks run beside each other; longer windows make
+    # GEMMs large enough to be split, the conv GEMMs too; wide
     # convs over long windows make single's stack run as two lanes, at
     # batches 16 and 40 but not 8
     NETS = {"multi": _net("multi", dropout=0.5, dense_widths=(200, 4)),
@@ -1012,21 +1024,63 @@ class TestWorker:
 
     def test_no_gemm_is_split_inside_conv_stacks_that_run_at_once(self, monkeypatch):
         cfg = self.NETS["multi_long"]
-        both, calls = network._both, []
+        by_branch, calls = network._by_branch, []
 
-        def recording(first, second):
-            calls.append((getattr(first, "func", None) is np.matmul, network._running.locked()))
-            return both(first, second)
+        def recording(tasks):
+            calls.append((len(tasks), getattr(tasks[0], "func", None) is np.matmul,
+                          getattr(network._pair, "inside", False)))
+            return by_branch(tasks)
 
-        monkeypatch.setattr(network, "_both", recording)
+        monkeypatch.setattr(network, "_by_branch", recording)
         params, x, y = _bitwise_case(cfg, 16, seed=1)
         loss_and_gradients(params, cfg, x, y, rng=np.random.default_rng(0))
         # some of the stacks' GEMMs are large enough for the rule, but run whole
         dense = sum(_splits(*g) for g in _gemms(cfg, 16, True))
         assert sum(_splits(*g[:3]) for g in _gemms(cfg, 16, True)) > dense
-        assert calls.count((False, False)) == 2  # the stacks, forward and backward
-        assert calls.count((True, False)) == dense
-        assert len(calls) == 2 + dense
+        assert calls.count((2, False, False)) == 2  # the stacks, forward and backward
+        assert calls.count((2, True, False)) == dense
+        # inside a stack, its one lane's tasks, each of them whole
+        assert {call for call in calls if call[2]} == {(1, False, True)}
+
+    @pytest.mark.parametrize("net", ["single_lanes", "multi_long"])
+    def test_every_platform_runs_the_same_gemms(self, net, monkeypatch):
+        # with numpy's BLAS pinned, the pieces of a step run at once; with a
+        # BLAS that cannot be pinned, or while another thread holds the
+        # worker, in turn: the same GEMMs either way, so the same bits
+        cfg = self.NETS[net]
+        params, x, y = _bitwise_case(cfg, 16, seed=4)
+
+        def step():
+            gemms = _recording_gemms(monkeypatch)
+            loss, grads, out = loss_and_gradients(params, cfg, x, y,
+                                                   rng=np.random.default_rng(0))
+            arrays = [np.float64(loss), out, *grads.values(), predict(params, cfg, x)]
+            return sorted(gemms), arrays
+
+        runs = [step()]
+        monkeypatch.setattr(network, "_pinnable", lambda: False)
+        runs.append(step())
+        monkeypatch.setattr(network, "_pinnable", lambda: True)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with network._running:
+                held.set()
+                release.wait(60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(60)
+            runs.append(step())
+        finally:
+            release.set()
+            holder.join()
+        shapes = _gemms(cfg, 16, True) + _gemms(cfg, 16, False)
+        assert len(runs[0][0]) == sum(1 + _splits(*g) for g in shapes) > len(shapes)
+        for gemms, arrays in runs[1:]:
+            assert gemms == runs[0][0]
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in runs[0][1]]
 
     def test_worker_keeps_nothing_of_a_finished_task(self):
         # a task's closure holds the caller's buffers; once _both returns, the
@@ -1130,131 +1184,26 @@ needs_openblas = pytest.mark.skipif(
     reason="the thread count is asked of OpenBLAS through /proc")
 
 
-def _extent(shape, strides):
-    """The float64 elements an array of ``shape`` and byte ``strides`` spans."""
-    return 1 + sum((n - 1) * step // 8 for n, step in zip(shape, strides))
-
-
-def _split_gemms():
-    """One training step and one predict of each GEMM_CASES entry, with
-    every GEMM recorded as passed; then each recorded GEMM again, on random
-    operands of its shapes and strides. A GEMM on a lane's columns of a
-    wider buffer is run as the whole-batch GEMM of that buffer, once split
-    at the lane cut and once as one np.matmul; any other GEMM through
-    network._matmul and as one np.matmul. Returns the count recorded and,
-    per GEMM that the rule split and per lane-split GEMM, its (m, k, n) and
-    whether the two results have the same bytes, in two lists. It swaps
-    network._matmul and network._both while it runs, so a test runs it in a
-    process of its own."""
-    matmul, both, passed, split = network._matmul, network._both, [], []
-
-    def recording(a, b, out):
-        passed.append(tuple((x.shape, x.strides) for x in (a, b, out)))
-        return matmul(a, b, out)
-
-    network._matmul = recording
-    for cfg, batch, predicted in GEMM_CASES:
-        params, x, y = _bitwise_case(cfg, max(batch, predicted), seed=batch)
-        loss_and_gradients(params, cfg, x[:batch], y[:batch], rng=np.random.default_rng(0))
-        predict(params, cfg, x[:predicted])
-    network._matmul = matmul
-    network._both = lambda first, second: split.append(1) or both(first, second)
-    checks = {}  # layout -> None, or the lane cut of a whole-batch GEMM
-    for (a, b, (shape, strides)) in passed:
-        width = strides[0] // 8
-        if width > shape[1]:  # one lane's columns: the whole GEMM, and the lane cut
-            whole = (a, (b[0][:1] + (width,), b[1]), (shape[:1] + (width,), strides))
-            checks[whole, min(shape[1], width - shape[1])] = None
-        else:
-            checks[(a, b, (shape, strides)), None] = None
-    values = np.random.default_rng(0).normal(
-        size=1 + max(_extent(*op) for layout, _ in checks for op in layout))
-    halves, lane_halves = [], []
-    for layout, cut in checks:
-        a, b = (np.lib.stride_tricks.as_strided(values[i:], *op)
-                for i, op in enumerate(layout[:2]))
-        out, whole = (np.lib.stride_tricks.as_strided(np.empty(_extent(*layout[2])), *layout[2])
-                      for _ in range(2))
-        split.clear()
-        if cut is None:
-            matmul(a, b, out)
-        else:
-            for columns in (slice(0, cut), slice(cut, None)):
-                np.matmul(a, b[:, columns], out=out[:, columns])
-        if split or cut is not None:
-            np.matmul(a, b, out=whole)
-            (halves if cut is None else lane_halves).append(
-                (*a.shape, out.shape[1], out.tobytes() == whole.tobytes()))
-    network._both = both
-    return len(passed), halves, lane_halves
-
-
-# one training step and one predict of: the default config at both of its
-# batch sizes; the criterion-6 config of each architecture and of the
-# baseline, at both batch sizes and its eval flights' 20 windows; and the
-# tests' nets
-GEMM_CASES = [
-    *((NetConfig(arch=arch, window=100), batch, batch)
-      for arch in ("single", "multi") for batch in (64, 53)),
-    *((NetConfig(arch=arch, window=25, dropout=0.1, out_dim=out_dim), batch, 20)
-      for arch, out_dim in (("single", 3), ("multi", 3), ("single", 2)) for batch in (64, 32)),
-    *((cfg, 16, 40) for cfg in TestWorker.NETS.values()),
-    (TINY_SINGLE, 5, 5), (TINY_MULTI, 5, 5),
-    (NetConfig(arch="single", window=20, dropout=0.0, conv_channels=(6, 8, 8),
-               dense_widths=(16, 8)), 32, 4),
-]
-
-
 class TestSplitGemm:
-    @needs_openblas
-    @pytest.mark.parametrize("coretype", [None, "Haswell", "Sandybridge", "Katmai"],
-                             ids=["cpu_kernel", "Haswell", "Sandybridge", "Katmai"])
-    def test_every_gemm_the_rule_splits_has_the_bits_of_one_call(self, coretype):
-        # at one BLAS thread, in a process of its own, on the kernel OpenBLAS
-        # picks for this CPU and on Haswell's, Sandybridge's and Katmai's
-        code = "import json, test_network\nprint(json.dumps(test_network._split_gemms()))\n"
-        done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
-                              text=True, env=_subprocess_env(OPENBLAS_NUM_THREADS="1",
-                                                             OPENBLAS_CORETYPE=coretype))
-        assert done.returncode == 0, done.stderr
-        count, halves, lanes = json.loads(done.stdout)
-        assert count == sum(len(_gemms(cfg, batch, True)) + len(_gemms(cfg, predicted, False))
-                            for cfg, batch, predicted in GEMM_CASES)
-        assert len(halves) > 50
-        assert [64, 25600, 512, True] in halves  # the default fc1's forward GEMM
-        assert [gemm for gemm in halves if not gemm[-1]] == []
-        # every conv GEMM of a stack run as two lanes, against one call: the
-        # default first conv's at 64 and 53 windows, single_lanes' at 16 and 40
-        for n in (6400, 5300):
-            assert [64, 18, n, True] in lanes
-        for n in (2048, 5120):
-            assert [128, 18, n, True] in lanes
-        assert [384, 128, 2048, True] in lanes  # an input gradient
-        # the default's 6 convs forward and 5 input gradients, at two batch
-        # sizes; single_lanes' 2 and 1 in training, and 2 in its predict
-        assert len({tuple(gemm) for gemm in lanes}) == 2 * (6 + 5) + (2 + 1) + 2
-        assert [gemm for gemm in lanes if not gemm[-1]] == []
-
     @pytest.mark.parametrize("m, k, n, whole", [
-        (64, 18, 925, True),     # split at 456 columns, it changed bits
+        (64, 18, 925, True),     # split at 456 columns, it changed bits from one call
         (256, 768, 259, True),   # as did this one
         (64, 6400, 18, True),    # the default first conv's weight gradient
         (256, 768, 256, False),
         (64, 18, 3632, True),    # halves of 1816 columns: just under 2 ** 21 multiply-adds
         (64, 18, 3648, False),
-        (128, 192, 325, True),   # split at 160 columns, it changed bits
+        (128, 192, 325, True),   # split at 160 columns, it changed bits from one call
         (768, 256, 300, True),   # split at 144 columns, as did this one
+        (64, 25600, 512, False),  # the default fc1's forward
     ])
     def test_rule_keeps_known_bad_shapes_whole(self, m, k, n, whole, monkeypatch):
-        monkeypatch.setattr(network, "_pinnable", lambda: True)
-        both, calls = network._both, []
-        monkeypatch.setattr(network, "_both", lambda *tasks: calls.append(1) or both(*tasks))
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(m, k)), rng.normal(size=(n, k)).T
-        out = network._one_blas_thread(network._matmul)(a, b, np.empty((m, n)))
-        assert len(calls) == (not whole)
-        assert out.tobytes() == network._one_blas_thread(np.matmul)(a, b).tobytes()
-
+        # the shapes alone decide, whether or not numpy's BLAS can be pinned
+        a, b = np.zeros((m, k)), np.zeros((n, k)).T
+        for pinned in (True, False):
+            monkeypatch.setattr(network, "_pinnable", lambda: pinned)
+            gemms = _recording_gemms(monkeypatch)
+            network._matmul(a, b, np.empty((m, n)))
+            assert len(gemms) == 1 + (not whole)
 
     @pytest.mark.parametrize("cfg, batch, two", [
         *((NetConfig(arch="single", window=25, dropout=0.1, out_dim=out_dim), batch, False)
@@ -1268,61 +1217,14 @@ class TestSplitGemm:
         (TestWorker.NETS["single_long"], 16, False),
     ])
     def test_lane_rule(self, cfg, batch, two, monkeypatch):
-        # two lanes exactly where the lane cut meets _matmul's split rule
-        monkeypatch.setattr(network, "_pinnable", lambda: True)
+        # two lanes exactly where the lane cut meets _matmul's split rule,
+        # whether or not numpy's BLAS can be pinned
         cut = batch // 2
-        assert network._lanes(cfg, batch) == ([(0, cut), (cut, batch)] if two else [(0, batch)])
+        for pinned in (True, False):
+            monkeypatch.setattr(network, "_pinnable", lambda: pinned)
+            assert network._lanes(cfg, batch) == (
+                [(0, cut), (cut, batch)] if two else [(0, batch)])
         assert _two_lanes(cfg, batch) == two
-        monkeypatch.setattr(network, "_pinnable", lambda: False)
-        assert network._lanes(cfg, batch) == [(0, batch)]
-
-
-def _lane_bits():
-    """Per config, the SHA-256 of the loss, every gradient and the
-    predictions of one pass each at 64 and 53 windows, and of the params,
-    loss history and predictions after two epochs of training on 117
-    windows (batches 64 and 53), for single and the baseline at the default
-    window, with the lanes forced off (network._pinnable swapped for False)
-    and on (for True); and whether each pass took two lanes."""
-    pinnable, digests = network._pinnable, {}
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(117, 6, 100))
-    for out_dim in (3, 2):
-        cfg = NetConfig(arch="single", window=100, out_dim=out_dim)
-        y = rng.normal(size=(117, out_dim))
-        init = init_params(cfg, seed=out_dim)
-        for pinned in (False, True):
-            network._pinnable = lambda: pinned
-            digest = hashlib.sha256()
-            for batch in (64, 53):
-                params = {k: p.copy() for k, p in init.items()}
-                loss, grads, out = loss_and_gradients(params, cfg, x[:batch], y[:batch],
-                                                      rng=np.random.default_rng(0))
-                for a in (np.float64(loss), out, *grads.values()):
-                    digest.update(a.tobytes())
-            params, history = train({k: p.copy() for k, p in init.items()}, cfg, x, y,
-                                    TrainConfig(epochs=2, batch_size=64, seed=1))
-            for a in (np.array(history), predict(params, cfg, x), *params.values()):
-                digest.update(a.tobytes())
-            lanes = [len(network._lanes(cfg, batch)) for batch in (64, 53)]
-            digests[f"out_dim {out_dim}, pinned {pinned}"] = (digest.hexdigest(), lanes)
-    network._pinnable = pinnable
-    return digests
-
-
-@needs_openblas
-def test_lanes_keep_the_bits_at_the_default_config():
-    # in a process of its own: two lanes, each running its conv GEMMs whole
-    # on its columns, give the bits of one lane
-    code = "import json, test_network\nprint(json.dumps(test_network._lane_bits()))\n"
-    done = subprocess.run([sys.executable, "-c", code], timeout=600, capture_output=True,
-                          text=True, env=_subprocess_env())
-    assert done.returncode == 0, done.stderr
-    digests = json.loads(done.stdout)
-    for out_dim in (3, 2):
-        off, on = (digests[f"out_dim {out_dim}, pinned {p}"] for p in (False, True))
-        assert off[1] == [1, 1] and on[1] == [2, 2]
-        assert on[0] == off[0], out_dim
 
 
 def _numpy_openblas_threads():
@@ -1455,7 +1357,7 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -1), ("epochs", 2.0), ("batch_size", 0),
         ("batch_size", -3), ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
-        ("lr", -1.0), ("stop_ratio", 0.0), ("stop_ratio", 1.0),
+        ("lr", -1.0),
     ])
     def test_rejects_bad_setting(self, field, value):
         with pytest.raises(ValueError, match=field) as exc:
@@ -1476,16 +1378,6 @@ class TestTrain:
                       x[:, 2].mean(axis=1)], axis=1)
         _, history = train(init_params(TINY_SINGLE, seed=2), TINY_SINGLE, x, y,
                            TrainConfig(epochs=80, batch_size=16, seed=5))
-        assert history[-1] < 0.5 * history[0]
-
-    def test_stop_ratio_ends_early(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(64, 6, 8))
-        y = np.stack([x[:, 0].mean(axis=1)] * 3, axis=1)
-        _, history = train(init_params(TINY_SINGLE, seed=2), TINY_SINGLE, x, y,
-                           TrainConfig(epochs=200, batch_size=16, seed=5,
-                                       stop_ratio=0.5))
-        assert len(history) < 200
         assert history[-1] < 0.5 * history[0]
 
     def test_rejects_empty_training_set(self):

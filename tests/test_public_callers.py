@@ -16,8 +16,9 @@ Every parameter with a default is passed explicitly by some call in the
 package, the benchmark or the tests, too: a default that no call overrides
 is a constant in the parameter list.
 
-Every ``NetConfig`` field is set by the CLI, too: a field that no production
-caller sets is an option only tests vary, and belongs in a constant. And the
+Every ``NetConfig`` and ``TrainConfig`` field is set by the CLI, too: a field
+that no production caller sets is an option only tests vary, and belongs in
+a constant. And the
 benchmark's copy of the CLI's network builder builds the same networks, and
 its claim workload runs criterion 6's config, ``configs/criterion6.cfg``.
 
@@ -34,7 +35,11 @@ out the conv layers' buffer: no other code in the package passes the name
 
 One helper, ``network._both``, starts a thread: no other code in the package
 makes a thread, a process or a pool, so every task that runs beside the
-caller goes through it and gets its error back to the caller."""
+caller goes through it and gets its error back to the caller. It is the
+only code that refers to the lock it holds while it runs two tasks at once,
+and ``network._by_branch`` the only code that asks whether numpy's BLAS can
+be pinned: which GEMMs split and which conv stacks run as lanes depend on
+shapes alone, and the platform decides only whether two tasks run at once."""
 import ast
 import importlib.util
 import sys
@@ -45,7 +50,7 @@ import pytest
 
 from quadndr.cli import ARCHES, _net_config
 from quadndr.config import load_config
-from quadndr.network import NetConfig
+from quadndr.network import NetConfig, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "quadndr"
@@ -221,8 +226,10 @@ def test_cli_sets_every_net_config_field():
     snippet = ("def build(cfg):\n"
                "    return Net(arch=cfg.arch, **extra) if cfg else Other(window=1)\n")
     assert keywords_passed(snippet, "build", "Net") == {"arch", None}
-    passed = keywords_passed((SRC / "cli.py").read_text(), "_net_config", "NetConfig")
-    assert sorted({f.name for f in fields(NetConfig)} - passed) == []
+    source = (SRC / "cli.py").read_text()
+    for function, config in (("_net_config", NetConfig), ("cmd_train", TrainConfig)):
+        passed = keywords_passed(source, function, config.__name__)
+        assert sorted({f.name for f in fields(config)} - passed) == [], function
 
 
 def references_split(source: str, function: str) -> tuple[set[str], set[str]]:
@@ -462,6 +469,38 @@ def test_one_helper_starts_a_thread():
     assert thread_makers(snippet) == ["_both", "pool", "timer", "Runner", "line 14"]
     found = {p.name: thread_makers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_both"]}
+
+
+def referrers(source: str, name: str) -> list[str]:
+    """Top-level definitions of ``source`` (``line N`` for other statements)
+    that read ``name``, as a name or an attribute; binding it is no read."""
+    def reads(sub):
+        if isinstance(sub, ast.Name):
+            return sub.id == name and isinstance(sub.ctx, ast.Load)
+        return isinstance(sub, ast.Attribute) and sub.attr == name
+
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if any(reads(sub) for sub in ast.walk(node))]
+
+
+def test_one_helper_asks_whether_blas_is_pinned():
+    snippet = ("_running = Lock()\n"
+               "def _pinnable():\n"
+               "    return True\n"
+               "def _by_branch(tasks):\n"
+               "    return _pinnable() and _both(*tasks)\n"
+               "def _matmul(a, b):\n"
+               "    return _running.locked() or net._pinnable()\n"
+               "class Net:\n"
+               "    pinned = staticmethod(_pinnable)\n"
+               "FLAG = _pinnable\n")
+    assert referrers(snippet, "_pinnable") == ["_by_branch", "_matmul", "Net", "line 10"]
+    assert referrers(snippet, "_running") == ["_matmul"]
+    found = {name: {p.name: referrers(p.read_text(), name) for p in sorted(SRC.glob("*.py"))}
+             for name in ("_pinnable", "_running")}
+    assert {name: {module: defs for module, defs in by_module.items() if defs}
+            for name, by_module in found.items()} == {
+        "_pinnable": {"network.py": ["_by_branch"]}, "_running": {"network.py": ["_both"]}}
 
 
 def _perfbench_workloads():
