@@ -1042,7 +1042,7 @@ class TestWorker:
         # inside a stack, its one lane's tasks, each of them whole
         assert {call for call in calls if call[2]} == {(1, False, True)}
 
-    @pytest.mark.parametrize("net", ["single_lanes", "multi_long"])
+    @pytest.mark.parametrize("net", ["single_lanes", "multi_long", "single_long"])
     def test_every_platform_runs_the_same_gemms(self, net, monkeypatch):
         # with numpy's BLAS pinned, the pieces of a step run at once; with a
         # BLAS that cannot be pinned, or while another thread holds the
@@ -1081,6 +1081,52 @@ class TestWorker:
         for gemms, arrays in runs[1:]:
             assert gemms == runs[0][0]
             assert [a.tobytes() for a in arrays] == [a.tobytes() for a in runs[0][1]]
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["at_once", "in_turn"])
+    def test_each_of_two_tasks_runs_its_gemms_whole_and_clears_the_mark(self, pinned,
+                                                                        monkeypatch):
+        # the mark is set around each task, on whichever thread runs it, and
+        # cleared when the task ends, also by an error: the next GEMM on the
+        # caller's thread is split by the rule again
+        monkeypatch.setattr(network, "_pinnable", lambda: pinned)
+        gemms = _recording_gemms(monkeypatch)
+        a, b = np.zeros((64, 18)), np.zeros((18, 3648))  # split when alone
+        marks = []
+
+        def task(fails=False):
+            def run():
+                marks.append(getattr(network._pair, "inside", False))
+                network._matmul(a, b, np.empty((64, 3648)))
+                if fails:
+                    raise KeyError("task")
+            return run
+
+        for fails in ((), (0,), (1,)):
+            del gemms[:]
+            marks.clear()
+            tasks = [task(i in fails) for i in range(2)]
+            if fails:
+                with pytest.raises(KeyError):
+                    network._by_branch(tasks)
+            else:
+                network._by_branch(tasks)
+            assert marks and all(marks)
+            assert gemms == [(64, 18, 3648)] * len(marks)
+            assert not getattr(network._pair, "inside", False)
+            del gemms[:]
+            network._matmul(a, b, np.empty((64, 3648)))
+            assert gemms == [(64, 18, 1824)] * 2
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinnable", "not_pinnable"])
+    def test_a_lone_task_keeps_the_split_rule(self, pinned, monkeypatch):
+        # one lane of every window is not one of two tasks: its GEMMs split
+        # as they would outside _by_branch
+        monkeypatch.setattr(network, "_pinnable", lambda: pinned)
+        gemms = _recording_gemms(monkeypatch)
+        a, b = np.zeros((64, 18)), np.zeros((18, 3648))
+        network._by_branch([partial(network._matmul, a, b, np.empty((64, 3648)))])
+        assert gemms == [(64, 18, 1824)] * 2
+        assert not getattr(network._pair, "inside", False)
 
     def test_worker_keeps_nothing_of_a_finished_task(self):
         # a task's closure holds the caller's buffers; once _both returns, the
