@@ -12,11 +12,12 @@ Everything is plain numpy with handwritten backpropagation and Adam. A
 step splits into independent halves by shape alone: Adam's, multi's two
 conv stacks, single's conv stack as two window halves ("lanes",
 ``_lanes``) when its conv GEMMs are large enough, and each other large
-GEMM's column halves (``_matmul``). A second thread (``_both``) runs them
-at once, or all but Adam's in turn where numpy's BLAS is not an OpenBLAS
-this module can pin to one thread (``_pinnable``), as each public call that
-runs BLAS does while it runs (``_one_blas_thread``). So a step makes the
-same BLAS calls either way, at any BLAS thread count the caller set.
+GEMM's column halves (``_matmul``). ``_both`` runs each pair at once, one
+half on the one worker thread, which other threads' pairs queue for; or
+all but Adam's in turn where numpy's BLAS is not an OpenBLAS this module
+can pin to one thread (``_pinnable``), as each public call that runs BLAS
+does while it runs (``_one_blas_thread``). So a step makes the same BLAS
+calls either way, at any BLAS thread count the caller set.
 """
 from __future__ import annotations
 
@@ -164,9 +165,9 @@ class _Workspace:
     backward pass, so ``flat`` stays intact and its gradient gets a region
     of its own in ``arena``.
 
-    Every buffer is taken on the caller's thread before a pass hands a
-    branch, a lane or a GEMM's column half to the worker thread (``_both``),
-    which only writes into views. A lane writes only its own windows'
+    Every buffer is taken on the caller's thread before a pass hands two
+    branches, lanes or GEMM column halves to ``_both``, whose tasks, on
+    either thread, only write into views. A lane writes only its own windows'
     columns of its branch's buffers: every conv input, mask and
     (im2col columns, pre-activation) row is B*window long, so the lanes'
     columns never overlap, whatever a layer's channel count."""
@@ -299,8 +300,8 @@ def _as_windows(cfg: NetConfig, inputs) -> np.ndarray:
 
 
 _jobs = queue.SimpleQueue()  # the jobs that wait for the worker thread
-_running = threading.Lock()  # held while a _both runs its two tasks at once
-_worker = None  # the one worker thread, started by the first _both
+_worker_lock = threading.Lock()  # held while a _both checks and starts the worker
+_worker = None  # the one worker thread, started by the first _both that runs at once
 
 
 class _Job:
@@ -325,33 +326,43 @@ def _serve():
         del job  # its task holds the caller's buffers: keep none of them alive
 
 
-def _both(first, second):
-    """Run two independent tasks at once: ``first`` on the worker thread,
-    ``second`` on this one. A ``_both`` called while another one runs, from
-    one of its tasks or from another thread, runs ``first`` and then
-    ``second`` on this thread, so the worker never waits on itself. Returns
-    both results once both have ended; if either raised, raises the first
-    task's exception, else the second's."""
-    global _worker
-    job = _Job(first)
-    at_once = _running.acquire(blocking=False)
+_pair = threading.local()  # .inside: this thread runs one of a _both's two tasks
+
+
+def _in_pair(task):
+    """Run ``task`` with this thread's ``_pair.inside`` set, then give the
+    mark back the value it had; returns the task's result."""
+    inside, _pair.inside = getattr(_pair, "inside", False), True
     try:
-        if at_once:
+        return task()
+    finally:
+        _pair.inside = inside
+
+
+def _both(first, second, at_once=True):
+    """Run two independent tasks, each with ``_pair.inside`` set on the
+    thread that runs it: at once, ``first`` on the worker thread, after the
+    pairs other threads queued before, and ``second`` on this one; or in
+    turn on this thread when ``at_once`` is false or this thread runs a
+    pair's task already, so the worker never waits on itself. Returns both
+    results once both have ended; if either raised, raises the first task's
+    exception, else the second's."""
+    global _worker
+    job = _Job(partial(_in_pair, first))
+    if at_once and not getattr(_pair, "inside", False):
+        with _worker_lock:
             if _worker is None or not _worker.is_alive():  # not started yet, or lost in a fork
                 _worker = threading.Thread(target=_serve, name="quadndr worker", daemon=True)
                 _worker.start()
-            _jobs.put(job)
-        else:
-            job.run()
-        try:
-            second_result = second()
-        finally:
-            job.done.wait()  # the worker writes into the caller's buffers until then
-            if job.error is not None:
-                raise job.error
+        _jobs.put(job)
+    else:
+        job.run()
+    try:
+        second_result = _in_pair(second)
     finally:
-        if at_once:
-            _running.release()
+        job.done.wait()  # the worker writes into the caller's buffers until then
+        if job.error is not None:
+            raise job.error
     return job.result, second_result
 
 
@@ -424,28 +435,13 @@ def _one_blas_thread(function):
     return pinned
 
 
-_pair = threading.local()  # .inside: this thread runs one of _by_branch's two tasks
-
-
-def _in_pair(task):
-    """Run ``task`` with this thread's ``_pair.inside`` set."""
-    _pair.inside = True
-    try:
-        task()
-    finally:
-        _pair.inside = False
-
-
 def _by_branch(tasks):
     """Run one task, or two independent ones (two conv stacks, two lanes or
-    a GEMM's column halves) with ``_pair.inside`` set, so their GEMMs stay
-    whole: at once (``_both``) when numpy's BLAS is pinned, else in turn."""
-    if len(tasks) == 2:
-        tasks = [partial(_in_pair, task) for task in tasks]
-        if _pinnable():
-            return _both(*tasks)
-    for task in tasks:
-        task()
+    a GEMM's column halves) as a pair (``_both``), so their GEMMs stay
+    whole: at once when numpy's BLAS is pinned, else in turn."""
+    if len(tasks) == 1:
+        return tasks[0]()
+    return _both(*tasks, at_once=_pinnable())
 
 
 # the fewest multiply-adds of a GEMM half, and of a lane's smallest conv
@@ -460,8 +456,8 @@ def _matmul(a, b, out):
     ``out``'s n columns are split at ``cut = (n // 16) * 8`` into two GEMMs
     (``_by_branch``) when n is a multiple of 8 and each half has at least
     _SPLIT_MIN multiply-adds; otherwise it is one call. So is a GEMM inside
-    one of ``_by_branch``'s two tasks: a lane's conv GEMM is already its half
-    of the whole batch's, cut by ``_lanes`` under the same two conditions."""
+    one of ``_both``'s two tasks: a lane's conv GEMM is already its half of
+    the whole batch's, cut by ``_lanes`` under the same two conditions."""
     (m, k), n = a.shape, out.shape[1]
     cut = (n // 16) * 8
     if getattr(_pair, "inside", False) or n % 8 or m * k * min(cut, n - cut) < _SPLIT_MIN:

@@ -766,8 +766,12 @@ class TestWorkspace:
         assert predict(params, cfg, x[:0]).shape == (0, cfg.out_dim)
 
 
-def _inline(first, second):
-    return first(), second()
+_BOTH = network._both  # the real helper, whatever a test swaps in
+
+
+def _inline(first, second, at_once=True):
+    """The real ``_both``, running the pair in turn whatever ``at_once`` asks."""
+    return _BOTH(first, second, at_once=False)
 
 
 def _recording_gemms(monkeypatch):
@@ -837,8 +841,9 @@ def _subprocess_env(**variables):
 def _nested_both():
     """Each task of a _both calls _both twice, the second time with both
     inner tasks failing. Returns, per outer task, its thread, the inner
-    tasks' names and threads in the order they ran, the first inner result
-    and the inner error; this thread; and the threads of a _both after."""
+    tasks' names and threads in the order they ran, the first inner result,
+    the inner error and its thread's pair mark after both; this thread; and
+    the threads of a _both after."""
     def outer():
         ran = []
 
@@ -855,7 +860,7 @@ def _nested_both():
             network._both(task("c", fails=True), task("d", fails=True))
         except KeyError as exc:
             error = exc.args[0]
-        return threading.get_ident(), ran, result, error
+        return threading.get_ident(), ran, result, error, network._pair.inside
 
     return (network._both(outer, outer), threading.get_ident(),
             network._both(threading.get_ident, threading.get_ident))
@@ -894,9 +899,9 @@ class TestWorker:
             states.append(state)
             return adam(params, grads, state)
 
-        def counted(first, second):
+        def counted(first, second, at_once=True):
             calls.append(threading.get_ident())
-            return both(first, second)
+            return both(first, second, at_once=at_once)
 
         monkeypatch.setattr(network, "adam_step", recording_adam)
         monkeypatch.setattr(network, "_both", counted)
@@ -907,22 +912,19 @@ class TestWorker:
 
     @staticmethod
     def _pass_calls(cfg, batch, backward):
-        """The _both calls of one pass at a pinned BLAS: multi's conv
-        stacks; a stack's two lanes, once forward and, per conv backward,
-        once for the pre-activation gradient and the columns and, but for
-        the first conv, once for the input gradient; and one per GEMM the
-        split rule takes outside those."""
+        """The _both calls of one pass: multi's conv stacks; a stack's two
+        lanes, once forward and, per conv backward, once for the
+        pre-activation gradient and the columns and, but for the first conv,
+        once for the input gradient; and one per GEMM the split rule takes
+        outside those."""
         at_once = len(cfg.branches) == 2
         lanes = _two_lanes(cfg, batch) * (1 + backward * (2 * (len(cfg.conv_channels) - 1) - 1))
         splits = sum(_splits(*g) for g in _gemms(cfg, batch, backward))
         return at_once * (1 + backward) + lanes + splits
 
-    def _expected_calls(self, cfg, pinned):
-        """The _both calls of ``_train``: Adam's check and update per step,
-        and with a pinned BLAS those of each training step and of the
-        predict."""
-        if not pinned:
-            return 2 * 3 * 2  # 3 batches, 2 epochs
+    def _expected_calls(self, cfg):
+        """The _both calls of ``_train``: Adam's check and update and those
+        of the pass, per step, and those of the predict."""
         return (sum(steps * (2 + self._pass_calls(cfg, batch, True))
                     for batch, steps in ((16, 4), (8, 2)))
                 + self._pass_calls(cfg, 40, False))
@@ -933,8 +935,7 @@ class TestWorker:
                                                                monkeypatch):
         # numpy's OpenBLAS started at one thread or at two, which the pin
         # brings to one: both take the two-core path; a BLAS that cannot be
-        # pinned (0) runs the conv stacks in turn and every GEMM whole. The
-        # inline helper runs the same halves in turn
+        # pinned (0) runs the same pairs in turn, as the inline helper does
         cfg, pin, inside = self.NETS[net], blas_threads and network._openblas(), set()
         monkeypatch.setattr(network, "_pinnable", lambda: blas_threads > 0)
         if pin:
@@ -958,7 +959,7 @@ class TestWorker:
         finally:
             if pin:
                 set_(callers)
-        assert len(calls) == self._expected_calls(cfg, blas_threads > 0)
+        assert len(calls) == self._expected_calls(cfg)
         for got, want in ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v)):
             assert got.keys() == want.keys()
             for k in want:
@@ -1017,10 +1018,57 @@ class TestWorker:
         assert done.returncode == 0, done.stderr
         outer, caller, after = json.loads(done.stdout)
         assert outer[1][0] == caller != outer[0][0]  # the worker's task, then the caller's
-        for thread, ran, result, error in outer:
+        for thread, ran, result, error, inside in outer:
             assert ran == [[name, thread] for name in "abcd"]
             assert result == ["a", "b"] and error == "c"
+            assert inside  # an inner pair gives the mark back, still set
         assert after[0] != caller == after[1]  # the next _both runs at once again
+
+    def test_racing_first_calls_start_one_worker(self):
+        # in a fresh process, so that these are its first _both calls
+        code = ("import threading\n"
+                "from quadndr import network\n"
+                "start = threading.Barrier(8)\n"
+                "def first():\n"
+                "    start.wait(60)\n"
+                "    network._both(lambda: None, lambda: None)\n"
+                "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+                "for thread in threads:\n"
+                "    thread.start()\n"
+                "for thread in threads:\n"
+                "    thread.join()\n"
+                "print(sum(t.name == 'quadndr worker' for t in threading.enumerate()))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1\n"
+
+    def test_two_threads_that_train_at_once_get_the_bytes_they_get_alone(self):
+        # their pairs queue for the one worker, and run as they do alone
+        def fit(net):
+            cfg = self.NETS[net]
+            x, y = self._data(cfg)
+            params, history = train(init_params(cfg, seed=5), cfg, x, y,
+                                    TrainConfig(epochs=2, batch_size=16, seed=3))
+            return [a.tobytes() for a in (*params.values(), np.array(history),
+                                          predict(params, cfg, x))]
+
+        nets = ["single_lanes", "multi_long"]
+        alone, together, start = {net: fit(net) for net in nets}, {}, threading.Barrier(2)
+
+        def run(net):
+            start.wait(60)
+            together[net] = fit(net)
+
+        threads = [threading.Thread(target=run, args=(net,)) for net in nets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together.keys() == alone.keys()
+        for net in nets:
+            assert together[net] == alone[net], net
 
     def test_no_gemm_is_split_inside_conv_stacks_that_run_at_once(self, monkeypatch):
         cfg = self.NETS["multi_long"]
@@ -1044,9 +1092,10 @@ class TestWorker:
 
     @pytest.mark.parametrize("net", ["single_lanes", "multi_long", "single_long"])
     def test_every_platform_runs_the_same_gemms(self, net, monkeypatch):
-        # with numpy's BLAS pinned, the pieces of a step run at once; with a
-        # BLAS that cannot be pinned, or while another thread holds the
-        # worker, in turn: the same GEMMs either way, so the same bits
+        # with numpy's BLAS pinned, the pieces of a step run at once, also
+        # while another thread's pair keeps the worker busy and the step's
+        # pairs queue behind it; with a BLAS that cannot be pinned, in turn:
+        # the same GEMMs either way, so the same bits
         cfg = self.NETS[net]
         params, x, y = _bitwise_case(cfg, 16, seed=4)
 
@@ -1061,21 +1110,21 @@ class TestWorker:
         monkeypatch.setattr(network, "_pinnable", lambda: False)
         runs.append(step())
         monkeypatch.setattr(network, "_pinnable", lambda: True)
-        held, release = threading.Event(), threading.Event()
+        busy, workers = threading.Event(), []
 
         def hold():
-            with network._running:
-                held.set()
-                release.wait(60)
+            workers.append(threading.current_thread().name)
+            busy.set()
+            time.sleep(0.3)
 
-        holder = threading.Thread(target=hold)
+        holder = threading.Thread(target=network._both, args=(hold, lambda: None))
         holder.start()
         try:
-            assert held.wait(60)
+            assert busy.wait(60)
             runs.append(step())
         finally:
-            release.set()
-            holder.join()
+            holder.join(60)
+        assert workers == ["quadndr worker"] and not holder.is_alive()
         shapes = _gemms(cfg, 16, True) + _gemms(cfg, 16, False)
         assert len(runs[0][0]) == sum(1 + _splits(*g) for g in shapes) > len(shapes)
         for gemms, arrays in runs[1:]:
@@ -1086,8 +1135,8 @@ class TestWorker:
     def test_each_of_two_tasks_runs_its_gemms_whole_and_clears_the_mark(self, pinned,
                                                                         monkeypatch):
         # the mark is set around each task, on whichever thread runs it, and
-        # cleared when the task ends, also by an error: the next GEMM on the
-        # caller's thread is split by the rule again
+        # given back, clear, when the task ends, also by an error: the next
+        # GEMM on the caller's thread is split by the rule again
         monkeypatch.setattr(network, "_pinnable", lambda: pinned)
         gemms = _recording_gemms(monkeypatch)
         a, b = np.zeros((64, 18)), np.zeros((18, 3648))  # split when alone

@@ -35,9 +35,10 @@ out the conv layers' buffer: no other code in the package passes the name
 
 One helper, ``network._both``, starts a thread: no other code in the package
 makes a thread, a process or a pool, so every task that runs beside the
-caller goes through it and gets its error back to the caller. It is the
-only code that refers to the lock it holds while it runs two tasks at once,
-and ``network._by_branch`` the only code that asks whether numpy's BLAS can
+caller goes through it and gets its error back to the caller. Only it,
+``_in_pair`` and ``_matmul`` read the per-thread mark of a pair's task, so
+whether a pair runs at once depends on its own thread alone; and
+``network._by_branch`` is the only code that asks whether numpy's BLAS can
 be pinned: which GEMMs split and which conv stacks run as lanes depend on
 shapes alone, and the platform decides only whether two tasks run at once."""
 import ast
@@ -312,6 +313,20 @@ def test_cli_splits_before_reading_and_checks_before_writing():
         assert later <= set(after) and not later & set(before), function
 
 
+def definitions_where(source: str, holds) -> list[str]:
+    """Top-level definitions of ``source`` (``line N`` for other statements)
+    with a node, at any depth, for which ``holds`` is true."""
+    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if any(holds(sub) for sub in ast.walk(node))]
+
+
+def package_definitions_where(holds) -> dict[str, list[str]]:
+    """``definitions_where`` in each of the package's modules, for the
+    modules where it finds some."""
+    found = {p.name: definitions_where(p.read_text(), holds) for p in sorted(SRC.glob("*.py"))}
+    return {name: defs for name, defs in found.items() if defs}
+
+
 def _signed_terms(node, sign=1):
     """The terms of an additive chain with their signs: ``a + b - c`` gives
     (1, a), (1, b) and (-1, c), and ``-a`` gives (-1, a)."""
@@ -341,13 +356,6 @@ def _is_kernel_offset(node) -> bool:
     return any(kernel(k) and constant(c, 1) and sk == -sc for sk, k in terms for sc, c in terms)
 
 
-def kernel_offsets(source: str) -> list[str]:
-    """Top-level definitions of ``source`` (``line N`` for other statements)
-    whose code computes ``KERNEL // 2`` or ``KERNEL - 1``."""
-    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
-            if any(_is_kernel_offset(sub) for sub in ast.walk(node))]
-
-
 def test_one_helper_knows_the_conv_padding():
     snippet = ("KERNEL = 3  # KERNEL // 2 in a comment is no code\n"
                "def _taps(n):\n"
@@ -364,20 +372,16 @@ def test_one_helper_knows_the_conv_padding():
                "    def half(self):\n"
                "        return (KERNEL - 1) * 2\n"
                "HALF = KERNEL // 2\n")
-    assert kernel_offsets(snippet) == ["_taps", "pad", "size", "out_length", "Net", "line 15"]
-    found = {p.name: kernel_offsets(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_taps"]}
+    assert definitions_where(snippet, _is_kernel_offset) == [
+        "_taps", "pad", "size", "out_length", "Net", "line 15"]
+    assert package_definitions_where(_is_kernel_offset) == {"network.py": ["_taps"]}
 
 
-def arena_takers(source: str) -> list[str]:
-    """Top-level definitions of ``source`` (``line N`` for other statements)
-    with a call that passes the constant ``"arena"``."""
-    def passes_arena(call):
-        return any(isinstance(arg, ast.Constant) and arg.value == "arena"
-                   for arg in [*call.args, *(kw.value for kw in call.keywords)])
-
-    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
-            if any(isinstance(sub, ast.Call) and passes_arena(sub) for sub in ast.walk(node))]
+def _passes_arena(node) -> bool:
+    """Whether ``node`` is a call that passes the constant ``"arena"``."""
+    return isinstance(node, ast.Call) and any(
+        isinstance(arg, ast.Constant) and arg.value == "arena"
+        for arg in [*node.args, *(kw.value for kw in node.keywords)])
 
 
 def test_one_function_takes_the_arena():
@@ -391,27 +395,22 @@ def test_one_function_takes_the_arena():
                "    def grow(self):\n"
                "        return self.get('arena', ())\n"
                "BUF = take('arena')\n")
-    assert arena_takers(snippet) == ["_arena", "forward", "Workspace", "line 10"]
-    found = {p.name: arena_takers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_arena"]}
+    assert definitions_where(snippet, _passes_arena) == [
+        "_arena", "forward", "Workspace", "line 10"]
+    assert package_definitions_where(_passes_arena) == {"network.py": ["_arena"]}
 
 
 # what computes a matrix product, by the name it is reached by
 GEMM_MAKERS = {"matmul", "dot", "tensordot", "einsum", "inner"}
 
 
-def gemm_users(source: str) -> list[str]:
-    """Top-level definitions of ``source`` (``line N`` for other statements)
-    that use the ``@`` operator or name one of GEMM_MAKERS."""
-    def is_gemm(node):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)):
-            return isinstance(node.op, ast.MatMult)
-        if isinstance(node, ast.alias):  # an import of one
-            return node.name.rsplit(".", 1)[-1] in GEMM_MAKERS
-        return getattr(node, "id", getattr(node, "attr", None)) in GEMM_MAKERS
-
-    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
-            if any(is_gemm(sub) for sub in ast.walk(node))]
+def _is_gemm(node) -> bool:
+    """Whether ``node`` uses the ``@`` operator or names one of GEMM_MAKERS."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.alias):  # an import of one
+        return node.name.rsplit(".", 1)[-1] in GEMM_MAKERS
+    return getattr(node, "id", getattr(node, "attr", None)) in GEMM_MAKERS
 
 
 def test_one_helper_runs_every_gemm():
@@ -429,10 +428,9 @@ def test_one_helper_runs_every_gemm():
                "    def head(self, h):\n"
                "        return h.dot(self.w)\n"
                "PRODUCT = np.einsum('ij,jk', A, B)\n")
-    assert gemm_users(snippet) == ["line 2", "_matmul", "forward", "grad", "tail", "Net",
-                                   "line 14"]
-    found = {p.name: gemm_users(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    assert found["network.py"] == ["_matmul"]
+    assert definitions_where(snippet, _is_gemm) == [
+        "line 2", "_matmul", "forward", "grad", "tail", "Net", "line 14"]
+    assert package_definitions_where(_is_gemm)["network.py"] == ["_matmul"]
 
 
 # what makes a thread or a process, by the name it is called by
@@ -440,15 +438,10 @@ THREAD_MAKERS = {"Thread", "Timer", "start_new_thread", "start_new", "ThreadPool
                  "ProcessPoolExecutor", "ThreadPool", "Pool", "Process", "fork"}
 
 
-def thread_makers(source: str) -> list[str]:
-    """Top-level definitions of ``source`` (``line N`` for other statements)
-    with a call to one of THREAD_MAKERS."""
-    def makes_thread(call):
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
-        return name in THREAD_MAKERS
-
-    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
-            if any(isinstance(sub, ast.Call) and makes_thread(sub) for sub in ast.walk(node))]
+def _makes_thread(node) -> bool:
+    """Whether ``node`` is a call to one of THREAD_MAKERS."""
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) in THREAD_MAKERS
 
 
 def test_one_helper_starts_a_thread():
@@ -466,41 +459,39 @@ def test_one_helper_starts_a_thread():
                "def not_one(t):\n"
                "    return t.join(), threading.get_ident(), Threads()\n"
                "WORKER = multiprocessing.Process(target=print)\n")
-    assert thread_makers(snippet) == ["_both", "pool", "timer", "Runner", "line 14"]
-    found = {p.name: thread_makers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    assert {name: defs for name, defs in found.items() if defs} == {"network.py": ["_both"]}
+    assert definitions_where(snippet, _makes_thread) == [
+        "_both", "pool", "timer", "Runner", "line 14"]
+    assert package_definitions_where(_makes_thread) == {"network.py": ["_both"]}
 
 
-def referrers(source: str, name: str) -> list[str]:
-    """Top-level definitions of ``source`` (``line N`` for other statements)
-    that read ``name``, as a name or an attribute; binding it is no read."""
-    def reads(sub):
-        if isinstance(sub, ast.Name):
-            return sub.id == name and isinstance(sub.ctx, ast.Load)
-        return isinstance(sub, ast.Attribute) and sub.attr == name
+def reads(name: str):
+    """Whether a node reads ``name``, as a name or an attribute; binding it
+    is no read."""
+    def read(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == name
 
-    return [getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
-            if any(reads(sub) for sub in ast.walk(node))]
+    return read
 
 
 def test_one_helper_asks_whether_blas_is_pinned():
-    snippet = ("_running = Lock()\n"
+    snippet = ("_pair = local()\n"
                "def _pinnable():\n"
                "    return True\n"
                "def _by_branch(tasks):\n"
                "    return _pinnable() and _both(*tasks)\n"
                "def _matmul(a, b):\n"
-               "    return _running.locked() or net._pinnable()\n"
+               "    return _pair.inside or net._pinnable()\n"
                "class Net:\n"
                "    pinned = staticmethod(_pinnable)\n"
                "FLAG = _pinnable\n")
-    assert referrers(snippet, "_pinnable") == ["_by_branch", "_matmul", "Net", "line 10"]
-    assert referrers(snippet, "_running") == ["_matmul"]
-    found = {name: {p.name: referrers(p.read_text(), name) for p in sorted(SRC.glob("*.py"))}
-             for name in ("_pinnable", "_running")}
-    assert {name: {module: defs for module, defs in by_module.items() if defs}
-            for name, by_module in found.items()} == {
-        "_pinnable": {"network.py": ["_by_branch"]}, "_running": {"network.py": ["_both"]}}
+    assert definitions_where(snippet, reads("_pinnable")) == [
+        "_by_branch", "_matmul", "Net", "line 10"]
+    assert definitions_where(snippet, reads("_pair")) == ["_matmul"]
+    assert package_definitions_where(reads("_pinnable")) == {"network.py": ["_by_branch"]}
+    assert package_definitions_where(reads("_pair")) == {
+        "network.py": ["_in_pair", "_both", "_matmul"]}
 
 
 def _perfbench_workloads():
